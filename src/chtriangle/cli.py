@@ -12,6 +12,7 @@ internally parallel operations (table reproduction).
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -319,9 +320,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process; parsing leaves it
+    unchanged, as no argument has a mutable default."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         record, columns, rows = _HANDLERS[args.command](args)
     except (UsageError, ValueError) as exc:

@@ -1,9 +1,26 @@
-"""Shared random generators for the test suite."""
+"""Shared random generators and scalar oracles for the test suite."""
+
+import math
 
 import numpy as np
 
+from chtriangle.classify import discriminant
+from chtriangle.cyclotomic import (
+    DEFAULT_CIRCLE_TOL,
+    DEFAULT_CONDUCTOR_CAP,
+    DEFAULT_NEAR_TOL,
+    CandidateTrace,
+    ConjugateScan,
+    CyclotomicInt,
+    NearMissDiagnostic,
+    RefutationReport,
+    SurvivorDiagnostic,
+    phi_inequality,
+    trace_circle_rightmost,
+)
 from chtriangle.heisenberg import HeisenbergPoint
 from chtriangle.linalg import involution_from_polar, normalize_to_su
+from chtriangle.triangles import corner_cos, is_infinite
 
 
 def make_rng(seed: int = 0) -> np.random.RandomState:
@@ -52,3 +69,141 @@ def random_form_unitary(rng, factors: int = 3, max_entry: float = 50.0) -> np.nd
 
 def random_heisenberg_point(rng, scale: float = 1.0) -> HeisenbergPoint:
     return HeisenbergPoint(random_complex(rng, scale), float(rng.randn() * scale))
+
+
+# Scalar reference for the refutation engine: one CandidateTrace per
+# candidate from the nested enumeration loop, cand.value(), the scalar
+# discriminant and circle gap, and conjugate scans that evaluate the
+# CyclotomicInt corner cosines and traces at every unit k of the conductor.
+
+
+def enumerate_candidates_oracle(max_l: int):
+    out = []
+    for l in range(1, max_l + 1):
+        for k1 in range(l):
+            for k2 in range(k1, l):
+                k3 = (-k1 - k2) % l
+                if k3 < k2:
+                    continue
+                if math.gcd(math.gcd(k1, math.gcd(k2, k3)), l) > 1:
+                    continue
+                out.append(CandidateTrace(l=l, k=(k1, k2, k3)))
+    return out
+
+
+def corner_cyclotomic(order, N: int) -> CyclotomicInt:
+    """2 cos(pi/order) in Z[omega_N]; the integer 2 at an infinite order."""
+    if is_infinite(order):
+        return CyclotomicInt.integer(N, 2)
+    j = N // (2 * int(order))
+    return CyclotomicInt.root(N, j) + CyclotomicInt.root(N, -j)
+
+
+def conductor_oracle(l: int, m, n) -> int:
+    N = l
+    if not is_infinite(m):
+        N = math.lcm(N, 2 * int(m))
+    return math.lcm(N, 2 * int(n))
+
+
+def conjugate_rightmost_oracle(l: int, m, n) -> dict:
+    """Rightmost point of the conjugated circle at every unit k of the
+    conductor, from the exact corner cosines."""
+    N = conductor_oracle(l, m, n)
+    two_s1 = corner_cyclotomic(n, N)
+    two_s2 = corner_cyclotomic(m, N)
+    return {
+        k: trace_circle_rightmost(
+            two_s1.evaluate_conjugate(k).real / 2.0,
+            two_s2.evaluate_conjugate(k).real / 2.0,
+        )
+        for k in range(1, N + 1)
+        if math.gcd(k, N) == 1
+    }
+
+
+def conjugate_scan_oracle(l: int, m, n, conductor_cap: int) -> ConjugateScan | None:
+    N = conductor_oracle(l, m, n)
+    if N > conductor_cap:
+        return None
+    values = conjugate_rightmost_oracle(l, m, n)
+    worst = max(values.values())
+    return ConjugateScan(
+        conductor=N,
+        n_conjugates=len(values),
+        max_rightmost=worst,
+        all_strictly_below=worst < -1.0,
+        worst_k=min(k for k, v in values.items() if v == worst),
+    )
+
+
+def survivor_diagnostic_oracle(cand, gap, m, n, conductor_cap) -> SurvivorDiagnostic:
+    phi = phi_inequality(cand.l, *cand.k)
+    N = conductor_oracle(cand.l, m, n)
+    if N > conductor_cap:
+        return SurvivorDiagnostic(
+            candidate=cand, circle_gap=gap, conductor=None, galois_refuted=None,
+            witness_k=None, witness_re=None, phi=phi, note="unchecked (N overflow)",
+        )
+    step = N // cand.l
+    tau = CyclotomicInt(N)
+    for k in cand.k:
+        tau = tau + CyclotomicInt.root(N, k * step)
+    witness_k = None
+    witness_re = None
+    for k in range(1, N + 1):
+        if math.gcd(k, N) != 1:
+            continue
+        re = tau.evaluate_conjugate(k).real
+        if re >= -1.0:
+            witness_k = k
+            witness_re = re
+            break
+    return SurvivorDiagnostic(
+        candidate=cand, circle_gap=gap, conductor=N, galois_refuted=witness_k is not None,
+        witness_k=witness_k, witness_re=witness_re, phi=phi,
+    )
+
+
+def refute_finite_order_oracle(
+    m,
+    n: int,
+    max_l: int,
+    circle_tol: float = DEFAULT_CIRCLE_TOL,
+    near_tol: float = DEFAULT_NEAR_TOL,
+    conductor_cap: int = DEFAULT_CONDUCTOR_CAP,
+) -> RefutationReport:
+    s1 = corner_cos(n)
+    s2 = corner_cos(m)
+    center = 4.0 * (s1 * s1 + s2 * s2) + 1.0
+    radius = 8.0 * s1 * s2
+    survivors = []
+    near = []
+    checked = 0
+    elliptic = 0
+    for cand in enumerate_candidates_oracle(max_l):
+        checked += 1
+        tau = cand.value()
+        if discriminant(tau) >= -1e-9:
+            continue
+        elliptic += 1
+        gap = abs(abs(tau + center) - radius)
+        if gap <= circle_tol:
+            survivors.append(survivor_diagnostic_oracle(cand, gap, m, n, conductor_cap))
+        elif gap <= near_tol:
+            scan = conjugate_scan_oracle(cand.l, m, n, conductor_cap)
+            near.append(
+                NearMissDiagnostic(
+                    candidate=cand,
+                    circle_gap=gap,
+                    conjugates=scan,
+                    phi=phi_inequality(cand.l, *cand.k),
+                    note="" if scan is not None else "unchecked (N overflow)",
+                )
+            )
+    return RefutationReport(
+        m=m, n=n, max_l=max_l, circle_tol=circle_tol, near_tol=near_tol,
+        conductor_cap=conductor_cap, candidates_checked=checked,
+        regular_elliptic_candidates=elliptic, survivors=tuple(survivors),
+        near_misses=tuple(near), elapsed_seconds=0.0,
+    )

@@ -1,9 +1,10 @@
+import argparse
 import json
 import math
 
 import pytest
 
-from chtriangle.cli import main, parse_angle, parse_order
+from chtriangle.cli import build_parser, main, parse_angle, parse_order
 from chtriangle.criteria import order_k_locus
 
 
@@ -177,3 +178,34 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def _all_actions(parser):
+    for action in parser._actions:
+        yield action
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _all_actions(sub)
+
+
+def test_parser_defaults_are_immutable():
+    # main reuses one parser, which is safe only without mutable defaults
+    for action in _all_actions(build_parser()):
+        assert action.default is None or isinstance(
+            action.default, (str, int, float, bool, tuple)
+        ), action.dest
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
+
+
+def test_main_calls_do_not_share_parsed_state(capsys):
+    code, out, _ = run_cli(capsys, "galois", "--m", "inf", "--n", "7", "--max-l", "8",
+                           "--format", "json")
+    assert code == 0 and json.loads(out)["parameters"]["max_l"] == 8
+    code, out, _ = run_cli(capsys, "galois", "--m", "8", "--n", "11")
+    assert code == 0
+    header, rows = csv_rows(out)
+    assert header[0] == "kind"
+    assert rows[-1][:2] == ["summary", "60"]

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from chtriangle.cyclotomic import (
+    DEFAULT_CONDUCTOR_CAP,
     CandidateTrace,
     CyclotomicInt,
+    _conjugate_scan,
     canonical_candidate,
     circle_condition,
     enumerate_candidates,
@@ -16,7 +18,12 @@ from chtriangle.cyclotomic import (
     trace_circle_rightmost,
 )
 from chtriangle.triangles import corner_cos, trace_word_123
-from helpers import make_rng
+from helpers import (
+    conjugate_rightmost_oracle,
+    enumerate_candidates_oracle,
+    make_rng,
+    refute_finite_order_oracle,
+)
 
 INF = math.inf
 
@@ -203,6 +210,11 @@ def test_enumeration_matches_bruteforce_canonical_set():
         assert fast == slow
 
 
+def test_enumeration_matches_nested_loop_in_order():
+    for bound in (1, 2, 12, 30):
+        assert enumerate_candidates(bound) == enumerate_candidates_oracle(bound)
+
+
 def test_candidate_value():
     cand = CandidateTrace(l=7, k=(1, 2, 4))
     want = sum(cmath.exp(2j * math.pi * k / 7) for k in (1, 2, 4))
@@ -259,3 +271,104 @@ def test_refutation_exact_conjugate_values():
             math.cos(k * math.pi / 8), abs=1e-12
         )
     assert two_s1.evaluate().real / 2 == pytest.approx(corner_cos(11), abs=1e-12)
+
+
+def _assert_reports_agree(new, old):
+    assert new.candidates_checked == old.candidates_checked
+    assert new.regular_elliptic_candidates == old.regular_elliptic_candidates
+    assert [s.candidate for s in new.survivors] == [s.candidate for s in old.survivors]
+    for a, b in zip(new.survivors, old.survivors):
+        assert a.circle_gap == b.circle_gap
+        assert (a.conductor, a.galois_refuted, a.witness_k, a.phi, a.note) == (
+            b.conductor, b.galois_refuted, b.witness_k, b.phi, b.note)
+        if b.witness_re is None:
+            assert a.witness_re is None
+        else:
+            assert a.witness_re == pytest.approx(b.witness_re, abs=1e-12)
+    assert [t.candidate for t in new.near_misses] == [t.candidate for t in old.near_misses]
+    for a, b in zip(new.near_misses, old.near_misses):
+        assert a.circle_gap == b.circle_gap
+        assert (a.phi, a.note) == (b.phi, b.note)
+        assert (a.conjugates is None) == (b.conjugates is None)
+        if b.conjugates is None:
+            continue
+        x, y = a.conjugates, b.conjugates
+        assert (x.conductor, x.n_conjugates, x.all_strictly_below) == (
+            y.conductor, y.n_conjugates, y.all_strictly_below)
+        assert x.max_rightmost == pytest.approx(y.max_rightmost, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "m, n, max_l, tols",
+    [
+        (8, 11, 60, {}),
+        (INF, 7, 60, {}),
+        (5, 12, 60, {}),
+        (16, 30, 36, {}),
+        (INF, 7, 36, {"near_tol": 0.05}),
+        # forced survivors exercise the survivor diagnostic
+        (8, 11, 48, {"circle_tol": 1e-3, "near_tol": 1e-3}),
+        # a tiny cap sends every near-miss down the overflow path
+        (8, 11, 60, {"conductor_cap": 1000}),
+    ],
+)
+def test_refutation_matches_scalar_oracle(m, n, max_l, tols):
+    _assert_reports_agree(
+        refute_finite_order(m, n, max_l=max_l, **tols),
+        refute_finite_order_oracle(m, n, max_l, **tols),
+    )
+
+
+def test_forced_survivors_are_refuted_by_a_conjugate():
+    report = refute_finite_order(8, 11, max_l=48, circle_tol=1e-3, near_tol=1e-3)
+    assert report.survivors and not report.near_misses
+    for s in report.survivors:
+        assert s.galois_refuted
+        assert math.gcd(s.witness_k, s.conductor) == 1
+        assert s.witness_re >= -1.0
+
+
+def test_decision_path_does_not_use_cyclotomic_int(monkeypatch):
+    def refuse(self, k):
+        raise AssertionError("CyclotomicInt on the decision path")
+
+    monkeypatch.setattr(CyclotomicInt, "evaluate_conjugate", refuse)
+    assert refute_finite_order(8, 11, max_l=60).near_misses
+    assert refute_finite_order(8, 11, max_l=48, circle_tol=1e-3, near_tol=1e-3).survivors
+
+
+@pytest.mark.parametrize(
+    "l, m, n",
+    [
+        (1, 8, 11), (48, 8, 11), (30, INF, 7), (1, INF, 3), (24, 5, 12), (10, 16, 30),
+        (7, 3, 4),
+        # the smallest maximising residue shares a factor with l
+        (7, 3, 5), (5, 3, 7),
+    ],
+)
+def test_worst_k_is_the_smallest_maximising_unit(l, m, n):
+    values = conjugate_rightmost_oracle(l, m, n)
+    worst = max(values.values())
+    scan = _conjugate_scan(l, m, n, DEFAULT_CONDUCTOR_CAP)
+    assert scan.n_conjugates == len(values)
+    assert scan.max_rightmost == pytest.approx(worst, abs=1e-12)
+    assert scan.worst_k == min(k for k, v in values.items() if v >= worst - 1e-12)
+
+
+def test_exact_strictly_below_agrees_with_float_margin():
+    for m in [*range(3, 41), INF]:
+        for n in range(3, 41):
+            if m == n:
+                continue
+            scan = _conjugate_scan(1, m, n, DEFAULT_CONDUCTOR_CAP)
+            assert scan.all_strictly_below == (scan.max_rightmost < -1.0), (m, n)
+
+
+def test_refutation_at_max_l_200():
+    for m, n in ((8, 11), (INF, 7)):
+        report = refute_finite_order(m, n, max_l=200)
+        assert report.survivors == ()
+        assert report.overflowed == ()
+        for miss in report.near_misses:
+            assert miss.conjugates.all_strictly_below
+            assert miss.conjugates.max_rightmost < -1.0
