@@ -5,9 +5,6 @@ Every command emits a single machine-readable record, either as CSV
 digits, dashes for empty cells) or as JSON with --format json.  Output is
 assembled in full and written once.  Exit code 0 on success, 2 on usage
 errors and domain refusals.
-
-The CHG_THREADS environment variable caps the worker threads used by the
-internally parallel operations (table reproduction).
 """
 
 import argparse
@@ -259,10 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
             "construction, isometry classification, non-discreteness "
             "certificates and parameter-interval scans."
         ),
-        epilog=(
-            "Environment: CHG_THREADS caps worker threads for table scans "
-            "(default: the CPU count)."
-        ),
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -286,17 +279,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", required=True, help="first corner order (integer >= 3 or 'inf')")
     p.add_argument("--n", required=True, type=str, help="second corner order (integer >= 3)")
     p.add_argument("--grid", type=int, default=DEFAULT_GRID,
-                   help=f"scan grid size (default {DEFAULT_GRID})")
+                   help="unused, kept for compatibility")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help=f"endpoint bracket width (default {DEFAULT_TOL:g})")
+                   help=f"bound on the endpoint error (default {DEFAULT_TOL:g})")
     add_common(p)
 
     p = sub.add_parser("tables", help="recompute one of the three built-in survey tables")
     p.add_argument("which", type=int, choices=(1, 2, 3), help="table index")
     p.add_argument("--grid", type=int, default=DEFAULT_GRID,
-                   help=f"scan grid size (default {DEFAULT_GRID})")
+                   help="unused, kept for compatibility")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help=f"endpoint bracket width (default {DEFAULT_TOL:g})")
+                   help=f"bound on the endpoint error (default {DEFAULT_TOL:g})")
     add_common(p)
 
     p = sub.add_parser("galois", help="refute finite-order regular elliptic traces by enumeration")

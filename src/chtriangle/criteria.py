@@ -11,19 +11,25 @@ orders (m, n) and an ideal third corner:
   by the two vertical sides and the first involution.
 
 Each criterion has a continuous defining function of a that is negative
-exactly where the criterion fires, so interval endpoints are honest roots
-found by sign-scanning a uniform grid and bisecting every sign change.
+exactly where the criterion fires, so interval endpoints are honest roots,
+found in closed form as the real roots of a polynomial of degree <= 3 in a.
 """
 
+import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import IsometryClass, discriminant
-from .triangles import corner_cos, corner_sin, is_infinite, trace_word_123, trace_word_3132
-from .util import worker_count
+from .classify import IsometryClass, cubic_roots, discriminant
+from .triangles import (
+    _trace_123_circle,
+    corner_cos,
+    corner_sin,
+    is_infinite,
+    trace_word_123,
+    trace_word_3132,
+)
 
 SCAN_TESTS = ("re", "jorgensen", "shimizu")
 
@@ -42,6 +48,9 @@ TABLE_COLUMNS = {
 
 DEFAULT_GRID = 100_000
 DEFAULT_TOL = 1e-10
+# a polynomial root counts as a breakpoint when its imaginary part is at
+# most this; a spurious breakpoint only splits a piece of constant sign
+_IMAG_TOL = 1e-6
 # discriminant values above -EPS_FIRE do not count as a strict firing
 EPS_FIRE = 1e-9
 
@@ -110,19 +119,12 @@ def regular_elliptic_value(m, n, a):
     as a function of a = cos(theta).  Negative exactly where the product
     is regular elliptic.  Vectorised over a."""
     a = np.asarray(a, dtype=float)
-    s1 = corner_cos(n)
-    s2 = corner_cos(m)
-    c = -5.0 - 2.0 * _corner_cos2(m) - 2.0 * _corner_cos2(n)
+    c, radius = _trace_123_circle(m, n)
     sin_theta = np.sqrt(np.clip(1.0 - a * a, 0.0, None))
-    tau = c + 8.0 * s1 * s2 * (a + 1j * sin_theta)
-    val = discriminant(tau)
+    val = discriminant(c + radius * (a + 1j * sin_theta))
     if np.ndim(val) == 0:
         return float(val)
     return val
-
-
-def _corner_cos2(order):
-    return 1.0 if is_infinite(order) else math.cos(2.0 * math.pi / order)
 
 
 def jorgensen_value(m, n, a):
@@ -180,24 +182,60 @@ _VALUE_FUNCTIONS = {
 }
 
 
-def _bisect_root(fn, lo, hi, f_lo_negative, tol):
-    """Shrink a sign-change bracket to width <= tol; returns the midpoint."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if (fn(mid) < 0.0) == f_lo_negative:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _breakpoints(test, m, n):
+    """Real roots of a polynomial in a that vanishes wherever the test's
+    defining function does."""
+    s1 = corner_cos(n)
+    s2 = corner_cos(m)
+    if test == "jorgensen":
+        # |L(a)| = sin(pi/n)/2 with L(a) = s1^2 + 2 s2^2 + 1 - 4 s1 s2 a
+        center = s1 * s1 + 2.0 * s2 * s2 + 1.0
+        half = 0.5 * corner_sin(n)
+        return [(center - half) / (4.0 * s1 * s2), (center + half) / (4.0 * s1 * s2)]
+    if test == "shimizu":
+        # u^2 + 4 v^2 - (1/4 - 4u)^2 with u = alpha - beta a, 4 v^2 = beta^2 (1 - a^2);
+        # q1 > 0 for orders >= 3, so this form of the root formula does not cancel
+        alpha = s1 * s1 + s2 * s2
+        beta = 2.0 * s1 * s2
+        q2 = -16.0 * beta * beta
+        q1 = beta * (30.0 * alpha - 2.0)
+        q0 = beta * beta - 15.0 * alpha * alpha + 2.0 * alpha - 0.0625
+        q = -0.5 * (q1 + cmath.sqrt(q1 * q1 - 4.0 * q2 * q0))
+        return [z.real for z in (q / q2, q0 / q) if abs(z.imag) <= _IMAG_TOL]
+    # f = |tau|^4 - 8 Re tau^3 + 18 |tau|^2 - 27 with |tau|^2 = c^2 + R^2 + 2cRa
+    # and Re tau^3 = c^3 + 3c^2 R a + 3c R^2 (2a^2 - 1) + R^3 (4a^3 - 3a)
+    c, r = _trace_123_circle(m, n)
+    p3 = -32.0 * r**3
+    p2 = 4.0 * r * r * c * (c - 12.0)
+    p1 = 4.0 * r * (c * (c - 3.0) ** 2 + r * r * (c + 6.0))
+    p0 = (c * c + r * r) ** 2 - 8.0 * c**3 + 24.0 * c * r * r + 18.0 * (c * c + r * r) - 27.0
+    roots = []
+    for z in cubic_roots(-p2 / p3, p1 / p3, -p0 / p3):
+        if abs(z.imag) > _IMAG_TOL:
+            continue
+        # Newton steps on the defining function: the monomial coefficients
+        # cancel near a = 1, leaving roots off by up to 2e-10 at m = inf
+        a = min(1.0, max(-1.0, z.real))
+        for _ in range(3):
+            slope = (3.0 * p3 * a + 2.0 * p2) * a + p1
+            if slope == 0.0:
+                break
+            a = min(1.0, max(-1.0, a - regular_elliptic_value(m, n, a) / slope))
+        roots.append(a)
+    return roots
 
 
 def scan_intervals(test: str, m, n, grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) -> ScanResult:
     """Find all maximal intervals of a in [-1, 1] where a criterion fires.
 
-    The defining function is sampled on a uniform grid; every sign change
-    is refined by bisection to a bracket of width <= tol, and each reported
-    interval is re-checked at its midpoint against the strict inequality.
-    An empty interval list means the scan found no certificate.
+    The breakpoints are the real roots of a polynomial that vanishes at
+    every zero of the defining function: the discriminant of tr(123) is a
+    cubic in a, Jorgensen has two linear branches, and Shimizu squared
+    under its sign condition is a quadratic.  Roots closer than tol to each
+    other or to -1 and 1 merge.  Each piece between breakpoints takes the
+    sign of the defining function at its midpoint, and negative pieces
+    join.  An empty interval list means the scan found no certificate.
+    grid is unused, and validated only for compatibility.
     """
     if test not in SCAN_TESTS:
         raise ValueError(f"unknown test {test!r}; expected one of {SCAN_TESTS}")
@@ -208,27 +246,15 @@ def scan_intervals(test: str, m, n, grid: int = DEFAULT_GRID, tol: float = DEFAU
     if test == "jorgensen" and (is_infinite(n) or n < 7):
         return ScanResult(test=test, m=m, n=n, intervals=(), tol=tol)
 
-    fn = _VALUE_FUNCTIONS[test]
-    a = np.linspace(-1.0, 1.0, grid)
-    values = fn(m, n, a)
-    negative = values < 0.0
-
-    scalar = lambda x: float(fn(m, n, x))
-    intervals = []
-    i = 0
-    while i < grid:
-        if not negative[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < grid and negative[j + 1]:
-            j += 1
-        lo = -1.0 if i == 0 else _bisect_root(scalar, a[i - 1], a[i], False, tol)
-        hi = 1.0 if j == grid - 1 else _bisect_root(scalar, a[j], a[j + 1], True, tol)
-        if scalar(0.5 * (lo + hi)) < 0.0:
-            intervals.append((lo, hi))
-        i = j + 1
-    return ScanResult(test=test, m=m, n=n, intervals=tuple(intervals), tol=tol)
+    points = [-1.0]
+    for root in sorted(_breakpoints(test, m, n)):
+        if points[-1] + tol <= root <= 1.0 - tol:
+            points.append(root)
+    points.append(1.0)
+    edges = np.array(points)
+    negative = _VALUE_FUNCTIONS[test](m, n, 0.5 * (edges[:-1] + edges[1:])) < 0.0
+    pieces = [(lo, hi) for lo, hi, neg in zip(points, points[1:], negative) if neg]
+    return ScanResult(test=test, m=m, n=n, intervals=tuple(_merge_intervals(pieces)), tol=tol)
 
 
 def _table_cell(scan: ScanResult, which: str):
@@ -263,22 +289,12 @@ def reproduce_table(which: int, grid: int = DEFAULT_GRID, tol: float = DEFAULT_T
             cells["elliptic_lo"] = lo
             cells["elliptic_hi"] = hi
         if which in (2, 3):
-            cells["jorgensen_lo"] = _table_cell(
-                scan_intervals("jorgensen", m, n, grid, tol), "jorgensen"
-            )
-            cells["shimizu_lo"] = _table_cell(
-                scan_intervals("shimizu", m, n, grid, tol), "shimizu"
-            )
+            for test in ("jorgensen", "shimizu"):
+                cells[f"{test}_lo"] = _table_cell(scan_intervals(test, m, n, grid, tol), test)
         return TableRow(n=n, cells=cells)
 
-    rows = TABLE_ROWS[which]
-    workers = min(worker_count(), len(rows))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            built = tuple(pool.map(build_row, rows))
-    else:
-        built = tuple(build_row(n) for n in rows)
-    return TableResult(table=which, columns=TABLE_COLUMNS[which], rows=built)
+    rows = tuple(build_row(n) for n in TABLE_ROWS[which])
+    return TableResult(table=which, columns=TABLE_COLUMNS[which], rows=rows)
 
 
 def word_3132_analysis(n, a, boundary_tol: float = 1e-12) -> WordClassification:
@@ -344,10 +360,9 @@ def word_order_cos_window(n: int, grid: int = DEFAULT_GRID, tol: float = DEFAULT
     for test in SCAN_TESTS:
         pieces.extend(scan_intervals(test, math.inf, n, grid, tol).intervals)
     merged = _merge_intervals(pieces)
-    near_one = [iv for iv in merged if iv[1] >= 1.0 - 1e-9]
-    if not near_one:
+    if not merged or merged[-1][1] != 1.0:
         raise ValueError(f"no certified interval reaching a = 1 for n = {n}")
-    a_lo = near_one[-1][0]
+    a_lo = merged[-1][0]
     s = corner_cos(n)
     c_at = lambda a: 8.0 * s * s + 1.0 - 8.0 * s * a
     return (c_at(1.0), c_at(a_lo))

@@ -428,6 +428,8 @@ def refute_finite_order(
             "equal corner orders are outside this engine's scope "
             "(covered by prior published results); m must differ from n"
         )
+    if max_l < 1:
+        raise ValueError("max_l must be at least 1")
     if max_l > MAX_ORDER_BOUND:
         raise ValueError(f"max_l is capped at {MAX_ORDER_BOUND}")
 

@@ -143,6 +143,13 @@ def build_n_inf_inf(n: int, theta: float) -> TriangleGroup:
     )
 
 
+def _trace_123_circle(m, n) -> tuple[float, float]:
+    """Center c = -5 - 2 cos(2pi/m) - 2 cos(2pi/n) and radius
+    R = 8 cos(pi/m) cos(pi/n) of the circle tr(123) = c + R e^(i theta)."""
+    c = -5.0 - 2.0 * corner_cos2(m) - 2.0 * corner_cos2(n)
+    return c, 8.0 * corner_cos(m) * corner_cos(n)
+
+
 def trace_word_123(m, n, theta) -> complex:
     """Closed form for the trace of the product of the three involutions.
 
@@ -151,12 +158,8 @@ def trace_word_123(m, n, theta) -> complex:
 
     valid for finite or infinite corner orders.
     """
-    return complex(
-        -5.0
-        - 2.0 * corner_cos2(m)
-        - 2.0 * corner_cos2(n)
-        + 8.0 * cmath.exp(1j * theta) * corner_cos(m) * corner_cos(n)
-    )
+    c, radius = _trace_123_circle(m, n)
+    return complex(c + radius * cmath.exp(1j * theta))
 
 
 def trace_word_3132(n, a) -> float:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from chtriangle.classify import discriminant
+from chtriangle.criteria import _VALUE_FUNCTIONS, SCAN_TESTS, ScanResult
 from chtriangle.cyclotomic import (
     DEFAULT_CIRCLE_TOL,
     DEFAULT_CONDUCTOR_CAP,
@@ -207,3 +208,48 @@ def refute_finite_order_oracle(
         regular_elliptic_candidates=elliptic, survivors=tuple(survivors),
         near_misses=tuple(near), elapsed_seconds=0.0,
     )
+
+
+# Grid reference for the interval scans: sample the defining function on
+# a uniform grid, bisect every sign change to a bracket of width <= tol,
+# and re-check each interval at its midpoint.  It misses intervals
+# narrower than the grid step and tangential double roots.
+
+
+def _bisect_root(fn, lo, hi, f_lo_negative, tol):
+    """Shrink a sign-change bracket to width <= tol; returns the midpoint."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if (fn(mid) < 0.0) == f_lo_negative:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def scan_intervals_oracle(test: str, m, n, grid: int = 100_000, tol: float = 1e-10) -> ScanResult:
+    assert test in SCAN_TESTS
+    if test == "jorgensen" and (is_infinite(n) or n < 7):
+        return ScanResult(test=test, m=m, n=n, intervals=(), tol=tol)
+
+    fn = _VALUE_FUNCTIONS[test]
+    a = np.linspace(-1.0, 1.0, grid)
+    values = fn(m, n, a)
+    negative = values < 0.0
+
+    scalar = lambda x: float(fn(m, n, x))
+    intervals = []
+    i = 0
+    while i < grid:
+        if not negative[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < grid and negative[j + 1]:
+            j += 1
+        lo = -1.0 if i == 0 else _bisect_root(scalar, a[i - 1], a[i], False, tol)
+        hi = 1.0 if j == grid - 1 else _bisect_root(scalar, a[j], a[j + 1], True, tol)
+        if scalar(0.5 * (lo + hi)) < 0.0:
+            intervals.append((lo, hi))
+        i = j + 1
+    return ScanResult(test=test, m=m, n=n, intervals=tuple(intervals), tol=tol)

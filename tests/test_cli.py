@@ -174,6 +174,13 @@ def test_galois_command_refuses_equal_orders(capsys):
     assert "m = n" in err or "equal" in err
 
 
+def test_galois_command_rejects_nonpositive_max_l(capsys):
+    for max_l in ("0", "-3"):
+        code, out, err = run_cli(capsys, "galois", "--m", "8", "--n", "11", "--max-l", max_l)
+        assert code == 2 and out == ""
+        assert "max_l must be at least 1" in err
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

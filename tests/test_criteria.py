@@ -1,10 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chtriangle.classify import IsometryClass, classify
 from chtriangle.criteria import (
+    SCAN_TESTS,
     jorgensen_condition,
     jorgensen_value,
     nondiscreteness_report,
@@ -20,7 +24,7 @@ from chtriangle.criteria import (
 )
 from chtriangle.heisenberg import shimizu_violation
 from chtriangle.triangles import build_n_inf_inf, corner_cos, trace_word_3132
-from helpers import make_rng
+from helpers import make_rng, scan_intervals_oracle
 
 INF = math.inf
 
@@ -148,6 +152,86 @@ def test_scan_endpoints_bracket_sign_changes():
     assert regular_elliptic_value(8, 12, hi + eps) > 0
 
 
+def _assert_scan_matches_oracle(test, m, n):
+    got = scan_intervals(test, m, n).intervals
+    want = scan_intervals_oracle(test, m, n).intervals
+    assert len(got) == len(want), (test, m, n, got, want)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, abs=1e-8), (test, m, n, got, want)
+
+
+@pytest.mark.parametrize("test", SCAN_TESTS)
+def test_scan_matches_grid_oracle(test):
+    # every m = n case included: there a = 1 is an exact root of the
+    # regular elliptic discriminant
+    for m in tuple(range(3, 21)) + (INF,):
+        for n in sorted({3, 7, 11, 19, 31, 60, 113, 200} | ({m} - {INF})):
+            _assert_scan_matches_oracle(test, m, n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    test=st.sampled_from(SCAN_TESTS),
+    m=st.one_of(st.integers(3, 60), st.just(INF)),
+    n=st.integers(3, 300),
+)
+def test_scan_matches_grid_oracle_property(test, m, n):
+    _assert_scan_matches_oracle(test, m, n)
+
+
+def _defining_value_mp(test, m, n, a):
+    """The three defining functions in mpmath arithmetic."""
+    pi = mpmath.pi
+    s1 = mpmath.cos(pi / n)
+    s2 = mpmath.cos(pi / m)
+    sin_theta = mpmath.sqrt(1 - a * a)
+    if test == "re":
+        c = -5 - 2 * mpmath.cos(2 * pi / m) - 2 * mpmath.cos(2 * pi / n)
+        tau = c + 8 * s1 * s2 * mpmath.mpc(a, sin_theta)
+        return abs(tau) ** 4 - 8 * (tau**3).real + 18 * abs(tau) ** 2 - 27
+    if test == "jorgensen":
+        return abs(s1 * s1 + 2 * s2 * s2 - 4 * s1 * s2 * a + 1) - mpmath.sin(pi / n) / 2
+    u = s1 * s1 + s2 * s2 - 2 * s1 * s2 * a
+    return abs(mpmath.mpc(u, -2 * s1 * s2 * sin_theta)) + 4 * u - mpmath.mpf(1) / 4
+
+
+@pytest.mark.parametrize(
+    "test, m, n",
+    [
+        # roots of the monomial cubic alone are off by up to 2e-10 here
+        ("re", INF, 178),
+        ("re", INF, 191),
+        ("re", INF, 200),
+        ("re", 8, 11),
+        ("jorgensen", 8, 100),
+        ("shimizu", 8, 200),
+    ],
+)
+def test_scan_endpoints_match_40_digit_roots(test, m, n):
+    scan = scan_intervals(test, m, n)
+    ends = [x for iv in scan.intervals for x in iv if -1.0 < x < 1.0]
+    assert ends
+    with mpmath.workdps(40):
+        f = lambda a: _defining_value_mp(test, m, n, a)
+        step = mpmath.mpf("1e-7")
+        for x in ends:
+            root = mpmath.findroot(f, (x - step, x + step), solver="anderson")
+            assert abs(root - x) <= scan.tol / 2, (test, m, n, x, root)
+
+
+def test_scan_finds_intervals_narrower_than_the_grid_step():
+    # just after the regular elliptic interval for m = 8 is born between
+    # n = 10 and 11 it is 5e-7 wide, below the 2e-5 step of the grid scan
+    n = 10.2379
+    (lo, hi), = scan_intervals("re", 8, n).intervals
+    assert 0 < hi - lo < 1e-6
+    assert regular_elliptic_value(8, n, lo - 1e-8) > 0 > regular_elliptic_value(8, n, lo + 1e-8)
+    assert regular_elliptic_value(8, n, hi - 1e-8) < 0 < regular_elliptic_value(8, n, hi + 1e-8)
+    assert scan_intervals_oracle("re", 8, n).intervals == ()
+    # roots closer than tol merge: at tol = 1e-6 the interval is below resolution
+    assert scan_intervals("re", 8, n, tol=1e-6).intervals == ()
+
+
 def test_reproduce_table_structure():
     table = reproduce_table(2, grid=20000, tol=1e-8)
     assert table.columns == ("jorgensen_lo", "shimizu_lo")
@@ -159,8 +243,7 @@ def test_reproduce_table_structure():
         reproduce_table(4)
 
 
-def test_reproduce_table_respects_thread_cap(monkeypatch):
-    monkeypatch.setenv("CHG_THREADS", "1")
+def test_reproduce_table_1_values():
     table = reproduce_table(1, grid=20000, tol=1e-8)
     byn = {row.n: row.cells for row in table.rows}
     assert byn[12]["elliptic_lo"] == pytest.approx(0.93226, abs=1e-4)

@@ -232,6 +232,9 @@ def test_refutation_rejects_bad_input():
         refute_finite_order(1, 7)
     with pytest.raises(ValueError):
         refute_finite_order(8, 11, max_l=5000)
+    for max_l in (0, -3):
+        with pytest.raises(ValueError):
+            refute_finite_order(8, 11, max_l=max_l)
 
 
 def test_refutation_reports_for_both_reference_pairs():
