@@ -23,6 +23,7 @@ import numpy as np
 
 from .classify import IsometryClass, cubic_roots, discriminant
 from .triangles import (
+    _check_order,
     _trace_123_circle,
     corner_cos,
     corner_sin,
@@ -235,10 +236,14 @@ def scan_intervals(test: str, m, n, grid: int = DEFAULT_GRID, tol: float = DEFAU
     other or to -1 and 1 merge.  Each piece between breakpoints takes the
     sign of the defining function at its midpoint, and negative pieces
     join.  An empty interval list means the scan found no certificate.
-    grid is unused, and validated only for compatibility.
+    grid is unused, and validated only for compatibility.  The orders must
+    be >= 3 or infinite; they may be equal, and need not be integers, as
+    the criteria are continuous in them.
     """
     if test not in SCAN_TESTS:
         raise ValueError(f"unknown test {test!r}; expected one of {SCAN_TESTS}")
+    _check_order(m, "m", integer=False)
+    _check_order(n, "n", integer=False)
     if grid < 1000:
         raise ValueError("grid must be at least 1000 points")
     if tol > 1e-6:

@@ -14,10 +14,14 @@ This module enumerates all candidate traces up to a bound on l and
 reports survivors of the numeric filters together with the exact
 cyclotomic diagnostics.
 
-The engine works one order l at a time on numpy arrays: the canonical
-exponent triples, their traces, and the discriminant and circle filters
-are computed for the whole batch, and only survivors and near-misses
-become CandidateTrace objects.  The conjugate scan is closed form.  The
+The engine works on blocks of consecutive orders l, each holding about
+2^14 exponent triples: orders 1..66 form one block, and from 223 on each
+order is a block of its own.  In a block the canonical triples come from
+a closed form (for each (l, k1), k2 runs over at most three ranges), the
+traces are gathered from one table of the block's roots of unity, the
+discriminant and circle filters run once over the whole block, and only
+survivors and near-misses become CandidateTrace objects.  Reports do not
+depend on the block size.  The conjugate scan is closed form.  The
 Galois map omega_N -> omega_N^k sends 2 cos(pi/n) to 2 cos(k pi/n) and
 fixes the integer 2 of an infinite corner, so the conjugated circle
 depends only on k mod M, with M = lcm(2m, 2n) (M = 2n when m is
@@ -28,7 +32,8 @@ is decided on integers: |cos k pi/n| = |cos k pi/m| exactly when mn
 divides k(m - n) or k(m + n), and |cos k pi/n| = 1 exactly when n
 divides k.  The cost is that of the enumeration, O(max_l^3) in all:
 on one core of a 2-vCPU Xeon virtual machine, refute_finite_order(8, 11)
-takes 0.03-0.05 s at max_l = 120, 0.5 s at 300 and 3.4 s at 600.
+takes 0.02 s of CPU at max_l = 120, 0.3 s at 300, 2.2 s at 600 and
+7.3 s at 900 (0.05, 0.6, 4.5 and 16 s one order at a time).
 """
 
 import cmath
@@ -236,25 +241,72 @@ def canonical_candidate(l: int, ks) -> CandidateTrace:
     return CandidateTrace(l=l, k=tuple(ks))
 
 
-def _canonical_triples(l: int) -> np.ndarray:
-    """Canonical exponent triples of order l as a (T, 3) integer array in
-    (k1, k2) order: k1 <= k2 <= k3, k1 + k2 + k3 = 0 mod l and
-    gcd(k1, k2, k3, l) = 1."""
-    k1, k2 = np.triu_indices(l)
-    k3 = (-k1 - k2) % l
-    keep = k3 >= k2
-    k1, k2, k3 = k1[keep], k2[keep], k3[keep]
-    keep = np.gcd(np.gcd(np.gcd(k1, k2), k3), l) == 1
-    return np.stack((k1, k2, k3), axis=1)[keep]
+# exponent triples per block of orders: a block's arrays then take about
+# 2 MB, orders 1..66 share one block, and each order from 223 on is a
+# block of its own
+_BLOCK_ROWS = 1 << 14
+
+
+def _order_blocks(max_l: int):
+    """Consecutive orders 1..max_l cut into blocks (l_lo, l_hi) of about
+    _BLOCK_ROWS canonical rows each; an order with more rows is a block
+    of its own."""
+    l_lo, rows = 1, 0
+    for l in range(1, max_l + 1):
+        # l^2/6 + 1 is about the number of exponent triples of order l
+        est = l * l // 6 + 1
+        if rows and rows + est > _BLOCK_ROWS:
+            yield l_lo, l - 1
+            l_lo, rows = l, 0
+        rows += est
+    yield l_lo, max_l
+
+
+def _order_exponents(l_lo: int, l_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (l, k) with l_lo <= l <= l_hi and 0 <= k < l, as two flat
+    arrays in (l, k) order; (l, k) sits at index k + offset(l), with
+    offset(l) = (l (l - 1) - l_lo (l_lo - 1)) / 2."""
+    orders = np.arange(l_lo, l_hi + 1, dtype=np.int32)
+    l = np.repeat(orders, orders)
+    k = np.arange(l.size, dtype=np.int32) - np.repeat(np.cumsum(orders) - orders, orders)
+    return l, k
+
+
+def _canonical_triples(l_lo: int, l_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical exponent triples of the orders l_lo..l_hi in (l, k1, k2)
+    order, as a per-row order array and a (T, 3) exponent array:
+    k1 <= k2 <= k3 < l, k1 + k2 + k3 = 0 mod l and gcd(k1, k2, k3, l) = 1.
+
+    The exponent sum s is 0, l or 2l.  For each (l, k1, s) the admissible
+    k2 form the range [max(k1, s - k1 - l + 1), (s - k1) // 2] with
+    k3 = s - k1 - k2, and the ranges of s = 0, l, 2l follow each other in
+    ascending k2.  s = 0 only gives (0, 0, 0), canonical at l = 1 alone.
+    As k3 = s - k1 - k2, gcd(k1, k2, k3, l) = gcd(gcd(k1, l), k2), and
+    gcd(k1, l) is taken once per (l, k1).
+    """
+    seg_l, seg_k1 = _order_exponents(l_lo, l_hi)
+    seg_g = np.gcd(seg_k1, seg_l)
+    seg_s = seg_l[:, None] * np.arange(3, dtype=np.int32)
+    lo = np.maximum(seg_k1[:, None], seg_s - seg_k1[:, None] - seg_l[:, None] + 1).ravel()
+    counts = np.maximum((seg_s - seg_k1[:, None]).ravel() // 2 - lo + 1, 0)
+    # one row per admissible k2, seg its (l, k1, s) segment: the start of
+    # the segment's range plus the row's offset in it
+    ends = np.cumsum(counts)
+    seg = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
+    k2 = np.arange(ends[-1], dtype=np.int32) + (lo - (ends - counts))[seg]
+    keep = np.gcd(seg_g[seg // 3], k2) == 1
+    seg, k2 = seg[keep], k2[keep]
+    l, k1 = seg_l[seg // 3], seg_k1[seg // 3]
+    return l, np.stack((k1, k2, seg_s.ravel()[seg] - k1 - k2), axis=1)
 
 
 def enumerate_candidates(max_l: int):
     """All canonical candidates with l <= max_l, in (l, k) order."""
-    return [
-        CandidateTrace(l=l, k=tuple(row))
-        for l in range(1, max_l + 1)
-        for row in _canonical_triples(l).tolist()
-    ]
+    out = []
+    for block in _order_blocks(max_l):
+        ls, ks = _canonical_triples(*block)
+        out += map(CandidateTrace, ls.tolist(), map(tuple, ks.tolist()))
+    return out
 
 
 @dataclass(frozen=True)
@@ -443,27 +495,33 @@ def refute_finite_order(
     near = []
     checked = 0
     elliptic = 0
-    for l in range(1, max_l + 1):
-        ks = _canonical_triples(l)
+    scans = {}
+    for l_lo, l_hi in _order_blocks(max_l):
+        ls, ks = _canonical_triples(l_lo, l_hi)
         checked += len(ks)
-        w = 2j * math.pi / l
-        tau = np.exp(w * ks[:, 0]) + np.exp(w * ks[:, 1]) + np.exp(w * ks[:, 2])
+        # each root of unity of the block's orders once, at k + offset(l);
+        # 1j * (2 pi / l) rounds as Python's 2j * math.pi / l does, while
+        # numpy's complex division 2j * np.pi / l can differ in the last bit
+        tl, tk = _order_exponents(l_lo, l_hi)
+        roots = np.exp(1j * (2.0 * math.pi / tl) * tk)
+        r = roots[ks + ((ls * (ls - 1) - l_lo * (l_lo - 1)) // 2)[:, None]]
+        tau = r[:, 0] + r[:, 1] + r[:, 2]
         keep = discriminant(tau) < -1e-9
-        ks, tau = ks[keep], tau[keep]
+        ls, ks, tau = ls[keep], ks[keep], tau[keep]
         elliptic += len(ks)
         # np.hypot rounds as abs(complex) does; np.abs can differ in the last bit
         z = tau + center
         gap = np.abs(np.hypot(z.real, z.imag) - radius)
-        scan = None
-        for i in np.flatnonzero(gap <= max(circle_tol, near_tol)):
-            cand = CandidateTrace(l=l, k=tuple(ks[i].tolist()))
-            g = float(gap[i])
+        hits = np.flatnonzero(gap <= max(circle_tol, near_tol))
+        for l, k, g in zip(ls[hits].tolist(), ks[hits].tolist(), gap[hits].tolist()):
+            cand = CandidateTrace(l=l, k=tuple(k))
             if g <= circle_tol:
                 survivors.append(_survivor_diagnostic(cand, g, m, n, conductor_cap))
                 continue
             # the scan depends on l only through the conductor: one per l
-            if scan is None:
-                scan = _conjugate_scan(l, m, n, conductor_cap)
+            if l not in scans:
+                scans[l] = _conjugate_scan(l, m, n, conductor_cap)
+            scan = scans[l]
             near.append(
                 NearMissDiagnostic(
                     candidate=cand,

@@ -24,11 +24,13 @@ def is_infinite(order) -> bool:
     return isinstance(order, float) and math.isinf(order)
 
 
-def _check_order(order, name: str):
+def _check_order(order, name: str, integer: bool = True):
+    """Reject corner orders below 3 and, with integer, non-integer ones."""
     if is_infinite(order):
         return
-    if order != int(order) or order < 3:
-        raise ValueError(f"{name} must be an integer >= 3 or infinity")
+    if not order >= 3 or (integer and order != int(order)):
+        kind = "an integer >= 3" if integer else ">= 3"
+        raise ValueError(f"{name} must be {kind} or infinity")
 
 
 def corner_cos(order) -> float:

@@ -92,6 +92,18 @@ def enumerate_candidates_oracle(max_l: int):
     return out
 
 
+def canonical_triples_oracle(l: int) -> np.ndarray:
+    """Canonical exponent triples of order l in (k1, k2) order, from all
+    l(l+1)/2 pairs k1 <= k2, keeping k3 = -(k1 + k2) mod l >= k2 and
+    gcd(k1, k2, k3, l) = 1."""
+    k1, k2 = np.triu_indices(l)
+    k3 = (-k1 - k2) % l
+    keep = k3 >= k2
+    k1, k2, k3 = k1[keep], k2[keep], k3[keep]
+    keep = np.gcd(np.gcd(np.gcd(k1, k2), k3), l) == 1
+    return np.stack((k1, k2, k3), axis=1)[keep]
+
+
 def corner_cyclotomic(order, N: int) -> CyclotomicInt:
     """2 cos(pi/order) in Z[omega_N]; the integer 2 at an infinite order."""
     if is_infinite(order):

@@ -105,6 +105,20 @@ def test_scan_command_rejects_unknown_test(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("test, m, n", [("re", "1", "8"), ("shimizu", "2", "2"), ("re", "0", "11")])
+def test_scan_command_rejects_corner_orders_below_3(capsys, test, m, n):
+    code, out, err = run_cli(capsys, "scan", "--test", test, "--m", m, "--n", n)
+    assert code == 2 and out == ""
+    assert "must be >= 3 or infinity" in err
+
+
+def test_scan_command_accepts_equal_orders(capsys):
+    code, out, _ = run_cli(capsys, "scan", "--test", "shimizu", "--m", "8", "--n", "8")
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert rows
+
+
 def test_tables_command_rows(capsys):
     code, out, _ = run_cli(capsys, "tables", "1", "--grid", "20000", "--tol", "1e-8")
     assert code == 0

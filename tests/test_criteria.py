@@ -89,6 +89,22 @@ def test_scan_rejects_bad_parameters():
         scan_intervals("re", 8, 11, tol=1e-3)
 
 
+@pytest.mark.parametrize("test, m, n", [
+    ("re", 1, 8), ("shimizu", 2, 2), ("jorgensen", 8, 2), ("re", 0, 11),
+    ("re", 8, -5), ("shimizu", 2.9, 11), ("re", math.nan, 11),
+])
+def test_scan_rejects_corner_orders_below_3(test, m, n):
+    with pytest.raises(ValueError, match="must be >= 3 or infinity"):
+        scan_intervals(test, m, n)
+
+
+def test_scan_accepts_equal_and_non_integer_orders():
+    # the survey tables scan m = n, and the criteria are continuous in n
+    assert scan_intervals("re", 8, 8).intervals == scan_intervals("re", 8.0, 8.0).intervals
+    assert scan_intervals("shimizu", math.inf, 3).test == "shimizu"
+    assert scan_intervals("re", 8, 10.5).intervals
+
+
 def test_scan_regular_elliptic_regression():
     scan = scan_intervals("re", 8, 11)
     assert len(scan.intervals) == 1

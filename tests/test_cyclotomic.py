@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ from chtriangle.cyclotomic import (
     DEFAULT_CONDUCTOR_CAP,
     CandidateTrace,
     CyclotomicInt,
+    _canonical_triples,
     _conjugate_scan,
+    _order_blocks,
     canonical_candidate,
     circle_condition,
     enumerate_candidates,
@@ -19,6 +22,7 @@ from chtriangle.cyclotomic import (
 )
 from chtriangle.triangles import corner_cos, trace_word_123
 from helpers import (
+    canonical_triples_oracle,
     conjugate_rightmost_oracle,
     enumerate_candidates_oracle,
     make_rng,
@@ -215,6 +219,35 @@ def test_enumeration_matches_nested_loop_in_order():
         assert enumerate_candidates(bound) == enumerate_candidates_oracle(bound)
 
 
+def test_block_generator_matches_per_order_oracle():
+    for l in range(1, 301):
+        ls, ks = _canonical_triples(l, l)
+        assert (ls == l).all()
+        np.testing.assert_array_equal(ks, canonical_triples_oracle(l), err_msg=str(l))
+
+
+@pytest.mark.parametrize("l_lo, l_hi", [(1, 36), (2, 60), (37, 90)])
+def test_block_generator_straddles_orders(l_lo, l_hi):
+    ls, ks = _canonical_triples(l_lo, l_hi)
+    orders = range(l_lo, l_hi + 1)
+    want = [canonical_triples_oracle(l) for l in orders]
+    np.testing.assert_array_equal(ls, np.repeat(orders, [len(w) for w in want]))
+    np.testing.assert_array_equal(ks, np.concatenate(want))
+
+
+def test_order_blocks_cover_every_order_once():
+    assert list(_order_blocks(36)) == [(1, 36)]
+    for max_l in (1, 120, 900):
+        blocks = list(_order_blocks(max_l))
+        assert blocks[0][0] == 1 and blocks[-1][1] == max_l
+        assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+        assert all(lo <= hi for lo, hi in blocks)
+    assert list(_order_blocks(120))[0] == (1, 66)
+    # from 223 on no two orders fit in one block
+    assert [b for b in _order_blocks(900) if b[0] == b[1]][0] == (223, 223)
+    assert list(_order_blocks(900))[-3:] == [(898, 898), (899, 899), (900, 900)]
+
+
 def test_candidate_value():
     cand = CandidateTrace(l=7, k=(1, 2, 4))
     want = sum(cmath.exp(2j * math.pi * k / 7) for k in (1, 2, 4))
@@ -375,3 +408,18 @@ def test_refutation_at_max_l_200():
         for miss in report.near_misses:
             assert miss.conjugates.all_strictly_below
             assert miss.conjugates.max_rightmost < -1.0
+
+
+def _without_time(report):
+    return dataclasses.replace(report, elapsed_seconds=0.0)
+
+
+def test_report_does_not_depend_on_block_size(monkeypatch):
+    pairs = [(m, n, 36) for m in [*range(3, 17), INF] for n in range(3, 31) if m != n]
+    pairs += [(8, 11, 200), (INF, 7, 200)]
+    default = [_without_time(refute_finite_order(m, n, max_l=L)) for m, n, L in pairs]
+    # a budget of one row makes every order a block of its own
+    monkeypatch.setattr("chtriangle.cyclotomic._BLOCK_ROWS", 1)
+    assert list(_order_blocks(5)) == [(l, l) for l in range(1, 6)]
+    for (m, n, L), want in zip(pairs, default):
+        assert _without_time(refute_finite_order(m, n, max_l=L)) == want, (m, n, L)
