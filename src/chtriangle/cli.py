@@ -15,12 +15,13 @@ import json
 import math
 import re
 import sys
+import time
 
 from . import __version__
 from .classify import classify
 from .criteria import (
-    DEFAULT_GRID,
     DEFAULT_TOL,
+    SCAN_TESTS,
     reproduce_table,
     scan_intervals,
 )
@@ -132,13 +133,13 @@ def _cmd_classify(args) -> tuple[dict, list, list]:
     if is_infinite(n):
         raise UsageError("n must be finite; pass the single finite order as --n with --m inf")
     if is_infinite(m):
-        group = build_n_inf_inf(int(n), theta)
+        group = build_n_inf_inf(n, theta)
     else:
-        group = build_mn_inf(int(m), int(n), theta)
+        group = build_mn_inf(m, n, theta)
     result = classify(group.word(word))
     record = _record(
         "classify",
-        {"m": _fmt(m), "n": int(n), "theta": theta, "word": word},
+        {"m": _fmt(m), "n": n, "theta": theta, "word": word},
         {"discriminant_band": 1e-9},
         {
             "word": word,
@@ -158,66 +159,59 @@ def _cmd_scan(args) -> tuple[dict, list, list]:
     n = parse_order(args.n)
     if is_infinite(n):
         raise UsageError("n must be finite; pass --m inf for the family with one finite corner")
-    scan = scan_intervals(args.test, m, int(n), grid=args.grid, tol=args.tol)
+    scan = scan_intervals(args.test, m, n, tol=args.tol)
     record = _record(
         "scan",
-        {"test": args.test, "m": _fmt(m), "n": int(n), "grid": args.grid},
+        {"test": args.test, "m": _fmt(m), "n": n},
         {"endpoint_bracket": args.tol},
         {"intervals": [list(iv) for iv in scan.intervals]},
     )
     columns = ["n", "lo", "hi"]
-    rows = [[int(n), lo, hi] for lo, hi in scan.intervals]
+    rows = [[n, lo, hi] for lo, hi in scan.intervals]
     return record, columns, rows
 
 
 def _cmd_tables(args) -> tuple[dict, list, list]:
-    table = reproduce_table(args.which, grid=args.grid, tol=args.tol)
+    table = reproduce_table(args.which, tol=args.tol)
     columns = ["n"]
     for name in table.columns:
         columns.extend([name, name + "_display"])
-    rows = []
     json_rows = []
     for row in table.rows:
-        out = [row.n]
         jrow = {"n": row.n}
         for name in table.columns:
             value = row.cells[name]
-            out.append(value)
-            out.append(None if value is None else f"{value:.5f}")
             jrow[name] = value
             jrow[name + "_display"] = None if value is None else f"{value:.5f}"
-        rows.append(out)
         json_rows.append(jrow)
     record = _record(
         "tables",
-        {"which": args.which, "grid": args.grid},
+        {"which": args.which},
         {"endpoint_bracket": args.tol, "display_decimals": 5},
         {"columns": list(columns), "rows": json_rows},
     )
+    rows = [[jrow[name] for name in columns] for jrow in json_rows]
     return record, columns, rows
 
 
 def _cmd_galois(args) -> tuple[dict, list, list]:
     m = parse_order(args.m)
     n = parse_order(args.n)
-    if is_infinite(n):
-        raise UsageError("n must be finite")
-    if not is_infinite(m) and int(m) == int(n):
-        raise UsageError(
-            "refusing m = n: the equal-order family is covered by prior published "
-            "results and is outside this engine's scope"
-        )
+    start = time.perf_counter()
     report = refute_finite_order(
-        m, int(n), max_l=args.max_l, circle_tol=args.tol, near_tol=args.near_tol
+        m, n, max_l=args.max_l, circle_tol=args.tol, near_tol=args.near_tol
     )
+    elapsed = time.perf_counter() - start
     results = _jsonable(report)
     results["overflowed"] = _jsonable(report.overflowed)
     record = _record(
         "galois",
-        {"m": _fmt(m), "n": int(n), "max_l": args.max_l},
+        {"m": _fmt(m), "n": n, "max_l": args.max_l},
         {"circle_tol": args.tol, "near_tol": args.near_tol},
         results,
     )
+    # the timing stays outside results, so equal runs give equal results
+    record["diagnostics"] = {"elapsed_seconds": elapsed}
     columns = [
         "kind", "l", "k1", "k2", "k3", "circle_gap", "conductor",
         "max_rightmost", "all_strictly_below", "phi_holds", "note",
@@ -242,7 +236,7 @@ def _cmd_galois(args) -> tuple[dict, list, list]:
         f" elliptic={report.regular_elliptic_candidates}"
         f" survivors={len(report.survivors)}"
         f" near_misses={len(report.near_misses)}"
-        f" elapsed={report.elapsed_seconds:.3f}s"
+        f" elapsed={elapsed:.3f}s"
     )
     rows.append(["summary", report.max_l] + [None] * 8 + [note])
     return record, columns, rows
@@ -274,22 +268,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("scan", help="scan a = cos(theta) for intervals where a criterion fires")
-    p.add_argument("--test", required=True, choices=("re", "jorgensen", "shimizu"),
+    p.add_argument("--test", required=True, choices=SCAN_TESTS,
                    help="re = regular elliptic product criterion")
     p.add_argument("--m", required=True, help="first corner order (integer >= 3 or 'inf')")
     p.add_argument("--n", required=True, type=str, help="second corner order (integer >= 3)")
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID,
-                   help="unused, kept for compatibility")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help=f"bound on the endpoint error (default {DEFAULT_TOL:g})")
+                   help=f"bound on the endpoint error, in (0, 1e-6] (default {DEFAULT_TOL:g})")
     add_common(p)
 
     p = sub.add_parser("tables", help="recompute one of the three built-in survey tables")
     p.add_argument("which", type=int, choices=(1, 2, 3), help="table index")
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID,
-                   help="unused, kept for compatibility")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help=f"bound on the endpoint error (default {DEFAULT_TOL:g})")
+                   help=f"bound on the endpoint error, in (0, 1e-6] (default {DEFAULT_TOL:g})")
     add_common(p)
 
     p = sub.add_parser("galois", help="refute finite-order regular elliptic traces by enumeration")

@@ -47,7 +47,6 @@ TABLE_COLUMNS = {
     3: ("elliptic_lo", "elliptic_hi", "jorgensen_lo", "shimizu_lo"),
 }
 
-DEFAULT_GRID = 100_000
 DEFAULT_TOL = 1e-10
 # a polynomial root counts as a breakpoint when its imaginary part is at
 # most this; a spurious breakpoint only splits a piece of constant sign
@@ -128,13 +127,18 @@ def regular_elliptic_value(m, n, a):
     return val
 
 
+def jorgensen_applies(n) -> bool:
+    """True when the Jorgensen criterion applies: the inequality only holds
+    for a regular elliptic rotation of finite order n >= 7."""
+    return not is_infinite(n) and n >= 7
+
+
 def jorgensen_value(m, n, a):
     """Defining function of the Jorgensen criterion: |.| - sin(pi/n)/2.
 
-    Requires a finite elliptic order n >= 7 (the inequality only applies
-    to a regular elliptic rotation of order at least 7).
+    Requires a finite elliptic order n >= 7 (see jorgensen_applies).
     """
-    if is_infinite(n) or n < 7:
+    if not jorgensen_applies(n):
         raise ValueError("jorgensen criterion needs finite n >= 7")
     a = np.asarray(a, dtype=float)
     s1 = corner_cos(n)
@@ -226,7 +230,7 @@ def _breakpoints(test, m, n):
     return roots
 
 
-def scan_intervals(test: str, m, n, grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) -> ScanResult:
+def scan_intervals(test: str, m, n, tol: float = DEFAULT_TOL) -> ScanResult:
     """Find all maximal intervals of a in [-1, 1] where a criterion fires.
 
     The breakpoints are the real roots of a polynomial that vanishes at
@@ -235,20 +239,19 @@ def scan_intervals(test: str, m, n, grid: int = DEFAULT_GRID, tol: float = DEFAU
     under its sign condition is a quadratic.  Roots closer than tol to each
     other or to -1 and 1 merge.  Each piece between breakpoints takes the
     sign of the defining function at its midpoint, and negative pieces
-    join.  An empty interval list means the scan found no certificate.
-    grid is unused, and validated only for compatibility.  The orders must
-    be >= 3 or infinite; they may be equal, and need not be integers, as
-    the criteria are continuous in them.
+    join.  An empty interval list means the scan found no certificate,
+    and so does Jorgensen where it does not apply (n infinite or below 7).
+    tol must lie in (0, 1e-6].  The orders must be >= 3 or infinite; they
+    may be equal, and need not be integers, as the criteria are continuous
+    in them.
     """
     if test not in SCAN_TESTS:
         raise ValueError(f"unknown test {test!r}; expected one of {SCAN_TESTS}")
     _check_order(m, "m", integer=False)
     _check_order(n, "n", integer=False)
-    if grid < 1000:
-        raise ValueError("grid must be at least 1000 points")
-    if tol > 1e-6:
-        raise ValueError("tol must be at most 1e-6")
-    if test == "jorgensen" and (is_infinite(n) or n < 7):
+    if not 0.0 < tol <= 1e-6:
+        raise ValueError("tol must lie in (0, 1e-6]")
+    if test == "jorgensen" and not jorgensen_applies(n):
         return ScanResult(test=test, m=m, n=n, intervals=(), tol=tol)
 
     points = [-1.0]
@@ -273,7 +276,7 @@ def _table_cell(scan: ScanResult, which: str):
     return scan.intervals[-1][0]
 
 
-def reproduce_table(which: int, grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL) -> TableResult:
+def reproduce_table(which: int, tol: float = DEFAULT_TOL) -> TableResult:
     """Recompute one of the three built-in survey tables.
 
     Table 1: regular elliptic intervals for corner orders (8, n).
@@ -290,12 +293,12 @@ def reproduce_table(which: int, grid: int = DEFAULT_GRID, tol: float = DEFAULT_T
     def build_row(n: int) -> TableRow:
         cells = {}
         if which in (1, 3):
-            lo, hi = _table_cell(scan_intervals("re", m, n, grid, tol), "re")
+            lo, hi = _table_cell(scan_intervals("re", m, n, tol), "re")
             cells["elliptic_lo"] = lo
             cells["elliptic_hi"] = hi
         if which in (2, 3):
             for test in ("jorgensen", "shimizu"):
-                cells[f"{test}_lo"] = _table_cell(scan_intervals(test, m, n, grid, tol), test)
+                cells[f"{test}_lo"] = _table_cell(scan_intervals(test, m, n, tol), test)
         return TableRow(n=n, cells=cells)
 
     rows = tuple(build_row(n) for n in TABLE_ROWS[which])
@@ -353,7 +356,7 @@ def _merge_intervals(intervals):
     return merged
 
 
-def word_order_cos_window(n: int, grid: int = DEFAULT_GRID, tol: float = DEFAULT_TOL):
+def word_order_cos_window(n: int, tol: float = DEFAULT_TOL):
     """Window of cos(2 pi/k) values certifying non-discreteness through the
     order of the word 3132.
 
@@ -363,7 +366,7 @@ def word_order_cos_window(n: int, grid: int = DEFAULT_GRID, tol: float = DEFAULT
     """
     pieces = []
     for test in SCAN_TESTS:
-        pieces.extend(scan_intervals(test, math.inf, n, grid, tol).intervals)
+        pieces.extend(scan_intervals(test, math.inf, n, tol).intervals)
     merged = _merge_intervals(pieces)
     if not merged or merged[-1][1] != 1.0:
         raise ValueError(f"no certified interval reaching a = 1 for n = {n}")
@@ -381,9 +384,7 @@ def nondiscreteness_report(m, n, theta) -> NondiscretenessReport:
     """
     a = math.cos(theta)
     re_eval = regular_elliptic_criterion(m, n, theta)
-    jor = None
-    if not is_infinite(n) and n >= 7:
-        jor = jorgensen_condition(m, n, theta)
+    jor = jorgensen_condition(m, n, theta) if jorgensen_applies(n) else None
     shi = shimizu_condition(m, n, theta)
     word = None
     if is_infinite(m) and not is_infinite(n):

@@ -38,11 +38,6 @@ def corner_cos(order) -> float:
     return 1.0 if is_infinite(order) else math.cos(math.pi / order)
 
 
-def corner_cos2(order) -> float:
-    """cos(2 pi/order), with the value 1 at an infinite order."""
-    return 1.0 if is_infinite(order) else math.cos(2.0 * math.pi / order)
-
-
 def corner_sin(order) -> float:
     """sin(pi/order), with the value 0 at an infinite order."""
     return 0.0 if is_infinite(order) else math.sin(math.pi / order)
@@ -146,16 +141,18 @@ def build_n_inf_inf(n: int, theta: float) -> TriangleGroup:
 
 
 def _trace_123_circle(m, n) -> tuple[float, float]:
-    """Center c = -5 - 2 cos(2pi/m) - 2 cos(2pi/n) and radius
-    R = 8 cos(pi/m) cos(pi/n) of the circle tr(123) = c + R e^(i theta)."""
-    c = -5.0 - 2.0 * corner_cos2(m) - 2.0 * corner_cos2(n)
-    return c, 8.0 * corner_cos(m) * corner_cos(n)
+    """Center c = -(4 (s1^2 + s2^2) + 1) and radius R = 8 s1 s2 of the
+    circle tr(123) = c + R e^(i theta), with s1 = cos(pi/n) and
+    s2 = cos(pi/m); the one definition of the trace circle."""
+    s1 = corner_cos(n)
+    s2 = corner_cos(m)
+    return -(4.0 * (s1 * s1 + s2 * s2) + 1.0), 8.0 * s1 * s2
 
 
 def trace_word_123(m, n, theta) -> complex:
     """Closed form for the trace of the product of the three involutions.
 
-    tr = -5 - 2 cos(2pi/m) - 2 cos(2pi/n)
+    tr = -(4 cos^2(pi/m) + 4 cos^2(pi/n) + 1)
          + 8 e^(i theta) cos(pi/m) cos(pi/n),
 
     valid for finite or infinite corner orders.

@@ -218,7 +218,7 @@ def refute_finite_order_oracle(
         m=m, n=n, max_l=max_l, circle_tol=circle_tol, near_tol=near_tol,
         conductor_cap=conductor_cap, candidates_checked=checked,
         regular_elliptic_candidates=elliptic, survivors=tuple(survivors),
-        near_misses=tuple(near), elapsed_seconds=0.0,
+        near_misses=tuple(near),
     )
 
 

@@ -105,6 +105,26 @@ def test_scan_command_rejects_unknown_test(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [["scan", "--test", "re", "--m", "8", "--n", "11"], ["tables", "1"]])
+def test_grid_flag_is_gone(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--grid", "5000"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--test", "jorgensen", "--m", "8", "--n", "100", "--tol", "-1"],
+    ["scan", "--test", "re", "--m", "8", "--n", "11", "--tol", "nan"],
+    ["scan", "--test", "re", "--m", "8", "--n", "11", "--tol", "0"],
+    ["scan", "--test", "re", "--m", "8", "--n", "11", "--tol", "1e-5"],
+    ["tables", "1", "--tol", "nan"],
+])
+def test_scan_and_tables_reject_tol_outside_range(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "tol must lie in (0, 1e-6]" in err
+
+
 @pytest.mark.parametrize("test, m, n", [("re", "1", "8"), ("shimizu", "2", "2"), ("re", "0", "11")])
 def test_scan_command_rejects_corner_orders_below_3(capsys, test, m, n):
     code, out, err = run_cli(capsys, "scan", "--test", test, "--m", m, "--n", n)
@@ -120,7 +140,7 @@ def test_scan_command_accepts_equal_orders(capsys):
 
 
 def test_tables_command_rows(capsys):
-    code, out, _ = run_cli(capsys, "tables", "1", "--grid", "20000", "--tol", "1e-8")
+    code, out, _ = run_cli(capsys, "tables", "1", "--tol", "1e-8")
     assert code == 0
     header, rows = csv_rows(out)
     assert header[0] == "n"
@@ -132,7 +152,7 @@ def test_tables_command_rows(capsys):
 
 
 def test_tables_command_dashes(capsys):
-    code, out, _ = run_cli(capsys, "tables", "2", "--grid", "20000", "--tol", "1e-8")
+    code, out, _ = run_cli(capsys, "tables", "2", "--tol", "1e-8")
     assert code == 0
     header, rows = csv_rows(out)
     byn = {int(r[0]): dict(zip(header, r)) for r in rows}
@@ -143,7 +163,7 @@ def test_tables_command_dashes(capsys):
 
 def test_tables_command_json_roundtrip(capsys):
     code, out, _ = run_cli(
-        capsys, "tables", "3", "--grid", "20000", "--tol", "1e-8",
+        capsys, "tables", "3", "--tol", "1e-8",
         "--format", "json",
     )
     assert code == 0
@@ -180,6 +200,34 @@ def test_galois_command_json(capsys):
     record = json.loads(out)
     assert record["results"]["survivors"] == []
     assert record["results"]["candidates_checked"] > 0
+
+
+def test_galois_command_json_keeps_timing_out_of_results(capsys):
+    code, out, _ = run_cli(capsys, "galois", "--m", "8", "--n", "11", "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert "elapsed_seconds" not in record["results"]
+    assert record["diagnostics"]["elapsed_seconds"] >= 0.0
+    code, out, _ = run_cli(capsys, "galois", "--m", "8", "--n", "11")
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert rows[-1][0] == "summary" and " elapsed=" in rows[-1][-1]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol", "nan"], ["--near-tol", "nan"], ["--near-tol", "-1"], ["--tol=-1e-9"],
+])
+def test_galois_command_rejects_nan_and_negative_tolerances(capsys, flags):
+    code, out, err = run_cli(capsys, "galois", "--m", "8", "--n", "11", *flags)
+    assert code == 2 and out == ""
+    assert "must be a non-negative number" in err
+
+
+@pytest.mark.parametrize("m, n", [("inf", "inf"), ("8", "inf"), ("1", "7"), ("8", "2")])
+def test_galois_command_refuses_bad_orders(capsys, m, n):
+    code, out, err = run_cli(capsys, "galois", "--m", m, "--n", n)
+    assert code == 2 and out == ""
+    assert "must be" in err
 
 
 def test_galois_command_refuses_equal_orders(capsys):

@@ -84,9 +84,18 @@ def test_scan_rejects_bad_parameters():
     with pytest.raises(ValueError):
         scan_intervals("nope", 8, 11)
     with pytest.raises(ValueError):
-        scan_intervals("re", 8, 11, grid=100)
-    with pytest.raises(ValueError):
         scan_intervals("re", 8, 11, tol=1e-3)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, -0.0, 1.1e-6, math.nan, math.inf])
+def test_scan_rejects_tol_outside_range(tol):
+    for test in SCAN_TESTS:
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1e-6\]"):
+            scan_intervals(test, 8, 100, tol=tol)
+    with pytest.raises(ValueError, match="tol must lie"):
+        reproduce_table(1, tol=tol)
+    with pytest.raises(ValueError, match="tol must lie"):
+        word_order_cos_window(7, tol=tol)
 
 
 @pytest.mark.parametrize("test, m, n", [
@@ -249,7 +258,7 @@ def test_scan_finds_intervals_narrower_than_the_grid_step():
 
 
 def test_reproduce_table_structure():
-    table = reproduce_table(2, grid=20000, tol=1e-8)
+    table = reproduce_table(2, tol=1e-8)
     assert table.columns == ("jorgensen_lo", "shimizu_lo")
     byn = {row.n: row.cells for row in table.rows}
     assert byn[4]["jorgensen_lo"] is None
@@ -260,7 +269,7 @@ def test_reproduce_table_structure():
 
 
 def test_reproduce_table_1_values():
-    table = reproduce_table(1, grid=20000, tol=1e-8)
+    table = reproduce_table(1, tol=1e-8)
     byn = {row.n: row.cells for row in table.rows}
     assert byn[12]["elliptic_lo"] == pytest.approx(0.93226, abs=1e-4)
     assert byn[12]["elliptic_hi"] == pytest.approx(0.93268, abs=1e-4)
