@@ -27,6 +27,12 @@ RANK_TOL = 1e-8
 # eigenvalue clustering scale used to detect repeated spectra
 CLUSTER_TOL = 1e-4
 
+# |z| below this keeps every power in the scalar discriminant finite
+_SCALAR_DISCRIMINANT_BOUND = 1e75
+
+_IDENTITY = np.eye(3)
+_IDENTITY.flags.writeable = False
+
 
 class IsometryClass(enum.Enum):
     IDENTITY = "identity"
@@ -53,8 +59,19 @@ class Classification:
 def discriminant(z):
     """Evaluate f(z) = |z|^4 - 8 Re(z^3) + 18 |z|^2 - 27.
 
-    Accepts complex scalars or numpy arrays (evaluated elementwise).
+    Accepts complex scalars or numpy arrays (evaluated elementwise).  A
+    Python or numpy scalar takes a path without 0-d arrays that rounds as
+    the array path does: |z| still comes from np.abs, whose loop rounds
+    differently from Python's abs(complex), and Python's z**3 multiplies
+    as numpy's does.
     """
+    if isinstance(z, (int, float, complex)):
+        z = complex(z)
+        r = float(np.abs(z))
+        # Python's ** raises OverflowError where numpy returns inf, so
+        # huge and non-finite z take the array path
+        if r < _SCALAR_DISCRIMINANT_BOUND:
+            return r**4 - 8.0 * (z**3).real + 18.0 * r**2 - 27.0
     z = np.asarray(z, dtype=complex)
     val = np.abs(z) ** 4 - 8.0 * np.real(z**3) + 18.0 * np.abs(z) ** 2 - 27.0
     if val.ndim == 0:
@@ -64,16 +81,26 @@ def discriminant(z):
 
 def trace(M) -> complex:
     """Sum of the diagonal entries."""
-    return complex(np.trace(np.asarray(M, dtype=complex)))
+    return _trace(np.asarray(M, dtype=complex).tolist())
 
 
 def second_invariant(M) -> complex:
     """Sum of the principal 2x2 minors (second characteristic coefficient)."""
-    M = np.asarray(M, dtype=complex)
-    return complex(
-        M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        + M[0, 0] * M[2, 2] - M[0, 2] * M[2, 0]
-        + M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1]
+    return _second_invariant(np.asarray(M, dtype=complex).tolist())
+
+
+def _trace(a) -> complex:
+    """Trace of a matrix given as nested lists, summed left to right as
+    np.trace sums."""
+    return a[0][0] + a[1][1] + a[2][2]
+
+
+def _second_invariant(a) -> complex:
+    """Second invariant of a matrix given as nested lists."""
+    return (
+        a[0][0] * a[1][1] - a[0][1] * a[1][0]
+        + a[0][0] * a[2][2] - a[0][2] * a[2][0]
+        + a[1][1] * a[2][2] - a[1][2] * a[2][1]
     )
 
 
@@ -119,17 +146,16 @@ def classify(M, eps_f: float = EPS_DISCRIMINANT) -> Classification:
         raise ValueError("classify needs a matrix preserving the form")
     M = normalize_to_su(M)
 
-    tau = trace(M)
+    entries = M.tolist()
+    tau = _trace(entries)
     f = discriminant(tau)
-    c1 = second_invariant(M)
+    c1 = _second_invariant(entries)
     c0 = complex(np.linalg.det(M))
     eigs = cubic_roots(tau, c1, c0)
 
-    scale = float(np.linalg.norm(M, 2))
-
     # projectively the identity: M = lambda I with lambda^3 = det = 1
     lam = tau / 3.0
-    if np.abs(M - lam * np.eye(3)).max() <= 1e-10 * max(1.0, abs(lam)):
+    if np.abs(M - lam * _IDENTITY).max() <= 1e-10 * max(1.0, abs(lam)):
         return Classification(IsometryClass.IDENTITY, tau, (lam, lam, lam), f)
 
     if f < -eps_f:
@@ -142,7 +168,9 @@ def classify(M, eps_f: float = EPS_DISCRIMINANT) -> Classification:
     # carry noise of order eps^(1/3), so eigenvalue moduli alone cannot be
     # trusted here.
     lam0 = _repeated_eigenvalue(tau, c1, eigs)
-    d = M - lam0 * np.eye(3)
+    d = M - lam0 * _IDENTITY
+    # the spectral norm (an SVD) is needed only on this path
+    scale = float(np.linalg.norm(M, 2))
 
     diam = max(abs(eigs[i] - eigs[j]) for i in range(3) for j in range(i + 1, 3))
     if diam <= CLUSTER_TOL * max(1.0, scale):

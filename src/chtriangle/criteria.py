@@ -305,6 +305,14 @@ def reproduce_table(which: int, tol: float = DEFAULT_TOL) -> TableResult:
     return TableResult(table=which, columns=TABLE_COLUMNS[which], rows=rows)
 
 
+def _check_finite_order(n):
+    """Reject a corner order n that is not finite and >= 3, NaN included;
+    orders need not be integers, as the closed forms are continuous in n."""
+    _check_order(n, "n", integer=False)
+    if is_infinite(n):
+        raise ValueError("n must be a finite corner order >= 3")
+
+
 def word_3132_analysis(n, a, boundary_tol: float = 1e-12) -> WordClassification:
     """Trace and isometry class of the word 3132 in the one-finite-corner
     family, from the closed trace formula.
@@ -314,8 +322,7 @@ def word_3132_analysis(n, a, boundary_tol: float = 1e-12) -> WordClassification:
     unipotent parabolic, at the right endpoint (when it is a geometric
     parameter value) boundary elliptic, and loxodromic outside.
     """
-    if is_infinite(n) or n < 3:
-        raise ValueError("n must be a finite corner order >= 3")
+    _check_finite_order(n)
     if not -1.0 <= a <= 1.0:
         raise ValueError("a = cos(theta) must lie in [-1, 1]")
     s = corner_cos(n)
@@ -335,8 +342,7 @@ def word_3132_analysis(n, a, boundary_tol: float = 1e-12) -> WordClassification:
 def order_k_locus(n: int, k: int) -> float:
     """The value of a = cos(theta) at which the word 3132 becomes elliptic
     of rotation angle 2 pi/k, i.e. has trace 1 + 2 cos(2 pi/k)."""
-    if is_infinite(n) or n < 3:
-        raise ValueError("n must be a finite corner order >= 3")
+    _check_finite_order(n)
     if k < 2:
         raise ValueError("k must be at least 2")
     s = corner_cos(n)
@@ -380,8 +386,14 @@ def nondiscreteness_report(m, n, theta) -> NondiscretenessReport:
     """Run every applicable certificate at one configuration.
 
     The verdict is "certified non-discrete" as soon as one criterion
-    fires; the report never claims discreteness.
+    fires; the report never claims discreteness.  The corner orders must
+    be >= 3 or infinity (not necessarily integers, as the criteria are
+    continuous in them) and theta must lie in [0, pi].
     """
+    _check_order(m, "m", integer=False)
+    _check_order(n, "n", integer=False)
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError("theta must lie in [0, pi]")
     a = math.cos(theta)
     re_eval = regular_elliptic_criterion(m, n, theta)
     jor = jorgensen_condition(m, n, theta) if jorgensen_applies(n) else None

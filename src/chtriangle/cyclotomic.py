@@ -80,8 +80,17 @@ class PhiCheck:
 def phi_inequality(l: int, k1: int, k2: int, k3: int) -> PhiCheck:
     """Evaluate 1/phi(d1) + 1/phi(d2) + 1/phi(d3) > 1 with
     d_i = l / gcd(k_i, l)."""
-    d = tuple(l // math.gcd(k % l, l) for k in (k1, k2, k3))
-    total = sum(1.0 / euler_phi(di) for di in d)
+    return _phi_check(l, (k1, k2, k3), {})
+
+
+def _phi_check(l: int, ks, phis: dict) -> PhiCheck:
+    """phi_inequality with the totients looked up in, and added to, phis
+    (d -> phi(d))."""
+    d = tuple(l // math.gcd(k % l, l) for k in ks)
+    for di in d:
+        if di not in phis:
+            phis[di] = euler_phi(di)
+    total = sum(1.0 / phis[di] for di in d)
     return PhiCheck(d=d, holds=total > 1.0)
 
 
@@ -490,6 +499,8 @@ def refute_finite_order(
     checked = 0
     elliptic = 0
     scans = {}
+    # phi(d) of the divisors d of the orders, each computed once per call
+    phis = {}
     for l_lo, l_hi in _order_blocks(max_l):
         ls, ks = _canonical_triples(l_lo, l_hi)
         checked += len(ks)
@@ -521,7 +532,7 @@ def refute_finite_order(
                     candidate=cand,
                     circle_gap=g,
                     conjugates=scan,
-                    phi=phi_inequality(l, *cand.k),
+                    phi=_phi_check(l, cand.k, phis),
                     note="" if scan is not None else "unchecked (N overflow)",
                 )
             )

@@ -27,6 +27,8 @@ from .linalg import (
 INFINITY_TOL = 1e-10
 # default strict slack on the Shimizu inequality before reporting a violation
 SHIMIZU_SLACK = 1e-12
+# default relative tolerance of the probe test in translation_of
+TRANSLATION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,29 @@ def cygan_distance_ext(p: ExtendedPoint, q: ExtendedPoint) -> float:
     return abs(inner) ** 0.5
 
 
+def _form_preserving(M, name: str) -> np.ndarray:
+    """M as a complex array, after the one form-preservation check of a
+    public call; the message names the function that checks it."""
+    if not is_unitary_for_form(M):
+        raise ValueError(f"{name} needs a matrix preserving the form")
+    return np.asarray(M, dtype=complex)
+
+
+def _act(M: np.ndarray, point):
+    """boundary_action on a complex array already checked to preserve the
+    form."""
+    if point is INFINITY:
+        lift = Q_INFINITY_LIFT
+    else:
+        lift = psi((point.xi, point.v, 0.0))
+    w = M @ lift
+    denom = w[1] + w[2]
+    if abs(denom) <= INFINITY_TOL * np.abs(w).max():
+        return INFINITY
+    w = w / denom
+    return HeisenbergPoint(complex(w[0]), float((w[1] - w[2]).imag))
+
+
 def boundary_action(M, point):
     """Apply a form-unitary matrix to a boundary point.
 
@@ -103,18 +128,7 @@ def boundary_action(M, point):
     kind of value; points carried to the distinguished point return
     INFINITY rather than raising.
     """
-    if not is_unitary_for_form(M):
-        raise ValueError("boundary_action needs a matrix preserving the form")
-    if point is INFINITY:
-        lift = Q_INFINITY_LIFT
-    else:
-        lift = psi((point.xi, point.v, 0.0))
-    w = np.asarray(M, dtype=complex) @ lift
-    denom = w[1] + w[2]
-    if abs(denom) <= INFINITY_TOL * np.abs(w).max():
-        return INFINITY
-    w = w / denom
-    return HeisenbergPoint(complex(w[0]), float((w[1] - w[2]).imag))
+    return _act(_form_preserving(M, "boundary_action"), point)
 
 
 def fixes_infinity(M) -> bool:
@@ -140,18 +154,14 @@ def heisenberg_translation(xi, v) -> np.ndarray:
     )
 
 
-def translation_of(M, tol: float = 1e-8) -> HeisenbergPoint:
-    """Read off the translation vector of a Heisenberg translation matrix.
-
-    Raises when M moves the distinguished point or fails to act as a left
-    translation on probe points.
-    """
-    if not fixes_infinity(M):
+def _translation(M: np.ndarray, tol: float) -> HeisenbergPoint:
+    """translation_of on a checked complex array."""
+    if _act(M, INFINITY) is not INFINITY:
         raise ValueError("not a Heisenberg translation: infinity moves")
-    t = boundary_action(M, ORIGIN)
+    t = _act(M, ORIGIN)
     scale = 1.0 + abs(t.xi) ** 2 + abs(t.v)
     for probe in (HeisenbergPoint(1.0 + 0j, 0.0), HeisenbergPoint(1j, 2.0)):
-        got = boundary_action(M, probe)
+        got = _act(M, probe)
         want = heis_mul(t, probe)
         if got is INFINITY:
             raise ValueError("not a Heisenberg translation")
@@ -160,12 +170,32 @@ def translation_of(M, tol: float = 1e-8) -> HeisenbergPoint:
     return t
 
 
+def translation_of(M, tol: float = TRANSLATION_TOL) -> HeisenbergPoint:
+    """Read off the translation vector of a Heisenberg translation matrix.
+
+    Raises when M moves the distinguished point or fails to act as a left
+    translation on probe points.
+    """
+    return _translation(_form_preserving(M, "boundary_action"), tol)
+
+
 def translation_length(M, z: HeisenbergPoint) -> float:
     """Cygan displacement of an infinity-fixing isometry at z."""
-    if not fixes_infinity(M):
+    M = _form_preserving(M, "boundary_action")
+    if _act(M, INFINITY) is not INFINITY:
         raise ValueError("translation_length needs a map fixing infinity")
-    image = boundary_action(M, z)
+    image = _act(M, z)
     return cygan_distance(image, z)
+
+
+def _isometric_sphere(h: np.ndarray) -> IsometricSphere:
+    """isometric_sphere on a checked complex array; h^-1 gets its own
+    check, as the defect of J h* J need not be that of h."""
+    denom = abs(h[1, 1] - h[1, 2] + h[2, 1] - h[2, 2])
+    if _act(h, INFINITY) is INFINITY or denom <= 1e-14 * np.abs(h).max():
+        raise ValueError("isometric sphere undefined: the map fixes infinity")
+    center = _act(_form_preserving(form_inverse(h), "boundary_action"), INFINITY)
+    return IsometricSphere(center=center, radius=math.sqrt(2.0 / denom))
 
 
 def isometric_sphere(h) -> IsometricSphere:
@@ -174,14 +204,7 @@ def isometric_sphere(h) -> IsometricSphere:
     The centre is h^-1(infinity); the radius is
     sqrt(2 / |a22 - a23 + a32 - a33|).
     """
-    h = np.asarray(h, dtype=complex)
-    if not is_unitary_for_form(h):
-        raise ValueError("isometric_sphere needs a matrix preserving the form")
-    denom = abs(h[1, 1] - h[1, 2] + h[2, 1] - h[2, 2])
-    if fixes_infinity(h) or denom <= 1e-14 * np.abs(h).max():
-        raise ValueError("isometric sphere undefined: the map fixes infinity")
-    center = boundary_action(form_inverse(h), INFINITY)
-    return IsometricSphere(center=center, radius=math.sqrt(2.0 / denom))
+    return _isometric_sphere(_form_preserving(h, "isometric_sphere"))
 
 
 def shimizu_violation(g, h, slack: float = SHIMIZU_SLACK) -> bool:
@@ -193,15 +216,19 @@ def shimizu_violation(g, h, slack: float = SHIMIZU_SLACK) -> bool:
         r_h^2 <= t_g(h^-1(inf)) * t_g(h(inf)) + 4 |xi|^2.
 
     Returns True when the inequality fails by more than slack, which
-    certifies non-discreteness of any group containing g and h.
+    certifies non-discreteness of any group containing g and h.  Each of
+    g, h and h^-1 is checked once.
     """
-    t = translation_of(g)
-    sphere = isometric_sphere(h)
-    forward = boundary_action(h, INFINITY)
-    backward = boundary_action(form_inverse(h), INFINITY)
+    g = _form_preserving(g, "boundary_action")
+    t = _translation(g, TRANSLATION_TOL)
+    h = _form_preserving(h, "isometric_sphere")
+    sphere = _isometric_sphere(h)
+    forward = _act(h, INFINITY)
+    # the sphere's centre is h^-1(inf)
+    backward = sphere.center
 
     def displacement(point):
-        return cygan_distance(boundary_action(g, point), point)
+        return cygan_distance(_act(g, point), point)
 
     bound = displacement(forward) * displacement(backward) + 4.0 * abs(t.xi) ** 2
     return sphere.radius**2 > bound + slack

@@ -20,6 +20,8 @@ import numpy as np
 
 FORM_SIGNS = np.array([1.0, 1.0, -1.0])
 FORM_MATRIX = np.diag(FORM_SIGNS).astype(complex)
+_MINUS_IDENTITY = -np.eye(3, dtype=complex)
+_MINUS_IDENTITY.flags.writeable = False
 
 # max-entry tolerance for M* J M = J and |det - 1|
 UNITARITY_TOL = 1e-10
@@ -67,10 +69,14 @@ def vector_type(z) -> str:
     that exact boundary configurations survive rounding.
     """
     z = np.asarray(z, dtype=complex)
+    return _type_of_norm(hermitian_form(z, z).real, z)
+
+
+def _type_of_norm(q: float, z: np.ndarray) -> str:
+    """Type of the vector z whose squared norm <z,z> is q."""
     scale = float(np.sum(np.abs(z) ** 2))
     if scale == 0.0:
         raise ValueError("zero vector has no type")
-    q = hermitian_form(z, z).real
     if abs(q) <= NULL_BAND * scale:
         return "null"
     return "negative" if q < 0 else "positive"
@@ -137,10 +143,10 @@ def involution_from_polar(p) -> np.ndarray:
     form and has determinant 1.
     """
     p = np.asarray(p, dtype=complex)
-    if vector_type(p) != "positive":
-        raise ValueError("polar vector must be positive")
     pp = hermitian_form(p, p).real
-    mat = -np.eye(3, dtype=complex) + (2.0 / pp) * np.outer(p, FORM_SIGNS * np.conj(p))
+    if _type_of_norm(pp, p) != "positive":
+        raise ValueError("polar vector must be positive")
+    mat = _MINUS_IDENTITY + (2.0 / pp) * np.outer(p, FORM_SIGNS * np.conj(p))
     return normalize_to_su(mat)
 
 

@@ -18,6 +18,9 @@ from .linalg import cvector, hermitian_form, involution_from_polar
 # rejects configurations where the second and third sides collapse
 DEGENERACY_TOL = 1e-14
 
+_IDENTITY = np.eye(3, dtype=complex)
+_IDENTITY.flags.writeable = False
+
 
 def is_infinite(order) -> bool:
     """True for the infinite corner order."""
@@ -65,7 +68,11 @@ class TriangleType:
 
 @dataclass(frozen=True)
 class TriangleGroup:
-    """A normalised triangle configuration and its three involutions."""
+    """A normalised triangle configuration and its three involutions.
+
+    An involution that does not depend on the parameters is one read-only
+    array shared by every group; `word` always returns a fresh array.
+    """
 
     ttype: TriangleType
     polars: tuple
@@ -77,10 +84,27 @@ class TriangleGroup:
         e.g. "123" or "3132"."""
         if not letters or any(c not in "123" for c in letters):
             raise ValueError("word must be a nonempty string over {1,2,3}")
-        out = np.eye(3, dtype=complex)
+        # the product starts from the identity: a BLAS product I @ A can
+        # differ from A in the sign of zero entries, and words keep the
+        # bits they always had
+        out = _IDENTITY
         for c in letters:
             out = out @ self.involutions[int(c) - 1]
         return out
+
+
+def _shared_involution(p) -> np.ndarray:
+    """Involution of a polar vector that no parameter moves, built once
+    and made read-only because every group shares it."""
+    out = involution_from_polar(p)
+    out.flags.writeable = False
+    return out
+
+
+# the first side (0, 1, 0) of both families and the second side (1, -1, 1)
+# of the (n, inf, inf) family do not depend on theta or the corner orders
+_I1 = _shared_involution(cvector(0, 1, 0))
+_I2_N_INF_INF = _shared_involution(cvector(1, -1, 1))
 
 
 def build_mn_inf(m: int, n: int, theta: float) -> TriangleGroup:
@@ -110,7 +134,7 @@ def build_mn_inf(m: int, n: int, theta: float) -> TriangleGroup:
         ttype=ttype,
         polars=(p1, p2, p3),
         vertices=(u1, u2, u3),
-        involutions=tuple(involution_from_polar(p) for p in (p1, p2, p3)),
+        involutions=(_I1, involution_from_polar(p2), involution_from_polar(p3)),
     )
 
 
@@ -136,7 +160,7 @@ def build_n_inf_inf(n: int, theta: float) -> TriangleGroup:
         ttype=ttype,
         polars=(p1, p2, p3),
         vertices=(u1, u2, u3),
-        involutions=tuple(involution_from_polar(p) for p in (p1, p2, p3)),
+        involutions=(_I1, _I2_N_INF_INF, involution_from_polar(p3)),
     )
 
 

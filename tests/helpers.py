@@ -4,7 +4,17 @@ import math
 
 import numpy as np
 
-from chtriangle.classify import discriminant
+from chtriangle.classify import (
+    CLUSTER_TOL,
+    EPS_DISCRIMINANT,
+    EPS_LOXODROMIC,
+    RANK_TOL,
+    Classification,
+    IsometryClass,
+    _repeated_eigenvalue,
+    cubic_roots,
+    discriminant,
+)
 from chtriangle.criteria import _VALUE_FUNCTIONS, SCAN_TESTS, ScanResult
 from chtriangle.cyclotomic import (
     DEFAULT_CIRCLE_TOL,
@@ -19,8 +29,27 @@ from chtriangle.cyclotomic import (
     phi_inequality,
     trace_circle_rightmost,
 )
-from chtriangle.heisenberg import HeisenbergPoint
-from chtriangle.linalg import involution_from_polar, normalize_to_su
+from chtriangle.heisenberg import (
+    INFINITY_TOL,
+    ORIGIN,
+    SHIMIZU_SLACK,
+    HeisenbergPoint,
+    IsometricSphere,
+    cygan_distance,
+    heis_mul,
+)
+from chtriangle.linalg import (
+    FORM_SIGNS,
+    INFINITY,
+    NULL_BAND,
+    Q_INFINITY_LIFT,
+    form_inverse,
+    hermitian_form,
+    involution_from_polar,
+    is_unitary_for_form,
+    normalize_to_su,
+    psi,
+)
 from chtriangle.triangles import corner_cos, is_infinite
 
 
@@ -265,3 +294,154 @@ def scan_intervals_oracle(test: str, m, n, grid: int = 100_000, tol: float = 1e-
             intervals.append((lo, hi))
         i = j + 1
     return ScanResult(test=test, m=m, n=n, intervals=tuple(intervals), tol=tol)
+
+
+# Reference for the per-point path: the constructions and checks as they
+# were before each public call checked each matrix once, the theta-free sides
+# were shared and classify lost its unused SVD.  They re-check a matrix
+# on every boundary action, rebuild every involution, evaluate the
+# discriminant on 0-d arrays and take the trace and second invariant from
+# numpy scalars.
+
+
+def vector_type_oracle(z) -> str:
+    z = np.asarray(z, dtype=complex)
+    scale = float(np.sum(np.abs(z) ** 2))
+    if scale == 0.0:
+        raise ValueError("zero vector has no type")
+    q = hermitian_form(z, z).real
+    if abs(q) <= NULL_BAND * scale:
+        return "null"
+    return "negative" if q < 0 else "positive"
+
+
+def involution_from_polar_oracle(p) -> np.ndarray:
+    p = np.asarray(p, dtype=complex)
+    if vector_type_oracle(p) != "positive":
+        raise ValueError("polar vector must be positive")
+    pp = hermitian_form(p, p).real
+    mat = -np.eye(3, dtype=complex) + (2.0 / pp) * np.outer(p, FORM_SIGNS * np.conj(p))
+    return normalize_to_su(mat)
+
+
+def word_oracle(involutions, letters: str) -> np.ndarray:
+    out = np.eye(3, dtype=complex)
+    for c in letters:
+        out = out @ involutions[int(c) - 1]
+    return out
+
+
+def discriminant_oracle(z):
+    z = np.asarray(z, dtype=complex)
+    val = np.abs(z) ** 4 - 8.0 * np.real(z**3) + 18.0 * np.abs(z) ** 2 - 27.0
+    if val.ndim == 0:
+        return float(val)
+    return val
+
+
+def classify_oracle(M, eps_f: float = EPS_DISCRIMINANT) -> Classification:
+    M = np.asarray(M, dtype=complex)
+    if not is_unitary_for_form(M):
+        raise ValueError("classify needs a matrix preserving the form")
+    M = normalize_to_su(M)
+
+    tau = complex(np.trace(M))
+    f = discriminant_oracle(tau)
+    c1 = complex(
+        M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+        + M[0, 0] * M[2, 2] - M[0, 2] * M[2, 0]
+        + M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1]
+    )
+    c0 = complex(np.linalg.det(M))
+    eigs = cubic_roots(tau, c1, c0)
+
+    scale = float(np.linalg.norm(M, 2))
+
+    lam = tau / 3.0
+    if np.abs(M - lam * np.eye(3)).max() <= 1e-10 * max(1.0, abs(lam)):
+        return Classification(IsometryClass.IDENTITY, tau, (lam, lam, lam), f)
+
+    if f < -eps_f:
+        return Classification(IsometryClass.REGULAR_ELLIPTIC, tau, eigs, f)
+    if f > eps_f:
+        return Classification(IsometryClass.LOXODROMIC, tau, eigs, f)
+
+    lam0 = _repeated_eigenvalue(tau, c1, eigs)
+    d = M - lam0 * np.eye(3)
+
+    diam = max(abs(eigs[i] - eigs[j]) for i in range(3) for j in range(i + 1, 3))
+    if diam <= CLUSTER_TOL * max(1.0, scale):
+        if np.abs(d).max() <= RANK_TOL * scale:
+            return Classification(IsometryClass.IDENTITY, tau, eigs, f)
+        if np.abs(d @ d @ d).max() <= RANK_TOL * scale**3:
+            return Classification(IsometryClass.UNIPOTENT_PARABOLIC, tau, eigs, f)
+        return Classification(IsometryClass.PARABOLIC, tau, eigs, f)
+
+    sing = np.linalg.svd(d, compute_uv=False)
+    rank = int(np.sum(sing > RANK_TOL * scale))
+    if rank <= 1:
+        return Classification(IsometryClass.BOUNDARY_ELLIPTIC, tau, eigs, f)
+    if rank == 2:
+        return Classification(IsometryClass.PARABOLIC, tau, eigs, f)
+    moduli = [abs(t) for t in eigs]
+    tag = (IsometryClass.LOXODROMIC if max(moduli) > 1.0 + EPS_LOXODROMIC
+           else IsometryClass.PARABOLIC)
+    return Classification(tag, tau, eigs, f)
+
+
+def boundary_action_oracle(M, point):
+    if not is_unitary_for_form(M):
+        raise ValueError("boundary_action needs a matrix preserving the form")
+    if point is INFINITY:
+        lift = Q_INFINITY_LIFT
+    else:
+        lift = psi((point.xi, point.v, 0.0))
+    w = np.asarray(M, dtype=complex) @ lift
+    denom = w[1] + w[2]
+    if abs(denom) <= INFINITY_TOL * np.abs(w).max():
+        return INFINITY
+    w = w / denom
+    return HeisenbergPoint(complex(w[0]), float((w[1] - w[2]).imag))
+
+
+def fixes_infinity_oracle(M) -> bool:
+    return boundary_action_oracle(M, INFINITY) is INFINITY
+
+
+def translation_of_oracle(M, tol: float = 1e-8) -> HeisenbergPoint:
+    if not fixes_infinity_oracle(M):
+        raise ValueError("not a Heisenberg translation: infinity moves")
+    t = boundary_action_oracle(M, ORIGIN)
+    scale = 1.0 + abs(t.xi) ** 2 + abs(t.v)
+    for probe in (HeisenbergPoint(1.0 + 0j, 0.0), HeisenbergPoint(1j, 2.0)):
+        got = boundary_action_oracle(M, probe)
+        want = heis_mul(t, probe)
+        if got is INFINITY:
+            raise ValueError("not a Heisenberg translation")
+        if abs(got.xi - want.xi) > tol * scale or abs(got.v - want.v) > tol * scale:
+            raise ValueError("not a Heisenberg translation")
+    return t
+
+
+def isometric_sphere_oracle(h) -> IsometricSphere:
+    h = np.asarray(h, dtype=complex)
+    if not is_unitary_for_form(h):
+        raise ValueError("isometric_sphere needs a matrix preserving the form")
+    denom = abs(h[1, 1] - h[1, 2] + h[2, 1] - h[2, 2])
+    if fixes_infinity_oracle(h) or denom <= 1e-14 * np.abs(h).max():
+        raise ValueError("isometric sphere undefined: the map fixes infinity")
+    center = boundary_action_oracle(form_inverse(h), INFINITY)
+    return IsometricSphere(center=center, radius=math.sqrt(2.0 / denom))
+
+
+def shimizu_violation_oracle(g, h, slack: float = SHIMIZU_SLACK) -> bool:
+    t = translation_of_oracle(g)
+    sphere = isometric_sphere_oracle(h)
+    forward = boundary_action_oracle(h, INFINITY)
+    backward = boundary_action_oracle(form_inverse(h), INFINITY)
+
+    def displacement(point):
+        return cygan_distance(boundary_action_oracle(g, point), point)
+
+    bound = displacement(forward) * displacement(backward) + 4.0 * abs(t.xi) ** 2
+    return sphere.radius**2 > bound + slack

@@ -322,6 +322,21 @@ def test_order_k_locus_values():
         order_k_locus(7, 3)  # no parameter in [-1, 1]
 
 
+@pytest.mark.parametrize("n", [math.nan, INF, 2, 1, -3])
+def test_word_3132_analysis_and_order_k_locus_reject_bad_orders(n):
+    with pytest.raises(ValueError, match="^n must be"):
+        word_3132_analysis(n, 0.9)
+    with pytest.raises(ValueError, match="^n must be"):
+        order_k_locus(n, 5)
+
+
+def test_word_3132_analysis_accepts_non_integer_orders():
+    # the closed forms are continuous in n
+    analysis = word_3132_analysis(7.5, 0.9)
+    assert analysis.trace == pytest.approx(trace_word_3132(7.5, 0.9), abs=1e-15)
+    assert -1.0 <= order_k_locus(7.5, 6) <= 1.0
+
+
 def test_word_order_window_for_seven():
     lo, hi = word_order_cos_window(7)
     assert lo == pytest.approx(0.2862083, abs=1e-6)
@@ -345,3 +360,29 @@ def test_nondiscreteness_report_examples():
     table_point = nondiscreteness_report(8, 11, math.acos(0.931))
     assert table_point.certified
     assert "re" in table_point.fired
+
+
+@pytest.mark.parametrize(
+    "m, n, theta",
+    [
+        (5, 7, math.nan),
+        (5, 7, -0.1),
+        (5, 7, math.pi + 1e-9),
+        (INF, 7, math.nan),
+        (2, 7, 0.3),
+        (5, 2, 0.3),
+        (math.nan, 7, 0.3),
+        (5, math.nan, 0.3),
+        (1, INF, 0.3),
+    ],
+)
+def test_nondiscreteness_report_rejects_bad_inputs(m, n, theta):
+    with pytest.raises(ValueError, match="must"):
+        nondiscreteness_report(m, n, theta)
+
+
+def test_nondiscreteness_report_accepts_endpoints_and_non_integer_orders():
+    for m, n, theta in ((8, 11, 0.0), (8, 11, math.pi), (INF, 7.5, 0.3), (3.5, 4, 1.0)):
+        report = nondiscreteness_report(m, n, theta)
+        assert report.a == math.cos(theta)
+        assert report.verdict in ("certified non-discrete", "no certificate")

@@ -71,6 +71,28 @@ def test_phi_inequality_invariances():
         assert shifted.d == base.d
 
 
+def test_refutation_computes_each_totient_once(monkeypatch):
+    from chtriangle import cyclotomic
+
+    seen = []
+
+    def counting(d):
+        seen.append(d)
+        return euler_phi(d)
+
+    monkeypatch.setattr(cyclotomic, "euler_phi", counting)
+    report = refute_finite_order(8, 11, max_l=120)
+    monkeypatch.undo()
+    assert report.near_misses and not report.survivors
+    # one phi(N) per conjugate scan (one scan per order), and one phi(d)
+    # per distinct summand order d, however many near-misses share it
+    scans = {nm.candidate.l for nm in report.near_misses if nm.conjugates is not None}
+    orders = {d for nm in report.near_misses for d in nm.phi.d}
+    assert len(seen) == len(scans) + len(orders) < 3 * len(report.near_misses)
+    for nm in report.near_misses:
+        assert nm.phi == phi_inequality(nm.candidate.l, *nm.candidate.k)
+
+
 def test_cyclotomic_construction_and_repr():
     x = CyclotomicInt.root(5, 7)  # exponent reduced mod 5
     assert x.coeffs[2] == 1
