@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import is_unitary_for_form, normalize_to_su
 
-# |f| below this is treated as "on the f = 0 locus"
+# f < -this is regular elliptic; |f| <= this is on the f = 0 locus
 EPS_DISCRIMINANT = 1e-9
 # eigenvalue modulus above 1 + this certifies loxodromic in the fallback path
 EPS_LOXODROMIC = 1e-7
@@ -134,12 +134,12 @@ def _repeated_eigenvalue(c2, c1, eigenvalues):
     return min(cand, key=lambda t: abs(t - center))
 
 
-def classify(M, eps_f: float = EPS_DISCRIMINANT) -> Classification:
+def classify(M) -> Classification:
     """Classify a form-unitary matrix up to the SU(2,1) scaling ambiguity.
 
     Regular elliptic and loxodromic elements are decided by the sign of
-    the discriminant of the trace; on the borderline |f| <= eps_f the
-    decision falls to the eigenstructure, never to the sign of f.
+    the discriminant of the trace; on the borderline |f| <= EPS_DISCRIMINANT
+    the decision falls to the eigenstructure, never to the sign of f.
     """
     M = np.asarray(M, dtype=complex)
     if not is_unitary_for_form(M):
@@ -158,9 +158,9 @@ def classify(M, eps_f: float = EPS_DISCRIMINANT) -> Classification:
     if np.abs(M - lam * _IDENTITY).max() <= 1e-10 * max(1.0, abs(lam)):
         return Classification(IsometryClass.IDENTITY, tau, (lam, lam, lam), f)
 
-    if f < -eps_f:
+    if f < -EPS_DISCRIMINANT:
         return Classification(IsometryClass.REGULAR_ELLIPTIC, tau, eigs, f)
-    if f > eps_f:
+    if f > EPS_DISCRIMINANT:
         return Classification(IsometryClass.LOXODROMIC, tau, eigs, f)
 
     # on the f = 0 locus: boundary elliptic / parabolic / drifted loxodromic.

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import IsometryClass, cubic_roots, discriminant
+from .classify import EPS_DISCRIMINANT, IsometryClass, cubic_roots, discriminant
 from .triangles import (
     _check_order,
     _trace_123_circle,
@@ -51,8 +51,8 @@ DEFAULT_TOL = 1e-10
 # a polynomial root counts as a breakpoint when its imaginary part is at
 # most this; a spurious breakpoint only splits a piece of constant sign
 _IMAG_TOL = 1e-6
-# discriminant values above -EPS_FIRE do not count as a strict firing
-EPS_FIRE = 1e-9
+# a within this of an end of the word 3132's elliptic range takes its class
+WORD_3132_BOUNDARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ def regular_elliptic_criterion(m, n, theta) -> CriterionEvaluation:
     """Evaluate the regular elliptic certificate at angular invariant theta."""
     tau = trace_word_123(m, n, theta)
     f = discriminant(tau)
-    return CriterionEvaluation(fires=f < -EPS_FIRE, trace=tau, discriminant=f)
+    return CriterionEvaluation(fires=f < -EPS_DISCRIMINANT, trace=tau, discriminant=f)
 
 
 def jorgensen_condition(m, n, theta) -> bool:
@@ -313,7 +313,7 @@ def _check_finite_order(n):
         raise ValueError("n must be a finite corner order >= 3")
 
 
-def word_3132_analysis(n, a, boundary_tol: float = 1e-12) -> WordClassification:
+def word_3132_analysis(n, a) -> WordClassification:
     """Trace and isometry class of the word 3132 in the one-finite-corner
     family, from the closed trace formula.
 
@@ -328,9 +328,9 @@ def word_3132_analysis(n, a, boundary_tol: float = 1e-12) -> WordClassification:
     s = corner_cos(n)
     t = trace_word_3132(n, a)
     upper = (1.0 + 4.0 * s * s) / (4.0 * s)
-    if abs(a - s) <= boundary_tol:
+    if abs(a - s) <= WORD_3132_BOUNDARY_TOL:
         tag = IsometryClass.UNIPOTENT_PARABOLIC
-    elif upper <= 1.0 + boundary_tol and abs(a - upper) <= boundary_tol:
+    elif upper <= 1.0 + WORD_3132_BOUNDARY_TOL and abs(a - upper) <= WORD_3132_BOUNDARY_TOL:
         tag = IsometryClass.BOUNDARY_ELLIPTIC
     elif s < a < upper:
         tag = IsometryClass.REGULAR_ELLIPTIC

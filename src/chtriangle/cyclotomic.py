@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import discriminant
+from .classify import EPS_DISCRIMINANT, discriminant
 from .triangles import _check_order, _trace_123_circle, is_infinite
 
 DEFAULT_CIRCLE_TOL = 1e-8
@@ -392,12 +392,12 @@ def _units(N: int) -> np.ndarray:
     return k[np.gcd(k, N) == 1]
 
 
-def _conjugate_scan(l: int, m, n, conductor_cap: int) -> ConjugateScan | None:
+def _conjugate_scan(l: int, m, n) -> ConjugateScan | None:
     """Closed-form evaluation of the circle's rightmost point at every Galois
     conjugate, over the unit residues mod M; None when the conductor
-    exceeds the cap."""
+    exceeds DEFAULT_CONDUCTOR_CAP."""
     N = _conductor(l, m, n)
-    if N > conductor_cap:
+    if N > DEFAULT_CONDUCTOR_CAP:
         return None
     M = _corner_modulus(m, n)
     n = int(n)
@@ -424,13 +424,13 @@ def _conjugate_scan(l: int, m, n, conductor_cap: int) -> ConjugateScan | None:
     )
 
 
-def _survivor_diagnostic(cand: CandidateTrace, gap: float, m, n, conductor_cap: int) -> SurvivorDiagnostic:
+def _survivor_diagnostic(cand: CandidateTrace, gap: float, m, n) -> SurvivorDiagnostic:
     """Exact Galois check of a survivor: hunt for the smallest unit k whose
     conjugate of the cyclotomic trace has real part at least -1,
     contradicting the circle bound."""
     phi = phi_inequality(cand.l, *cand.k)
     N = _conductor(cand.l, m, n)
-    if N > conductor_cap:
+    if N > DEFAULT_CONDUCTOR_CAP:
         return SurvivorDiagnostic(
             candidate=cand, circle_gap=gap, conductor=None, galois_refuted=None,
             witness_k=None, witness_re=None, phi=phi, note="unchecked (N overflow)",
@@ -460,16 +460,15 @@ def refute_finite_order(
     max_l: int = 60,
     circle_tol: float = DEFAULT_CIRCLE_TOL,
     near_tol: float = DEFAULT_NEAR_TOL,
-    conductor_cap: int = DEFAULT_CONDUCTOR_CAP,
 ) -> RefutationReport:
     """Enumerate candidate finite-order traces and report the survivors.
 
     A candidate survives when it is regular elliptic (discriminant below
-    -1e-9) and sits on the trace circle to circle_tol; the expected result
-    is an empty survivor list.  Candidates passing the circle test only at
-    the loose near_tol are reported as near-misses together with the exact
-    Galois scan of the circle bound over all conjugates.  Both lists are
-    in (l, k) order.
+    -EPS_DISCRIMINANT) and on the trace circle to circle_tol; the expected
+    result is no survivor.  Candidates on the circle only to the loose
+    near_tol are near-misses, with the exact Galois scan of the circle
+    bound over all conjugates.  A conductor above DEFAULT_CONDUCTOR_CAP
+    leaves a candidate unchecked.  Both lists are in (l, k) order.
 
     The corner orders must differ; the equal-order family is outside the
     scope of this engine.  Both tolerances must be non-negative, and
@@ -484,6 +483,8 @@ def refute_finite_order(
             "equal corner orders are outside this engine's scope "
             "(covered by prior published results); m must differ from n"
         )
+    if not isinstance(max_l, (int, np.integer)):
+        raise ValueError("max_l must be an integer")
     if max_l < 1:
         raise ValueError("max_l must be at least 1")
     if max_l > MAX_ORDER_BOUND:
@@ -511,7 +512,7 @@ def refute_finite_order(
         roots = np.exp(1j * (2.0 * math.pi / tl) * tk)
         r = roots[ks + ((ls * (ls - 1) - l_lo * (l_lo - 1)) // 2)[:, None]]
         tau = r[:, 0] + r[:, 1] + r[:, 2]
-        keep = discriminant(tau) < -1e-9
+        keep = discriminant(tau) < -EPS_DISCRIMINANT
         ls, ks, tau = ls[keep], ks[keep], tau[keep]
         elliptic += len(ks)
         # np.hypot rounds as abs(complex) does; np.abs can differ in the last bit
@@ -521,11 +522,11 @@ def refute_finite_order(
         for l, k, g in zip(ls[hits].tolist(), ks[hits].tolist(), gap[hits].tolist()):
             cand = CandidateTrace(l=l, k=tuple(k))
             if g <= circle_tol:
-                survivors.append(_survivor_diagnostic(cand, g, m, n, conductor_cap))
+                survivors.append(_survivor_diagnostic(cand, g, m, n))
                 continue
             # the scan depends on l only through the conductor: one per l
             if l not in scans:
-                scans[l] = _conjugate_scan(l, m, n, conductor_cap)
+                scans[l] = _conjugate_scan(l, m, n)
             scan = scans[l]
             near.append(
                 NearMissDiagnostic(
@@ -542,7 +543,7 @@ def refute_finite_order(
         max_l=max_l,
         circle_tol=circle_tol,
         near_tol=near_tol,
-        conductor_cap=conductor_cap,
+        conductor_cap=DEFAULT_CONDUCTOR_CAP,
         candidates_checked=checked,
         regular_elliptic_candidates=elliptic,
         survivors=tuple(survivors),

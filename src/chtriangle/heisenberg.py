@@ -25,9 +25,9 @@ from .linalg import (
 # relative threshold under which an image vector is read as the point at
 # infinity rather than re-normalised
 INFINITY_TOL = 1e-10
-# default strict slack on the Shimizu inequality before reporting a violation
+# strict slack on the Shimizu inequality before reporting a violation
 SHIMIZU_SLACK = 1e-12
-# default relative tolerance of the probe test in translation_of
+# relative tolerance of the probe test in translation_of
 TRANSLATION_TOL = 1e-8
 
 
@@ -154,29 +154,29 @@ def heisenberg_translation(xi, v) -> np.ndarray:
     )
 
 
-def _translation(M: np.ndarray, tol: float) -> HeisenbergPoint:
+def _translation(M: np.ndarray) -> HeisenbergPoint:
     """translation_of on a checked complex array."""
     if _act(M, INFINITY) is not INFINITY:
         raise ValueError("not a Heisenberg translation: infinity moves")
     t = _act(M, ORIGIN)
-    scale = 1.0 + abs(t.xi) ** 2 + abs(t.v)
+    bound = TRANSLATION_TOL * (1.0 + abs(t.xi) ** 2 + abs(t.v))
     for probe in (HeisenbergPoint(1.0 + 0j, 0.0), HeisenbergPoint(1j, 2.0)):
         got = _act(M, probe)
         want = heis_mul(t, probe)
         if got is INFINITY:
             raise ValueError("not a Heisenberg translation")
-        if abs(got.xi - want.xi) > tol * scale or abs(got.v - want.v) > tol * scale:
+        if abs(got.xi - want.xi) > bound or abs(got.v - want.v) > bound:
             raise ValueError("not a Heisenberg translation")
     return t
 
 
-def translation_of(M, tol: float = TRANSLATION_TOL) -> HeisenbergPoint:
+def translation_of(M) -> HeisenbergPoint:
     """Read off the translation vector of a Heisenberg translation matrix.
 
     Raises when M moves the distinguished point or fails to act as a left
     translation on probe points.
     """
-    return _translation(_form_preserving(M, "boundary_action"), tol)
+    return _translation(_form_preserving(M, "boundary_action"))
 
 
 def translation_length(M, z: HeisenbergPoint) -> float:
@@ -207,7 +207,7 @@ def isometric_sphere(h) -> IsometricSphere:
     return _isometric_sphere(_form_preserving(h, "isometric_sphere"))
 
 
-def shimizu_violation(g, h, slack: float = SHIMIZU_SLACK) -> bool:
+def shimizu_violation(g, h) -> bool:
     """Certificate test from Shimizu's lemma for the complex hyperbolic plane.
 
     Any discrete group containing the Heisenberg translation g by (xi, v)
@@ -215,12 +215,12 @@ def shimizu_violation(g, h, slack: float = SHIMIZU_SLACK) -> bool:
 
         r_h^2 <= t_g(h^-1(inf)) * t_g(h(inf)) + 4 |xi|^2.
 
-    Returns True when the inequality fails by more than slack, which
+    Returns True when the inequality fails by more than SHIMIZU_SLACK, which
     certifies non-discreteness of any group containing g and h.  Each of
     g, h and h^-1 is checked once.
     """
     g = _form_preserving(g, "boundary_action")
-    t = _translation(g, TRANSLATION_TOL)
+    t = _translation(g)
     h = _form_preserving(h, "isometric_sphere")
     sphere = _isometric_sphere(h)
     forward = _act(h, INFINITY)
@@ -231,4 +231,4 @@ def shimizu_violation(g, h, slack: float = SHIMIZU_SLACK) -> bool:
         return cygan_distance(_act(g, point), point)
 
     bound = displacement(forward) * displacement(backward) + 4.0 * abs(t.xi) ** 2
-    return sphere.radius**2 > bound + slack
+    return sphere.radius**2 > bound + SHIMIZU_SLACK

@@ -162,13 +162,13 @@ def normalize_to_su(M) -> np.ndarray:
     return M / root
 
 
-def is_unitary_for_form(M, tol: float = UNITARITY_TOL) -> bool:
-    """True when M* J M = J holds to max-entry tolerance tol."""
+def is_unitary_for_form(M) -> bool:
+    """True when M* J M = J holds to max-entry tolerance UNITARITY_TOL."""
     M = np.asarray(M, dtype=complex)
     if M.shape != (3, 3):
         return False
     defect = M.conj().T @ FORM_MATRIX @ M - FORM_MATRIX
-    return bool(np.abs(defect).max() <= tol)
+    return bool(np.abs(defect).max() <= UNITARITY_TOL)
 
 
 def form_inverse(M) -> np.ndarray:

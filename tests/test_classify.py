@@ -1,9 +1,11 @@
 import cmath
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from chtriangle import criteria, cyclotomic, heisenberg, linalg
 from chtriangle.classify import (
     IsometryClass,
     classify,
@@ -134,3 +136,13 @@ def test_rotation_word_has_exact_order():
         assert classify(power).tag is IsometryClass.IDENTITY
         lam = trace(power) / 3
         np.testing.assert_allclose(power, lam * np.eye(3), atol=1e-8)
+
+
+def test_tolerances_take_no_per_call_keyword():
+    # each tolerance is read at its decision from one module constant
+    for fn in (classify, linalg.is_unitary_for_form, heisenberg.translation_of,
+               heisenberg.shimizu_violation, criteria.word_3132_analysis,
+               cyclotomic.refute_finite_order):
+        params = set(inspect.signature(fn).parameters)
+        assert not params & {"eps_f", "tol", "slack", "boundary_tol", "conductor_cap"}, fn
+    assert not hasattr(criteria, "EPS_FIRE")

@@ -74,6 +74,16 @@ def test_classify_command_rejects_bad_word(capsys):
     assert "word" in err
 
 
+@pytest.mark.parametrize("theta", ["pi/0", "pi/0.0", "pi/00"])
+def test_classify_command_rejects_zero_angle_denominator(capsys, theta):
+    # pi/0 used to escape main as a ZeroDivisionError traceback
+    code, out, err = run_cli(
+        capsys, "classify", "--m", "8", "--n", "11", "--theta", theta, "--word", "123",
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "zero denominator" in err
+
+
 def test_scan_command_interval(capsys):
     code, out, _ = run_cli(capsys, "scan", "--test", "re", "--m", "8", "--n", "11")
     assert code == 0

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from chtriangle.cyclotomic import (
-    DEFAULT_CONDUCTOR_CAP,
     CandidateTrace,
     CyclotomicInt,
     _canonical_triples,
@@ -289,6 +288,10 @@ def test_refutation_rejects_bad_input():
     for max_l in (0, -3):
         with pytest.raises(ValueError):
             refute_finite_order(8, 11, max_l=max_l)
+    # a float, NaN included, used to reach range() and raise TypeError
+    for max_l in (2.5, math.nan, 60.0):
+        with pytest.raises(ValueError, match="max_l must be an integer"):
+            refute_finite_order(8, 11, max_l=max_l)
 
 
 @pytest.mark.parametrize("tols", [
@@ -378,14 +381,21 @@ def _assert_reports_agree(new, old):
         (INF, 7, 36, {"near_tol": 0.05}),
         # forced survivors exercise the survivor diagnostic
         (8, 11, 48, {"circle_tol": 1e-3, "near_tol": 1e-3}),
-        # a tiny cap sends every near-miss down the overflow path
-        (8, 11, 60, {"conductor_cap": 1000}),
     ],
 )
 def test_refutation_matches_scalar_oracle(m, n, max_l, tols):
     _assert_reports_agree(
         refute_finite_order(m, n, max_l=max_l, **tols),
         refute_finite_order_oracle(m, n, max_l, **tols),
+    )
+
+
+def test_refutation_matches_scalar_oracle_at_a_tiny_conductor_cap(monkeypatch):
+    # a tiny cap sends every near-miss down the overflow path
+    monkeypatch.setattr("chtriangle.cyclotomic.DEFAULT_CONDUCTOR_CAP", 1000)
+    _assert_reports_agree(
+        refute_finite_order(8, 11, max_l=60),
+        refute_finite_order_oracle(8, 11, 60, conductor_cap=1000),
     )
 
 
@@ -419,7 +429,7 @@ def test_decision_path_does_not_use_cyclotomic_int(monkeypatch):
 def test_worst_k_is_the_smallest_maximising_unit(l, m, n):
     values = conjugate_rightmost_oracle(l, m, n)
     worst = max(values.values())
-    scan = _conjugate_scan(l, m, n, DEFAULT_CONDUCTOR_CAP)
+    scan = _conjugate_scan(l, m, n)
     assert scan.n_conjugates == len(values)
     assert scan.max_rightmost == pytest.approx(worst, abs=1e-12)
     assert scan.worst_k == min(k for k, v in values.items() if v >= worst - 1e-12)
@@ -430,7 +440,7 @@ def test_exact_strictly_below_agrees_with_float_margin():
         for n in range(3, 41):
             if m == n:
                 continue
-            scan = _conjugate_scan(1, m, n, DEFAULT_CONDUCTOR_CAP)
+            scan = _conjugate_scan(1, m, n)
             assert scan.all_strictly_below == (scan.max_rightmost < -1.0), (m, n)
 
 
