@@ -19,7 +19,7 @@ import time
 from . import __version__
 from .classify import EPS_DISCRIMINANT, classify
 from .criteria import (
-    DEFAULT_TOL,
+    MERGE_TOL,
     SCAN_TESTS,
     reproduce_table,
     scan_intervals,
@@ -156,11 +156,11 @@ def _cmd_scan(args) -> tuple[dict, list, list]:
     n = parse_order(args.n)
     if is_infinite(n):
         raise UsageError("n must be finite; pass --m inf for the family with one finite corner")
-    scan = scan_intervals(args.test, m, n, tol=args.tol)
+    scan = scan_intervals(args.test, m, n)
     record = _record(
         "scan",
         {"test": args.test, "m": _fmt(m), "n": n},
-        {"endpoint_bracket": args.tol},
+        {"endpoint_bracket": MERGE_TOL},
         {"intervals": [list(iv) for iv in scan.intervals]},
     )
     columns = ["n", "lo", "hi"]
@@ -169,7 +169,7 @@ def _cmd_scan(args) -> tuple[dict, list, list]:
 
 
 def _cmd_tables(args) -> tuple[dict, list, list]:
-    table = reproduce_table(args.which, tol=args.tol)
+    table = reproduce_table(args.which)
     columns = ["n"]
     for name in table.columns:
         columns.extend([name, name + "_display"])
@@ -184,7 +184,7 @@ def _cmd_tables(args) -> tuple[dict, list, list]:
     record = _record(
         "tables",
         {"which": args.which},
-        {"endpoint_bracket": args.tol, "display_decimals": 5},
+        {"endpoint_bracket": MERGE_TOL, "display_decimals": 5},
         {"columns": list(columns), "rows": json_rows},
     )
     rows = [[jrow[name] for name in columns] for jrow in json_rows]
@@ -270,14 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re = regular elliptic product criterion")
     p.add_argument("--m", required=True, help="first corner order (integer >= 3 or 'inf')")
     p.add_argument("--n", required=True, type=str, help="second corner order (integer >= 3)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help=f"bound on the endpoint error, in (0, 1e-6] (default {DEFAULT_TOL:g})")
     add_common(p)
 
     p = sub.add_parser("tables", help="recompute one of the three built-in survey tables")
     p.add_argument("which", type=int, choices=(1, 2, 3), help="table index")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help=f"bound on the endpoint error, in (0, 1e-6] (default {DEFAULT_TOL:g})")
     add_common(p)
 
     p = sub.add_parser("galois", help="refute finite-order regular elliptic traces by enumeration")

@@ -47,7 +47,9 @@ TABLE_COLUMNS = {
     3: ("elliptic_lo", "elliptic_hi", "jorgensen_lo", "shimizu_lo"),
 }
 
-DEFAULT_TOL = 1e-10
+# roots this close to each other or to -1 and 1 merge in a scan, so an
+# interval reaching a = 1 ends at exactly 1.0
+MERGE_TOL = 1e-10
 # a polynomial root counts as a breakpoint when its imaginary part is at
 # most this; a spurious breakpoint only splits a piece of constant sign
 _IMAG_TOL = 1e-6
@@ -163,8 +165,16 @@ def shimizu_value(m, n, a):
     return val
 
 
+def _check_orders(m, n):
+    """Reject corner orders below 3, NaN included; orders need not be
+    integers, as the criteria are continuous in them."""
+    _check_order(m, "m", integer=False)
+    _check_order(n, "n", integer=False)
+
+
 def regular_elliptic_criterion(m, n, theta) -> CriterionEvaluation:
     """Evaluate the regular elliptic certificate at angular invariant theta."""
+    _check_orders(m, n)
     tau = trace_word_123(m, n, theta)
     f = discriminant(tau)
     return CriterionEvaluation(fires=f < -EPS_DISCRIMINANT, trace=tau, discriminant=f)
@@ -172,11 +182,13 @@ def regular_elliptic_criterion(m, n, theta) -> CriterionEvaluation:
 
 def jorgensen_condition(m, n, theta) -> bool:
     """True when the Jorgensen certificate fires (strict inequality)."""
+    _check_orders(m, n)
     return jorgensen_value(m, n, math.cos(theta)) < 0.0
 
 
 def shimizu_condition(m, n, theta) -> bool:
     """True when the Shimizu certificate fires (strict inequality)."""
+    _check_orders(m, n)
     return shimizu_value(m, n, math.cos(theta)) < 0.0
 
 
@@ -230,39 +242,37 @@ def _breakpoints(test, m, n):
     return roots
 
 
-def scan_intervals(test: str, m, n, tol: float = DEFAULT_TOL) -> ScanResult:
+def scan_intervals(test: str, m, n) -> ScanResult:
     """Find all maximal intervals of a in [-1, 1] where a criterion fires.
 
     The breakpoints are the real roots of a polynomial that vanishes at
     every zero of the defining function: the discriminant of tr(123) is a
     cubic in a, Jorgensen has two linear branches, and Shimizu squared
-    under its sign condition is a quadratic.  Roots closer than tol to each
-    other or to -1 and 1 merge.  Each piece between breakpoints takes the
-    sign of the defining function at its midpoint, and negative pieces
-    join.  An empty interval list means the scan found no certificate,
-    and so does Jorgensen where it does not apply (n infinite or below 7).
-    tol must lie in (0, 1e-6].  The orders must be >= 3 or infinite; they
-    may be equal, and need not be integers, as the criteria are continuous
-    in them.
+    under its sign condition is a quadratic.  Roots closer than MERGE_TOL
+    to each other or to -1 and 1 merge, so an interval narrower than that
+    is not reported.  Each piece between breakpoints takes the sign of the
+    defining function at its midpoint, and negative pieces join.  The
+    result's tol reports MERGE_TOL, not an endpoint error: each endpoint
+    is a root itself.  An empty interval list means the scan found no
+    certificate, and so does Jorgensen where it does not apply (n infinite
+    or below 7).  The orders must be >= 3 or infinite; they may be equal,
+    and need not be integers, as the criteria are continuous in them.
     """
     if test not in SCAN_TESTS:
         raise ValueError(f"unknown test {test!r}; expected one of {SCAN_TESTS}")
-    _check_order(m, "m", integer=False)
-    _check_order(n, "n", integer=False)
-    if not 0.0 < tol <= 1e-6:
-        raise ValueError("tol must lie in (0, 1e-6]")
+    _check_orders(m, n)
     if test == "jorgensen" and not jorgensen_applies(n):
-        return ScanResult(test=test, m=m, n=n, intervals=(), tol=tol)
+        return ScanResult(test=test, m=m, n=n, intervals=(), tol=MERGE_TOL)
 
     points = [-1.0]
     for root in sorted(_breakpoints(test, m, n)):
-        if points[-1] + tol <= root <= 1.0 - tol:
+        if points[-1] + MERGE_TOL <= root <= 1.0 - MERGE_TOL:
             points.append(root)
     points.append(1.0)
     edges = np.array(points)
     negative = _VALUE_FUNCTIONS[test](m, n, 0.5 * (edges[:-1] + edges[1:])) < 0.0
     pieces = [(lo, hi) for lo, hi, neg in zip(points, points[1:], negative) if neg]
-    return ScanResult(test=test, m=m, n=n, intervals=tuple(_merge_intervals(pieces)), tol=tol)
+    return ScanResult(test=test, m=m, n=n, intervals=tuple(_merge_intervals(pieces)), tol=MERGE_TOL)
 
 
 def _table_cell(scan: ScanResult, which: str):
@@ -276,7 +286,7 @@ def _table_cell(scan: ScanResult, which: str):
     return scan.intervals[-1][0]
 
 
-def reproduce_table(which: int, tol: float = DEFAULT_TOL) -> TableResult:
+def reproduce_table(which: int) -> TableResult:
     """Recompute one of the three built-in survey tables.
 
     Table 1: regular elliptic intervals for corner orders (8, n).
@@ -293,12 +303,12 @@ def reproduce_table(which: int, tol: float = DEFAULT_TOL) -> TableResult:
     def build_row(n: int) -> TableRow:
         cells = {}
         if which in (1, 3):
-            lo, hi = _table_cell(scan_intervals("re", m, n, tol), "re")
+            lo, hi = _table_cell(scan_intervals("re", m, n), "re")
             cells["elliptic_lo"] = lo
             cells["elliptic_hi"] = hi
         if which in (2, 3):
             for test in ("jorgensen", "shimizu"):
-                cells[f"{test}_lo"] = _table_cell(scan_intervals(test, m, n, tol), test)
+                cells[f"{test}_lo"] = _table_cell(scan_intervals(test, m, n), test)
         return TableRow(n=n, cells=cells)
 
     rows = tuple(build_row(n) for n in TABLE_ROWS[which])
@@ -362,7 +372,7 @@ def _merge_intervals(intervals):
     return merged
 
 
-def word_order_cos_window(n: int, tol: float = DEFAULT_TOL):
+def word_order_cos_window(n: int):
     """Window of cos(2 pi/k) values certifying non-discreteness through the
     order of the word 3132.
 
@@ -370,9 +380,10 @@ def word_order_cos_window(n: int, tol: float = DEFAULT_TOL):
     takes the union component of the certified set that reaches a = 1, and
     maps its endpoints through the order-k locus relation.
     """
+    _check_finite_order(n)
     pieces = []
     for test in SCAN_TESTS:
-        pieces.extend(scan_intervals(test, math.inf, n, tol).intervals)
+        pieces.extend(scan_intervals(test, math.inf, n).intervals)
     merged = _merge_intervals(pieces)
     if not merged or merged[-1][1] != 1.0:
         raise ValueError(f"no certified interval reaching a = 1 for n = {n}")
@@ -390,8 +401,7 @@ def nondiscreteness_report(m, n, theta) -> NondiscretenessReport:
     be >= 3 or infinity (not necessarily integers, as the criteria are
     continuous in them) and theta must lie in [0, pi].
     """
-    _check_order(m, "m", integer=False)
-    _check_order(n, "n", integer=False)
+    _check_orders(m, n)
     if not 0.0 <= theta <= math.pi:
         raise ValueError("theta must lie in [0, pi]")
     a = math.cos(theta)

@@ -38,6 +38,7 @@ takes 0.02 s of CPU at max_l = 120, 0.3 s at 300, 2.2 s at 600 and
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +52,23 @@ DEFAULT_CONDUCTOR_CAP = 10**6
 MAX_ORDER_BOUND = 2000
 
 
+def _check_positive_int(value, name: str):
+    """Reject anything but an integer >= 1; numpy integers count."""
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+
+
+def _check_exponents(l, ks):
+    """Reject an order l that is not a positive integer and exponents
+    that are not integers."""
+    _check_positive_int(l, "l")
+    if not all(isinstance(k, numbers.Integral) for k in ks):
+        raise ValueError("exponents must be integers")
+
+
 def euler_phi(d: int) -> int:
     """Euler's totient, by trial-division factorisation."""
-    if d < 1:
-        raise ValueError("euler_phi needs a positive integer")
+    _check_positive_int(d, "d")
     result = d
     rest = d
     p = 2
@@ -80,6 +94,7 @@ class PhiCheck:
 def phi_inequality(l: int, k1: int, k2: int, k3: int) -> PhiCheck:
     """Evaluate 1/phi(d1) + 1/phi(d2) + 1/phi(d3) > 1 with
     d_i = l / gcd(k_i, l)."""
+    _check_exponents(l, (k1, k2, k3))
     return _phi_check(l, (k1, k2, k3), {})
 
 
@@ -237,6 +252,7 @@ class CandidateTrace:
 
 def canonical_candidate(l: int, ks) -> CandidateTrace:
     """Sort the exponents mod l and divide out any common factor with l."""
+    _check_exponents(l, ks)
     ks = sorted(k % l for k in ks)
     if sum(ks) % l != 0:
         raise ValueError("exponents must sum to 0 mod l")

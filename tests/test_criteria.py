@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chtriangle import criteria
 from chtriangle.classify import IsometryClass, classify
 from chtriangle.criteria import (
     SCAN_TESTS,
@@ -80,22 +81,16 @@ def test_shimizu_tangent_threshold_with_matrix_oracle():
     assert first == 31
 
 
+@pytest.mark.parametrize("m, n", [(2, 8), (1, 8), (8, 2), (8, -3), (math.nan, 8), (8, math.nan)])
+def test_point_criteria_reject_corner_orders_below_3(m, n):
+    for criterion in (regular_elliptic_criterion, jorgensen_condition, shimizu_condition):
+        with pytest.raises(ValueError, match="must be >= 3 or infinity"):
+            criterion(m, n, 0.3)
+
+
 def test_scan_rejects_bad_parameters():
     with pytest.raises(ValueError):
         scan_intervals("nope", 8, 11)
-    with pytest.raises(ValueError):
-        scan_intervals("re", 8, 11, tol=1e-3)
-
-
-@pytest.mark.parametrize("tol", [-1.0, 0.0, -0.0, 1.1e-6, math.nan, math.inf])
-def test_scan_rejects_tol_outside_range(tol):
-    for test in SCAN_TESTS:
-        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1e-6\]"):
-            scan_intervals(test, 8, 100, tol=tol)
-    with pytest.raises(ValueError, match="tol must lie"):
-        reproduce_table(1, tol=tol)
-    with pytest.raises(ValueError, match="tol must lie"):
-        word_order_cos_window(7, tol=tol)
 
 
 @pytest.mark.parametrize("test, m, n", [
@@ -168,7 +163,7 @@ def test_scan_intervals_are_sound():
 
 
 def test_scan_endpoints_bracket_sign_changes():
-    scan = scan_intervals("re", 8, 12, tol=1e-10)
+    scan = scan_intervals("re", 8, 12)
     (lo, hi), = scan.intervals
     eps = 1e-7
     assert regular_elliptic_value(8, 12, lo - eps) > 0
@@ -244,7 +239,7 @@ def test_scan_endpoints_match_40_digit_roots(test, m, n):
             assert abs(root - x) <= scan.tol / 2, (test, m, n, x, root)
 
 
-def test_scan_finds_intervals_narrower_than_the_grid_step():
+def test_scan_finds_intervals_narrower_than_the_grid_step(monkeypatch):
     # just after the regular elliptic interval for m = 8 is born between
     # n = 10 and 11 it is 5e-7 wide, below the 2e-5 step of the grid scan
     n = 10.2379
@@ -253,12 +248,13 @@ def test_scan_finds_intervals_narrower_than_the_grid_step():
     assert regular_elliptic_value(8, n, lo - 1e-8) > 0 > regular_elliptic_value(8, n, lo + 1e-8)
     assert regular_elliptic_value(8, n, hi - 1e-8) < 0 < regular_elliptic_value(8, n, hi + 1e-8)
     assert scan_intervals_oracle("re", 8, n).intervals == ()
-    # roots closer than tol merge: at tol = 1e-6 the interval is below resolution
-    assert scan_intervals("re", 8, n, tol=1e-6).intervals == ()
+    # roots closer than MERGE_TOL merge: at 1e-6 the interval is below resolution
+    monkeypatch.setattr(criteria, "MERGE_TOL", 1e-6)
+    assert scan_intervals("re", 8, n).intervals == ()
 
 
 def test_reproduce_table_structure():
-    table = reproduce_table(2, tol=1e-8)
+    table = reproduce_table(2)
     assert table.columns == ("jorgensen_lo", "shimizu_lo")
     byn = {row.n: row.cells for row in table.rows}
     assert byn[4]["jorgensen_lo"] is None
@@ -269,7 +265,7 @@ def test_reproduce_table_structure():
 
 
 def test_reproduce_table_1_values():
-    table = reproduce_table(1, tol=1e-8)
+    table = reproduce_table(1)
     byn = {row.n: row.cells for row in table.rows}
     assert byn[12]["elliptic_lo"] == pytest.approx(0.93226, abs=1e-4)
     assert byn[12]["elliptic_hi"] == pytest.approx(0.93268, abs=1e-4)
@@ -328,6 +324,8 @@ def test_word_3132_analysis_and_order_k_locus_reject_bad_orders(n):
         word_3132_analysis(n, 0.9)
     with pytest.raises(ValueError, match="^n must be"):
         order_k_locus(n, 5)
+    with pytest.raises(ValueError, match="^n must be"):
+        word_order_cos_window(n)
 
 
 def test_word_3132_analysis_accepts_non_integer_orders():

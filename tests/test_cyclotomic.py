@@ -47,6 +47,27 @@ def test_euler_phi_against_bruteforce():
         assert euler_phi(d) == _phi_bruteforce(d), d
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: euler_phi(2.5), "^d must be a positive integer"),
+    (lambda: euler_phi(math.nan), "^d must be a positive integer"),
+    (lambda: euler_phi(-4), "^d must be a positive integer"),
+    (lambda: phi_inequality(0, 1, 2, 3), "^l must be a positive integer"),
+    (lambda: phi_inequality(7.0, 1, 2, 4), "^l must be a positive integer"),
+    (lambda: phi_inequality(7, 1, 2.0, 4), "^exponents must be integers"),
+    (lambda: canonical_candidate(0, (1, 2, 3)), "^l must be a positive integer"),
+    (lambda: canonical_candidate(10, (1, 2, 7.0)), "^exponents must be integers"),
+])
+def test_totient_and_candidate_inputs_must_be_integers(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_totient_and_candidate_accept_numpy_integers():
+    assert euler_phi(np.int64(12)) == 4
+    assert phi_inequality(np.int32(12), np.int64(4), 4, 4) == phi_inequality(12, 4, 4, 4)
+    assert canonical_candidate(np.int64(12), (np.int64(4), 4, 4)) == canonical_candidate(12, (4, 4, 4))
+
+
 def test_phi_inequality_examples():
     check = phi_inequality(7, 1, 2, 4)
     assert check.d == (7, 7, 7) and not check.holds
