@@ -25,11 +25,11 @@ from .classify import EPS_DISCRIMINANT, IsometryClass, cubic_roots, discriminant
 from .triangles import (
     _check_order,
     _trace_123_circle,
+    _trace_word_123,
+    _trace_word_3132,
     corner_cos,
     corner_sin,
     is_infinite,
-    trace_word_123,
-    trace_word_3132,
 )
 
 SCAN_TESTS = ("re", "jorgensen", "shimizu")
@@ -116,17 +116,24 @@ class NondiscretenessReport:
     verdict: str
 
 
+def _is_scalar(a) -> bool:
+    """True for a Python or numpy scalar a and a 0-d array, which the value
+    functions evaluate as one float."""
+    return isinstance(a, (int, float, np.generic)) or np.ndim(a) == 0
+
+
 def regular_elliptic_value(m, n, a):
     """Discriminant of the trace of the product of the three involutions,
     as a function of a = cos(theta).  Negative exactly where the product
-    is regular elliptic.  Vectorised over a."""
-    a = np.asarray(a, dtype=float)
+    is regular elliptic.  A scalar a gives a float, from Python floats and
+    the scalar discriminant; an array gives an array, elementwise."""
     c, radius = _trace_123_circle(m, n)
+    if _is_scalar(a):
+        a = float(a)
+        return discriminant(c + radius * (a + 1j * math.sqrt(max(1.0 - a * a, 0.0))))
+    a = np.asarray(a, dtype=float)
     sin_theta = np.sqrt(np.clip(1.0 - a * a, 0.0, None))
-    val = discriminant(c + radius * (a + 1j * sin_theta))
-    if np.ndim(val) == 0:
-        return float(val)
-    return val
+    return discriminant(c + radius * (a + 1j * sin_theta))
 
 
 def jorgensen_applies(n) -> bool:
@@ -138,31 +145,36 @@ def jorgensen_applies(n) -> bool:
 def jorgensen_value(m, n, a):
     """Defining function of the Jorgensen criterion: |.| - sin(pi/n)/2.
 
-    Requires a finite elliptic order n >= 7 (see jorgensen_applies).
+    Requires a finite elliptic order n >= 7 (see jorgensen_applies).  A
+    scalar a gives a float, from Python floats; an array gives an array,
+    elementwise.
     """
     if not jorgensen_applies(n):
         raise ValueError("jorgensen criterion needs finite n >= 7")
-    a = np.asarray(a, dtype=float)
+    a = float(a) if _is_scalar(a) else np.asarray(a, dtype=float)
     s1 = corner_cos(n)
     s2 = corner_cos(m)
-    val = np.abs(s1 * s1 + 2.0 * s2 * s2 - 4.0 * s1 * s2 * a + 1.0) - 0.5 * corner_sin(n)
-    if np.ndim(val) == 0:
-        return float(val)
-    return val
+    return abs(s1 * s1 + 2.0 * s2 * s2 - 4.0 * s1 * s2 * a + 1.0) - 0.5 * corner_sin(n)
 
 
 def shimizu_value(m, n, a):
     """Defining function of the Shimizu criterion: |u - 2iv| + 4u - 1/4,
-    with u = s1^2 + s2^2 - 2 s1 s2 a and v = s1 s2 sin(theta)."""
-    a = np.asarray(a, dtype=float)
+    with u = s1^2 + s2^2 - 2 s1 s2 a and v = s1 s2 sin(theta).
+
+    A scalar a gives a float, from Python floats; |u - 2iv| still comes
+    from np.abs, which rounds differently from Python's abs(complex).  An
+    array gives an array, elementwise."""
     s1 = corner_cos(n)
     s2 = corner_cos(m)
+    if _is_scalar(a):
+        a = float(a)
+        u = s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * a
+        v = s1 * s2 * math.sqrt(max(1.0 - a * a, 0.0))
+        return float(np.abs(u - 2j * v)) + 4.0 * u - 0.25
+    a = np.asarray(a, dtype=float)
     u = s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * a
     v = s1 * s2 * np.sqrt(np.clip(1.0 - a * a, 0.0, None))
-    val = np.abs(u - 2j * v) + 4.0 * u - 0.25
-    if np.ndim(val) == 0:
-        return float(val)
-    return val
+    return np.abs(u - 2j * v) + 4.0 * u - 0.25
 
 
 def _check_orders(m, n):
@@ -175,7 +187,7 @@ def _check_orders(m, n):
 def regular_elliptic_criterion(m, n, theta) -> CriterionEvaluation:
     """Evaluate the regular elliptic certificate at angular invariant theta."""
     _check_orders(m, n)
-    tau = trace_word_123(m, n, theta)
+    tau = _trace_word_123(m, n, theta)
     f = discriminant(tau)
     return CriterionEvaluation(fires=f < -EPS_DISCRIMINANT, trace=tau, discriminant=f)
 
@@ -269,9 +281,9 @@ def scan_intervals(test: str, m, n) -> ScanResult:
         if points[-1] + MERGE_TOL <= root <= 1.0 - MERGE_TOL:
             points.append(root)
     points.append(1.0)
-    edges = np.array(points)
-    negative = _VALUE_FUNCTIONS[test](m, n, 0.5 * (edges[:-1] + edges[1:])) < 0.0
-    pieces = [(lo, hi) for lo, hi, neg in zip(points, points[1:], negative) if neg]
+    value = _VALUE_FUNCTIONS[test]
+    pieces = [(lo, hi) for lo, hi in zip(points, points[1:])
+              if value(m, n, 0.5 * (lo + hi)) < 0.0]
     return ScanResult(test=test, m=m, n=n, intervals=tuple(_merge_intervals(pieces)), tol=MERGE_TOL)
 
 
@@ -336,7 +348,7 @@ def word_3132_analysis(n, a) -> WordClassification:
     if not -1.0 <= a <= 1.0:
         raise ValueError("a = cos(theta) must lie in [-1, 1]")
     s = corner_cos(n)
-    t = trace_word_3132(n, a)
+    t = _trace_word_3132(n, a)
     upper = (1.0 + 4.0 * s * s) / (4.0 * s)
     if abs(a - s) <= WORD_3132_BOUNDARY_TOL:
         tag = IsometryClass.UNIPOTENT_PARABOLIC
@@ -353,7 +365,7 @@ def order_k_locus(n: int, k: int) -> float:
     """The value of a = cos(theta) at which the word 3132 becomes elliptic
     of rotation angle 2 pi/k, i.e. has trace 1 + 2 cos(2 pi/k)."""
     _check_finite_order(n)
-    if k < 2:
+    if not k >= 2:
         raise ValueError("k must be at least 2")
     s = corner_cos(n)
     a = (8.0 * s * s - math.cos(2.0 * math.pi / k) + 1.0) / (8.0 * s)

@@ -226,13 +226,28 @@ class CyclotomicInt:
 
 def trace_circle_rightmost(s1: float, s2: float) -> float:
     """Rightmost real point of the circle carrying the conjugated trace:
-    -(4 (s1^2 + s2^2) + 1) + |8 s1 s2| = -4 (|s1| - |s2|)^2 - 1."""
+    -(4 (s1^2 + s2^2) + 1) + |8 s1 s2| = -4 (|s1| - |s2|)^2 - 1.
+
+    s1 and s2 are conjugated corner cosines, so |s1|, |s2| <= 1; NaN is
+    refused."""
+    if not (abs(s1) <= 1.0 and abs(s2) <= 1.0):
+        raise ValueError("s1 and s2 must be cosines, with |s1|, |s2| <= 1")
+    return _trace_circle_rightmost(s1, s2)
+
+
+def _trace_circle_rightmost(s1, s2):
+    """trace_circle_rightmost for checked cosines; elementwise on arrays."""
     return -4.0 * (abs(s1) - abs(s2)) ** 2 - 1.0
 
 
 def circle_condition(tau: complex, m, n, tol: float = DEFAULT_CIRCLE_TOL) -> bool:
     """True when tau lies on the trace circle of the (m, n) family to
-    absolute tolerance tol."""
+    absolute tolerance tol.  The orders must be >= 3 or infinite (NaN
+    refused, non-integers accepted) and tol a non-negative number."""
+    _check_order(m, "m", integer=False)
+    _check_order(n, "n", integer=False)
+    if not tol >= 0.0:
+        raise ValueError("tol must be a non-negative number")
     c, radius = _trace_123_circle(m, n)
     return abs(abs(tau - c) - radius) <= tol
 
@@ -426,7 +441,7 @@ def _conjugate_scan(l: int, m, n) -> ConjugateScan | None:
         m = int(m)
         s2 = np.cos(np.pi * (r % (2 * m)) / m)
         on_line = ((r * (m - n)) % (m * n) == 0) | ((r * (m + n)) % (m * n) == 0)
-    rightmost = trace_circle_rightmost(s1, s2)
+    rightmost = _trace_circle_rightmost(s1, s2)
     worst = float(rightmost.max())
     ties = r[rightmost >= worst - 1e-12]
     # lift the maximising residues to [1, N] in ascending order

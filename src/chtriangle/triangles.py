@@ -36,6 +36,13 @@ def _check_order(order, name: str, integer: bool = True):
         raise ValueError(f"{name} must be {kind} or infinity")
 
 
+def _check_closed_form_order(order, name: str):
+    """Reject orders <= 2 and NaN, where the corner cosine of a closed
+    trace formula is not positive."""
+    if not order > 2:
+        raise ValueError(f"{name} must be > 2 or infinity")
+
+
 def corner_cos(order) -> float:
     """cos(pi/order), with the value 1 at an infinite order."""
     return 1.0 if is_infinite(order) else math.cos(math.pi / order)
@@ -179,15 +186,32 @@ def trace_word_123(m, n, theta) -> complex:
     tr = -(4 cos^2(pi/m) + 4 cos^2(pi/n) + 1)
          + 8 e^(i theta) cos(pi/m) cos(pi/n),
 
-    valid for finite or infinite corner orders.
+    valid for finite or infinite corner orders.  The orders must be > 2,
+    so that both corner cosines are positive, or infinite; NaN is refused.
+    They need not be integers, as the closed form is continuous in them.
     """
+    _check_closed_form_order(m, "m")
+    _check_closed_form_order(n, "n")
+    return _trace_word_123(m, n, theta)
+
+
+def _trace_word_123(m, n, theta) -> complex:
+    """trace_word_123 for orders the caller has checked."""
     c, radius = _trace_123_circle(m, n)
     return complex(c + radius * cmath.exp(1j * theta))
 
 
 def trace_word_3132(n, a) -> float:
     """Closed form 3 + 16 s^2 - 16 s a for the word 3132 in the family
-    with one finite corner order n, where s = cos(pi/n) and a = cos(theta)."""
+    with one finite corner order n, where s = cos(pi/n) and a = cos(theta).
+    The order must be > 2 or infinite, NaN refused; it need not be an
+    integer."""
+    _check_closed_form_order(n, "n")
+    return _trace_word_3132(n, a)
+
+
+def _trace_word_3132(n, a) -> float:
+    """trace_word_3132 for an order the caller has checked."""
     s = corner_cos(n)
     return 3.0 + 16.0 * s * s - 16.0 * s * a
 

@@ -15,7 +15,15 @@ from chtriangle.classify import (
     cubic_roots,
     discriminant,
 )
-from chtriangle.criteria import _VALUE_FUNCTIONS, SCAN_TESTS, ScanResult
+from chtriangle.criteria import (
+    _VALUE_FUNCTIONS,
+    MERGE_TOL,
+    SCAN_TESTS,
+    ScanResult,
+    _breakpoints,
+    _merge_intervals,
+    jorgensen_applies,
+)
 from chtriangle.cyclotomic import (
     DEFAULT_CIRCLE_TOL,
     DEFAULT_CONDUCTOR_CAP,
@@ -50,7 +58,7 @@ from chtriangle.linalg import (
     normalize_to_su,
     psi,
 )
-from chtriangle.triangles import corner_cos, is_infinite
+from chtriangle.triangles import _trace_123_circle, corner_cos, corner_sin, is_infinite
 
 
 def make_rng(seed: int = 0) -> np.random.RandomState:
@@ -445,3 +453,67 @@ def shimizu_violation_oracle(g, h, slack: float = SHIMIZU_SLACK) -> bool:
 
     bound = displacement(forward) * displacement(backward) + 4.0 * abs(t.xi) ** 2
     return sphere.radius**2 > bound + slack
+
+
+# Reference for the value functions: the three defining functions as they
+# were before a scalar a took a float path.  Every a goes through numpy,
+# a scalar as a 0-d array.
+
+
+def regular_elliptic_value_oracle(m, n, a):
+    a = np.asarray(a, dtype=float)
+    c, radius = _trace_123_circle(m, n)
+    sin_theta = np.sqrt(np.clip(1.0 - a * a, 0.0, None))
+    val = discriminant(c + radius * (a + 1j * sin_theta))
+    if np.ndim(val) == 0:
+        return float(val)
+    return val
+
+
+def jorgensen_value_oracle(m, n, a):
+    if not jorgensen_applies(n):
+        raise ValueError("jorgensen criterion needs finite n >= 7")
+    a = np.asarray(a, dtype=float)
+    s1 = corner_cos(n)
+    s2 = corner_cos(m)
+    val = np.abs(s1 * s1 + 2.0 * s2 * s2 - 4.0 * s1 * s2 * a + 1.0) - 0.5 * corner_sin(n)
+    if np.ndim(val) == 0:
+        return float(val)
+    return val
+
+
+def shimizu_value_oracle(m, n, a):
+    a = np.asarray(a, dtype=float)
+    s1 = corner_cos(n)
+    s2 = corner_cos(m)
+    u = s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * a
+    v = s1 * s2 * np.sqrt(np.clip(1.0 - a * a, 0.0, None))
+    val = np.abs(u - 2j * v) + 4.0 * u - 0.25
+    if np.ndim(val) == 0:
+        return float(val)
+    return val
+
+
+VALUE_ORACLES = {
+    "re": regular_elliptic_value_oracle,
+    "jorgensen": jorgensen_value_oracle,
+    "shimizu": shimizu_value_oracle,
+}
+
+
+def scan_intervals_array_oracle(test: str, m, n) -> ScanResult:
+    """scan_intervals with every midpoint sign read from one 1-d array of
+    midpoints through VALUE_ORACLES.  The breakpoints come from
+    criteria._breakpoints, whose Newton steps call
+    criteria.regular_elliptic_value."""
+    if test == "jorgensen" and not jorgensen_applies(n):
+        return ScanResult(test=test, m=m, n=n, intervals=(), tol=MERGE_TOL)
+    points = [-1.0]
+    for root in sorted(_breakpoints(test, m, n)):
+        if points[-1] + MERGE_TOL <= root <= 1.0 - MERGE_TOL:
+            points.append(root)
+    points.append(1.0)
+    edges = np.array(points)
+    negative = VALUE_ORACLES[test](m, n, 0.5 * (edges[:-1] + edges[1:])) < 0.0
+    pieces = [(lo, hi) for lo, hi, neg in zip(points, points[1:], negative) if neg]
+    return ScanResult(test=test, m=m, n=n, intervals=tuple(_merge_intervals(pieces)), tol=MERGE_TOL)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chtriangle import criteria
+from chtriangle import criteria, triangles
 from chtriangle.classify import IsometryClass, classify
 from chtriangle.criteria import (
     SCAN_TESTS,
@@ -318,6 +318,12 @@ def test_order_k_locus_values():
         order_k_locus(7, 3)  # no parameter in [-1, 1]
 
 
+@pytest.mark.parametrize("k", [math.nan, 1, 1.5, 0, -INF])
+def test_order_k_locus_rejects_k_below_2_and_nan(k):
+    with pytest.raises(ValueError, match="^k must be at least 2$"):
+        order_k_locus(7, k)
+
+
 @pytest.mark.parametrize("n", [math.nan, INF, 2, 1, -3])
 def test_word_3132_analysis_and_order_k_locus_reject_bad_orders(n):
     with pytest.raises(ValueError, match="^n must be"):
@@ -384,3 +390,16 @@ def test_nondiscreteness_report_accepts_endpoints_and_non_integer_orders():
         report = nondiscreteness_report(m, n, theta)
         assert report.a == math.cos(theta)
         assert report.verdict in ("certified non-discrete", "no certificate")
+
+
+def test_point_criteria_call_the_unchecked_closed_forms(monkeypatch):
+    # the criteria check their orders themselves; the public closed forms
+    # would check them once more
+    def refuse(order, name):
+        raise AssertionError("public closed trace called")
+
+    monkeypatch.setattr(triangles, "_check_closed_form_order", refuse)
+    for m, n in ((8, 11), (INF, 7)):
+        report = nondiscreteness_report(m, n, 0.3)
+        assert report.regular_elliptic.trace == triangles._trace_word_123(m, n, 0.3)
+    assert report.word_3132.trace == triangles._trace_word_3132(7, math.cos(0.3))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from chtriangle import cyclotomic
 from chtriangle.cyclotomic import (
     CandidateTrace,
     CyclotomicInt,
@@ -207,6 +208,8 @@ def test_trace_circle_rightmost_examples():
     assert trace_circle_rightmost(0.5, 0.5) == pytest.approx(-1)
     assert trace_circle_rightmost(1, 0.5) == pytest.approx(-2)
     assert trace_circle_rightmost(0, 0.7) == pytest.approx(-2.96)
+    assert trace_circle_rightmost(1.0, -1.0) == -1.0
+    assert trace_circle_rightmost(-1, 0) == -5.0
 
 
 def test_trace_circle_rightmost_strictly_below_for_unequal():
@@ -231,6 +234,39 @@ def test_circle_condition():
         assert circle_condition(tau, m, n, tol=1e-10)
     assert circle_condition(trace_word_123(9, 5, 0.0), 9, 5, tol=1e-10)
     assert not circle_condition(0j, 8, 11)
+    # non-integer and infinite orders and a zero tol are accepted
+    assert circle_condition(trace_word_123(INF, 7.5, 0.3), INF, 7.5, tol=1e-12)
+    assert not circle_condition(0j, INF, 7.5, tol=0.0)
+
+
+@pytest.mark.parametrize("s1, s2", [(2, 8), (1.5, 0.5), (0.5, -1.0000001), (math.nan, 0.5),
+                                    (0.5, math.nan), (INF, 0.5)])
+def test_trace_circle_rightmost_rejects_values_that_are_not_cosines(s1, s2):
+    with pytest.raises(ValueError, match="^s1 and s2 must be cosines"):
+        trace_circle_rightmost(s1, s2)
+
+
+@pytest.mark.parametrize("m, n, name", [(2, 8, "m"), (8, 2, "n"), (math.nan, 8, "m"),
+                                        (8, math.nan, "n"), (-3, 8, "m"), (2.9, 8, "m")])
+def test_circle_condition_rejects_corner_orders_below_3(m, n, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 3 or infinity$"):
+        circle_condition(0j, m, n)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-12])
+def test_circle_condition_rejects_nan_and_negative_tol(tol):
+    with pytest.raises(ValueError, match="^tol must be a non-negative number$"):
+        circle_condition(0j, 8, 11, tol=tol)
+
+
+def test_conjugate_scan_uses_the_unchecked_rightmost_point(monkeypatch):
+    want = _conjugate_scan(1, 8, 11)
+
+    def refuse(s1, s2):
+        raise AssertionError("checked rightmost point called")
+
+    monkeypatch.setattr(cyclotomic, "trace_circle_rightmost", refuse)
+    assert _conjugate_scan(1, 8, 11) == want
 
 
 def test_canonical_candidate_reduction():

@@ -207,6 +207,24 @@ def test_trace_word_123_special_values():
         assert trace_word_123(math.inf, n, theta) == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("order", [2, 1, 0, -3, math.nan, -math.inf])
+def test_closed_traces_reject_orders_up_to_2_and_nan(order):
+    with pytest.raises(ValueError, match="^m must be > 2 or infinity$"):
+        trace_word_123(order, 8, 0.3)
+    with pytest.raises(ValueError, match="^n must be > 2 or infinity$"):
+        trace_word_123(8, order, 0.3)
+    with pytest.raises(ValueError, match="^n must be > 2 or infinity$"):
+        trace_word_3132(order, 0.3)
+
+
+def test_closed_traces_accept_non_integer_orders_above_2():
+    # the closed forms are continuous in the orders wherever cos(pi/n) > 0
+    s1, s2 = corner_cos(8), corner_cos(2.5)
+    want = -(4 * (s1 * s1 + s2 * s2) + 1) + 8 * s1 * s2 * cmath.exp(0.3j)
+    assert trace_word_123(2.5, 8, 0.3) == pytest.approx(want, abs=1e-12)
+    assert trace_word_3132(2.5, 0.3) == pytest.approx(3 + 16 * s2 * s2 - 16 * s2 * 0.3)
+
+
 def test_trace_closed_forms_match_matrix_products():
     rng = make_rng(83)
     for _ in range(100):
