@@ -5,6 +5,11 @@ Every command emits a single machine-readable record, either as CSV
 digits, dashes for empty cells) or as JSON with --format json.  Output is
 assembled in full and written once.  Exit code 0 on success, 2 on usage
 errors and domain refusals.
+
+The JSON layout is fixed: two-space indent, one member or element per
+line, non-ASCII characters as \\u escapes, keys in record order and
+dataclass fields in field order, complex numbers as {"real", "imag"},
+and non-finite floats as the strings "inf", "-inf" and "nan".
 """
 
 import argparse
@@ -87,27 +92,47 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _jsonable(value):
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json(value, pad: str = "") -> str:
+    """The JSON text of value at indent pad, in one walk: the text of
+    json.dumps(..., indent=2) with non-finite floats as the strings of
+    their _fmt text, complex numbers as {"real", "imag"}, dataclasses in
+    field order and tuples as lists.  Other types raise TypeError."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):  # before int: bool is an int subclass
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _json_str(value)
     if isinstance(value, float):
-        return value if math.isfinite(value) else _fmt(value)
+        return float.__repr__(value) if math.isfinite(value) else _json_str(_fmt(value))
     if isinstance(value, complex):
-        return {"real": value.real, "imag": value.imag}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        value = {"real": value.real, "imag": value.imag}
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    inner = pad + "  "
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        items = [_json_str(str(k)) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return str(value)
+        if not value:
+            return "[]"
+        items = [_json(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
 def _emit(record: dict, columns, rows, fmt: str) -> str:
     """Render one output record: CSV shows the tabular results, JSON the
     whole record."""
     if fmt == "json":
-        return json.dumps(_jsonable(record), indent=2, allow_nan=False) + "\n"
+        return _json(record) + "\n"
     lines = [columns] + [[_fmt(c) for c in row] for row in rows]
     return "".join(",".join(line) + "\n" for line in lines)
 
@@ -199,7 +224,7 @@ def _cmd_galois(args) -> tuple[dict, list, list]:
         m, n, max_l=args.max_l, circle_tol=args.tol, near_tol=args.near_tol
     )
     elapsed = time.perf_counter() - start
-    # unconverted: _emit converts the record for JSON once, CSV not at all
+    # the report's own values: _emit writes them as JSON in one walk, CSV not at all
     results = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     results["overflowed"] = report.overflowed
     record = _record(

@@ -23,8 +23,8 @@ _IDENTITY.flags.writeable = False
 
 
 def is_infinite(order) -> bool:
-    """True for the infinite corner order."""
-    return isinstance(order, float) and math.isinf(order)
+    """True for the infinite corner order, +inf; -inf is no order."""
+    return isinstance(order, float) and order == math.inf
 
 
 def _check_order(order, name: str, integer: bool = True):

@@ -1,5 +1,6 @@
 """Shared random generators and scalar oracles for the test suite."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from chtriangle.classify import (
     cubic_roots,
     discriminant,
 )
+from chtriangle.cli import _fmt
 from chtriangle.criteria import (
     _VALUE_FUNCTIONS,
     MERGE_TOL,
@@ -517,3 +519,22 @@ def scan_intervals_array_oracle(test: str, m, n) -> ScanResult:
     negative = VALUE_ORACLES[test](m, n, 0.5 * (edges[:-1] + edges[1:])) < 0.0
     pieces = [(lo, hi) for lo, hi, neg in zip(points, points[1:], negative) if neg]
     return ScanResult(test=test, m=m, n=n, intervals=tuple(_merge_intervals(pieces)), tol=MERGE_TOL)
+
+
+def jsonable_oracle(value):
+    """The record conversion the CLI made before it wrote JSON in one walk:
+    json.dumps(jsonable_oracle(record), indent=2, allow_nan=False) is the
+    text of a --format json record."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, float):
+        return value if math.isfinite(value) else _fmt(value)
+    if isinstance(value, complex):
+        return {"real": value.real, "imag": value.imag}
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: jsonable_oracle(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {str(k): jsonable_oracle(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable_oracle(v) for v in value]
+    return str(value)

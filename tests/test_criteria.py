@@ -96,6 +96,8 @@ def test_scan_rejects_bad_parameters():
 @pytest.mark.parametrize("test, m, n", [
     ("re", 1, 8), ("shimizu", 2, 2), ("jorgensen", 8, 2), ("re", 0, 11),
     ("re", 8, -5), ("shimizu", 2.9, 11), ("re", math.nan, 11),
+    # -inf is no order: the m = inf interval must not come back
+    ("re", -INF, 8), ("jorgensen", -INF, 8), ("shimizu", 8, -INF),
 ])
 def test_scan_rejects_corner_orders_below_3(test, m, n):
     with pytest.raises(ValueError, match="must be >= 3 or infinity"):

@@ -247,7 +247,8 @@ def test_trace_circle_rightmost_rejects_values_that_are_not_cosines(s1, s2):
 
 
 @pytest.mark.parametrize("m, n, name", [(2, 8, "m"), (8, 2, "n"), (math.nan, 8, "m"),
-                                        (8, math.nan, "n"), (-3, 8, "m"), (2.9, 8, "m")])
+                                        (8, math.nan, "n"), (-3, 8, "m"), (2.9, 8, "m"),
+                                        (-INF, 8, "m"), (8, -INF, "n")])
 def test_circle_condition_rejects_corner_orders_below_3(m, n, name):
     with pytest.raises(ValueError, match=f"^{name} must be >= 3 or infinity$"):
         circle_condition(0j, m, n)
@@ -340,6 +341,11 @@ def test_refutation_rejects_bad_input():
         refute_finite_order(8, 2)
     with pytest.raises(ValueError):
         refute_finite_order(1, 7)
+    # -inf is no order, not the infinite corner
+    with pytest.raises(ValueError, match="^m must be an integer >= 3 or infinity$"):
+        refute_finite_order(-INF, 8, max_l=20)
+    with pytest.raises(ValueError, match="^n must be an integer >= 3 or infinity$"):
+        refute_finite_order(8, -INF, max_l=20)
     with pytest.raises(ValueError):
         refute_finite_order(8, 11, max_l=5000)
     for max_l in (0, -3):

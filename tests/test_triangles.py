@@ -19,6 +19,7 @@ from chtriangle.triangles import (
     build_mn_inf,
     build_n_inf_inf,
     corner_cos,
+    is_infinite,
     parameter_t,
     trace_word_123,
     trace_word_3132,
@@ -60,6 +61,11 @@ def test_triangle_type_validation():
         TriangleType(5, 5, -0.1)
     with pytest.raises(ValueError):
         TriangleType(5, 5, 3.5)
+    # -inf is no order, so it is refused rather than read as m = inf
+    with pytest.raises(ValueError, match="^m must be an integer >= 3 or infinity$"):
+        TriangleType(-math.inf, 5, 0.3)
+    with pytest.raises(ValueError, match="^n must be an integer >= 3 or infinity$"):
+        TriangleType(5, -math.inf, 0.3)
     assert TriangleType(math.inf, 7, 0.5).a == pytest.approx(math.cos(0.5))
 
 
@@ -70,6 +76,12 @@ def test_build_rejects_bad_orders():
         build_mn_inf(math.inf, 5, 0.5)
     with pytest.raises(ValueError):
         build_n_inf_inf(2, 0.5)
+
+
+def test_only_plus_inf_is_the_infinite_order():
+    assert is_infinite(math.inf) and is_infinite(np.float64(math.inf))
+    for order in (-math.inf, -np.float64(math.inf), math.nan, 8, 8.0):
+        assert not is_infinite(order)
 
 
 def test_build_rejects_coincident_sides():
