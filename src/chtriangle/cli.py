@@ -29,11 +29,7 @@ from .criteria import (
     reproduce_table,
     scan_intervals,
 )
-from .cyclotomic import (
-    DEFAULT_CIRCLE_TOL,
-    DEFAULT_NEAR_TOL,
-    refute_finite_order,
-)
+from .cyclotomic import refute_finite_order
 from .triangles import build_mn_inf, build_n_inf_inf, is_infinite
 
 _ANGLE_HELP = "angle as raw radians, 'pi', 'pi/<k>' or 'acos(<float>)'"
@@ -220,9 +216,7 @@ def _cmd_galois(args) -> tuple[dict, list, list]:
     m = parse_order(args.m)
     n = parse_order(args.n)
     start = time.perf_counter()
-    report = refute_finite_order(
-        m, n, max_l=args.max_l, circle_tol=args.tol, near_tol=args.near_tol
-    )
+    report = refute_finite_order(m, n, max_l=args.max_l)
     elapsed = time.perf_counter() - start
     # the report's own values: _emit writes them as JSON in one walk, CSV not at all
     results = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
@@ -230,7 +224,7 @@ def _cmd_galois(args) -> tuple[dict, list, list]:
     record = _record(
         "galois",
         {"m": _fmt(m), "n": n, "max_l": args.max_l},
-        {"circle_tol": args.tol, "near_tol": args.near_tol},
+        {"circle_tol": report.circle_tol, "near_tol": report.near_tol},
         results,
     )
     # the timing stays outside results, so equal runs give equal results
@@ -306,10 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="second corner order (integer >= 3), must differ from m")
     p.add_argument("--max-l", type=int, default=60, dest="max_l",
                    help="bound on the root-of-unity order l (default 60)")
-    p.add_argument("--tol", type=float, default=DEFAULT_CIRCLE_TOL,
-                   help=f"strict circle tolerance (default {DEFAULT_CIRCLE_TOL:g})")
-    p.add_argument("--near-tol", type=float, default=DEFAULT_NEAR_TOL, dest="near_tol",
-                   help=f"near-miss circle tolerance (default {DEFAULT_NEAR_TOL:g})")
     add_common(p)
     return parser
 

@@ -116,24 +116,14 @@ class NondiscretenessReport:
     verdict: str
 
 
-def _is_scalar(a) -> bool:
-    """True for a Python or numpy scalar a and a 0-d array, which the value
-    functions evaluate as one float."""
-    return isinstance(a, (int, float, np.generic)) or np.ndim(a) == 0
-
-
-def regular_elliptic_value(m, n, a):
+def regular_elliptic_value(m, n, a) -> float:
     """Discriminant of the trace of the product of the three involutions,
     as a function of a = cos(theta).  Negative exactly where the product
-    is regular elliptic.  A scalar a gives a float, from Python floats and
-    the scalar discriminant; an array gives an array, elementwise."""
+    is regular elliptic.  a is one scalar, taken through float(a) and
+    evaluated on Python floats and the scalar discriminant."""
     c, radius = _trace_123_circle(m, n)
-    if _is_scalar(a):
-        a = float(a)
-        return discriminant(c + radius * (a + 1j * math.sqrt(max(1.0 - a * a, 0.0))))
-    a = np.asarray(a, dtype=float)
-    sin_theta = np.sqrt(np.clip(1.0 - a * a, 0.0, None))
-    return discriminant(c + radius * (a + 1j * sin_theta))
+    a = float(a)
+    return discriminant(c + radius * (a + 1j * math.sqrt(max(1.0 - a * a, 0.0))))
 
 
 def jorgensen_applies(n) -> bool:
@@ -142,39 +132,33 @@ def jorgensen_applies(n) -> bool:
     return not is_infinite(n) and n >= 7
 
 
-def jorgensen_value(m, n, a):
+def jorgensen_value(m, n, a) -> float:
     """Defining function of the Jorgensen criterion: |.| - sin(pi/n)/2.
 
-    Requires a finite elliptic order n >= 7 (see jorgensen_applies).  A
-    scalar a gives a float, from Python floats; an array gives an array,
-    elementwise.
+    Requires a finite elliptic order n >= 7 (see jorgensen_applies).  a is
+    one scalar, taken through float(a) and evaluated on Python floats.
     """
     if not jorgensen_applies(n):
         raise ValueError("jorgensen criterion needs finite n >= 7")
-    a = float(a) if _is_scalar(a) else np.asarray(a, dtype=float)
+    a = float(a)
     s1 = corner_cos(n)
     s2 = corner_cos(m)
     return abs(s1 * s1 + 2.0 * s2 * s2 - 4.0 * s1 * s2 * a + 1.0) - 0.5 * corner_sin(n)
 
 
-def shimizu_value(m, n, a):
+def shimizu_value(m, n, a) -> float:
     """Defining function of the Shimizu criterion: |u - 2iv| + 4u - 1/4,
     with u = s1^2 + s2^2 - 2 s1 s2 a and v = s1 s2 sin(theta).
 
-    A scalar a gives a float, from Python floats; |u - 2iv| still comes
-    from np.abs, which rounds differently from Python's abs(complex).  An
-    array gives an array, elementwise."""
+    a is one scalar, taken through float(a) and evaluated on Python
+    floats; |u - 2iv| still comes from np.abs, which rounds differently
+    from Python's abs(complex)."""
     s1 = corner_cos(n)
     s2 = corner_cos(m)
-    if _is_scalar(a):
-        a = float(a)
-        u = s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * a
-        v = s1 * s2 * math.sqrt(max(1.0 - a * a, 0.0))
-        return float(np.abs(u - 2j * v)) + 4.0 * u - 0.25
-    a = np.asarray(a, dtype=float)
+    a = float(a)
     u = s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * a
-    v = s1 * s2 * np.sqrt(np.clip(1.0 - a * a, 0.0, None))
-    return np.abs(u - 2j * v) + 4.0 * u - 0.25
+    v = s1 * s2 * math.sqrt(max(1.0 - a * a, 0.0))
+    return float(np.abs(u - 2j * v)) + 4.0 * u - 0.25
 
 
 def _check_orders(m, n):
@@ -184,23 +168,35 @@ def _check_orders(m, n):
     _check_order(n, "n", integer=False)
 
 
+def _check_theta(theta):
+    """Reject an angular invariant outside [0, pi], NaN included."""
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError("theta must lie in [0, pi]")
+
+
 def regular_elliptic_criterion(m, n, theta) -> CriterionEvaluation:
-    """Evaluate the regular elliptic certificate at angular invariant theta."""
+    """Evaluate the regular elliptic certificate at angular invariant
+    theta in [0, pi]."""
     _check_orders(m, n)
+    _check_theta(theta)
     tau = _trace_word_123(m, n, theta)
     f = discriminant(tau)
     return CriterionEvaluation(fires=f < -EPS_DISCRIMINANT, trace=tau, discriminant=f)
 
 
 def jorgensen_condition(m, n, theta) -> bool:
-    """True when the Jorgensen certificate fires (strict inequality)."""
+    """True when the Jorgensen certificate fires (strict inequality);
+    theta must lie in [0, pi]."""
     _check_orders(m, n)
+    _check_theta(theta)
     return jorgensen_value(m, n, math.cos(theta)) < 0.0
 
 
 def shimizu_condition(m, n, theta) -> bool:
-    """True when the Shimizu certificate fires (strict inequality)."""
+    """True when the Shimizu certificate fires (strict inequality);
+    theta must lie in [0, pi]."""
     _check_orders(m, n)
+    _check_theta(theta)
     return shimizu_value(m, n, math.cos(theta)) < 0.0
 
 
@@ -265,7 +261,11 @@ def scan_intervals(test: str, m, n) -> ScanResult:
     is not reported.  Each piece between breakpoints takes the sign of the
     defining function at its midpoint, and negative pieces join.  The
     result's tol reports MERGE_TOL, not an endpoint error: each endpoint
-    is a root itself.  An empty interval list means the scan found no
+    is a root itself.  For "re" the scan and regular_elliptic_criterion
+    agree one way only: where the criterion fires the scan contains a,
+    but just inside an endpoint the scan (f < 0) can contain an a at
+    which the criterion (f < -EPS_DISCRIMINANT, from e^{i theta}) does
+    not fire.  An empty interval list means the scan found no
     certificate, and so does Jorgensen where it does not apply (n infinite
     or below 7).  The orders must be >= 3 or infinite; they may be equal,
     and need not be integers, as the criteria are continuous in them.
@@ -414,8 +414,7 @@ def nondiscreteness_report(m, n, theta) -> NondiscretenessReport:
     continuous in them) and theta must lie in [0, pi].
     """
     _check_orders(m, n)
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError("theta must lie in [0, pi]")
+    _check_theta(theta)
     a = math.cos(theta)
     re_eval = regular_elliptic_criterion(m, n, theta)
     jor = jorgensen_condition(m, n, theta) if jorgensen_applies(n) else None

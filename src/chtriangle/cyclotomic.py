@@ -46,6 +46,8 @@ import numpy as np
 from .classify import EPS_DISCRIMINANT, discriminant
 from .triangles import _check_order, _trace_123_circle, is_infinite
 
+# a regular elliptic candidate this close to the trace circle survives,
+# and one only within the larger DEFAULT_NEAR_TOL is a near-miss
 DEFAULT_CIRCLE_TOL = 1e-8
 DEFAULT_NEAR_TOL = 1e-3
 DEFAULT_CONDUCTOR_CAP = 10**6
@@ -240,16 +242,14 @@ def _trace_circle_rightmost(s1, s2):
     return -4.0 * (abs(s1) - abs(s2)) ** 2 - 1.0
 
 
-def circle_condition(tau: complex, m, n, tol: float = DEFAULT_CIRCLE_TOL) -> bool:
+def circle_condition(tau: complex, m, n) -> bool:
     """True when tau lies on the trace circle of the (m, n) family to
-    absolute tolerance tol.  The orders must be >= 3 or infinite (NaN
-    refused, non-integers accepted) and tol a non-negative number."""
+    absolute tolerance DEFAULT_CIRCLE_TOL.  The orders must be >= 3 or
+    infinite (NaN refused, non-integers accepted)."""
     _check_order(m, "m", integer=False)
     _check_order(n, "n", integer=False)
-    if not tol >= 0.0:
-        raise ValueError("tol must be a non-negative number")
     c, radius = _trace_123_circle(m, n)
-    return abs(abs(tau - c) - radius) <= tol
+    return abs(abs(tau - c) - radius) <= DEFAULT_CIRCLE_TOL
 
 
 @dataclass(frozen=True)
@@ -485,25 +485,19 @@ def _survivor_diagnostic(cand: CandidateTrace, gap: float, m, n) -> SurvivorDiag
     )
 
 
-def refute_finite_order(
-    m,
-    n: int,
-    max_l: int = 60,
-    circle_tol: float = DEFAULT_CIRCLE_TOL,
-    near_tol: float = DEFAULT_NEAR_TOL,
-) -> RefutationReport:
+def refute_finite_order(m, n: int, max_l: int = 60) -> RefutationReport:
     """Enumerate candidate finite-order traces and report the survivors.
 
     A candidate survives when it is regular elliptic (discriminant below
-    -EPS_DISCRIMINANT) and on the trace circle to circle_tol; the expected
-    result is no survivor.  Candidates on the circle only to the loose
-    near_tol are near-misses, with the exact Galois scan of the circle
-    bound over all conjugates.  A conductor above DEFAULT_CONDUCTOR_CAP
-    leaves a candidate unchecked.  Both lists are in (l, k) order.
+    -EPS_DISCRIMINANT) and on the trace circle to DEFAULT_CIRCLE_TOL; the
+    expected result is no survivor.  Candidates on the circle only to the
+    loose DEFAULT_NEAR_TOL are near-misses, with the exact Galois scan of
+    the circle bound over all conjugates.  A conductor above
+    DEFAULT_CONDUCTOR_CAP leaves a candidate unchecked.  Both lists are in
+    (l, k) order, and the report records the three constants.
 
     The corner orders must differ; the equal-order family is outside the
-    scope of this engine.  Both tolerances must be non-negative, and
-    near_tol may equal circle_tol.
+    scope of this engine.
     """
     _check_order(m, "m")
     _check_order(n, "n")
@@ -520,9 +514,6 @@ def refute_finite_order(
         raise ValueError("max_l must be at least 1")
     if max_l > MAX_ORDER_BOUND:
         raise ValueError(f"max_l is capped at {MAX_ORDER_BOUND}")
-    for name, tol in (("circle_tol", circle_tol), ("near_tol", near_tol)):
-        if not tol >= 0.0:
-            raise ValueError(f"{name} must be a non-negative number")
 
     c, radius = _trace_123_circle(m, n)
 
@@ -549,10 +540,10 @@ def refute_finite_order(
         # np.hypot rounds as abs(complex) does; np.abs can differ in the last bit
         z = tau - c
         gap = np.abs(np.hypot(z.real, z.imag) - radius)
-        hits = np.flatnonzero(gap <= max(circle_tol, near_tol))
+        hits = np.flatnonzero(gap <= DEFAULT_NEAR_TOL)
         for l, k, g in zip(ls[hits].tolist(), ks[hits].tolist(), gap[hits].tolist()):
             cand = CandidateTrace(l=l, k=tuple(k))
-            if g <= circle_tol:
+            if g <= DEFAULT_CIRCLE_TOL:
                 survivors.append(_survivor_diagnostic(cand, g, m, n))
                 continue
             # the scan depends on l only through the conductor: one per l
@@ -572,8 +563,8 @@ def refute_finite_order(
         m=m,
         n=n,
         max_l=max_l,
-        circle_tol=circle_tol,
-        near_tol=near_tol,
+        circle_tol=DEFAULT_CIRCLE_TOL,
+        near_tol=DEFAULT_NEAR_TOL,
         conductor_cap=DEFAULT_CONDUCTOR_CAP,
         candidates_checked=checked,
         regular_elliptic_candidates=elliptic,

@@ -18,7 +18,6 @@ from chtriangle.classify import (
 )
 from chtriangle.cli import _fmt
 from chtriangle.criteria import (
-    _VALUE_FUNCTIONS,
     MERGE_TOL,
     SCAN_TESTS,
     ScanResult,
@@ -283,7 +282,7 @@ def scan_intervals_oracle(test: str, m, n, grid: int = 100_000, tol: float = 1e-
     if test == "jorgensen" and (is_infinite(n) or n < 7):
         return ScanResult(test=test, m=m, n=n, intervals=(), tol=tol)
 
-    fn = _VALUE_FUNCTIONS[test]
+    fn = VALUE_ORACLES[test]
     a = np.linspace(-1.0, 1.0, grid)
     values = fn(m, n, a)
     negative = values < 0.0
@@ -459,7 +458,8 @@ def shimizu_violation_oracle(g, h, slack: float = SHIMIZU_SLACK) -> bool:
 
 # Reference for the value functions: the three defining functions as they
 # were before a scalar a took a float path.  Every a goes through numpy,
-# a scalar as a 0-d array.
+# a scalar as a 0-d array; an array gives an array, elementwise, which is
+# how scan_intervals_oracle samples its grid.
 
 
 def regular_elliptic_value_oracle(m, n, a):

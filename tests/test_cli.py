@@ -116,6 +116,7 @@ def test_scan_command_rejects_unknown_test(capsys):
 
 
 SCAN_RE_8_11 = ["scan", "--test", "re", "--m", "8", "--n", "11"]
+GALOIS_8_11 = ["galois", "--m", "8", "--n", "11", "--max-l", "20"]
 
 
 # the ids of the --grid cases predate the --tol ones
@@ -124,6 +125,8 @@ SCAN_RE_8_11 = ["scan", "--test", "re", "--m", "8", "--n", "11"]
     pytest.param(["tables", "1"], ["--grid", "5000"], id="command1"),
     pytest.param(SCAN_RE_8_11, ["--tol", "1e-8"], id="command0-tol"),
     pytest.param(["tables", "1"], ["--tol", "1e-8"], id="command1-tol"),
+    pytest.param(GALOIS_8_11, ["--tol", "1e-8"], id="galois-tol"),
+    pytest.param(GALOIS_8_11, ["--near-tol", "1e-3"], id="galois-near-tol"),
 ])
 def test_grid_flag_is_gone(capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
@@ -196,15 +199,20 @@ def test_galois_command(capsys):
     assert "survivors=0" in rows[-1][-1]
 
 
-def test_galois_command_json(capsys):
-    code, out, _ = run_cli(
-        capsys, "galois", "--m", "inf", "--n", "7", "--max-l", "20",
-        "--format", "json",
-    )
+def test_galois_command_json(capsys, monkeypatch):
+    argv = ["galois", "--m", "inf", "--n", "7", "--max-l", "20", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     record = json.loads(out)
     assert record["results"]["survivors"] == []
     assert record["results"]["candidates_checked"] > 0
+    assert record["tolerances"] == {"circle_tol": 1e-8, "near_tol": 1e-3}
+    # the record reports the tolerances the engine read
+    monkeypatch.setattr("chtriangle.cyclotomic.DEFAULT_NEAR_TOL", 0.05)
+    code, out, _ = run_cli(capsys, *argv)
+    record = json.loads(out)
+    assert record["tolerances"] == {"circle_tol": 1e-8, "near_tol": 0.05}
+    assert record["results"]["near_tol"] == 0.05
 
 
 def test_galois_command_json_keeps_timing_out_of_results(capsys):
@@ -217,15 +225,6 @@ def test_galois_command_json_keeps_timing_out_of_results(capsys):
     assert code == 0
     _, rows = csv_rows(out)
     assert rows[-1][0] == "summary" and " elapsed=" in rows[-1][-1]
-
-
-@pytest.mark.parametrize("flags", [
-    ["--tol", "nan"], ["--near-tol", "nan"], ["--near-tol", "-1"], ["--tol=-1e-9"],
-])
-def test_galois_command_rejects_nan_and_negative_tolerances(capsys, flags):
-    code, out, err = run_cli(capsys, "galois", "--m", "8", "--n", "11", *flags)
-    assert code == 2 and out == ""
-    assert "must be a non-negative number" in err
 
 
 @pytest.mark.parametrize("m, n", [("inf", "inf"), ("8", "inf"), ("1", "7"), ("8", "2")])

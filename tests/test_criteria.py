@@ -88,6 +88,15 @@ def test_point_criteria_reject_corner_orders_below_3(m, n):
             criterion(m, n, 0.3)
 
 
+@pytest.mark.parametrize("theta", [math.nan, -0.1, math.pi + 0.1])
+@pytest.mark.parametrize("criterion", [regular_elliptic_criterion, jorgensen_condition,
+                                       shimizu_condition])
+def test_point_criteria_reject_theta_outside_0_pi(criterion, theta):
+    # NaN used to answer "does not fire", with trace nan+nanj
+    with pytest.raises(ValueError, match=r"^theta must lie in \[0, pi\]$"):
+        criterion(8, 20, theta)
+
+
 def test_scan_rejects_bad_parameters():
     with pytest.raises(ValueError):
         scan_intervals("nope", 8, 11)

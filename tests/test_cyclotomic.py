@@ -19,7 +19,7 @@ from chtriangle.cyclotomic import (
     refute_finite_order,
     trace_circle_rightmost,
 )
-from chtriangle.triangles import corner_cos, trace_word_123
+from chtriangle.triangles import _trace_123_circle, corner_cos, trace_word_123
 from helpers import (
     canonical_triples_oracle,
     conjugate_rightmost_oracle,
@@ -224,19 +224,31 @@ def test_trace_circle_rightmost_strictly_below_for_unequal():
         done += 1
 
 
-def test_circle_condition():
+def _circle_gap(tau, m, n):
+    c, radius = _trace_123_circle(m, n)
+    return abs(abs(tau - c) - radius)
+
+
+def test_circle_condition(monkeypatch):
+    # the gaps are checked well inside DEFAULT_CIRCLE_TOL
     rng = make_rng(137)
     for _ in range(50):
         m = int(rng.randint(3, 30))
         n = int(rng.randint(3, 30))
         theta = float(rng.uniform(0, math.pi))
         tau = trace_word_123(m, n, theta)
-        assert circle_condition(tau, m, n, tol=1e-10)
-    assert circle_condition(trace_word_123(9, 5, 0.0), 9, 5, tol=1e-10)
+        assert _circle_gap(tau, m, n) <= 1e-10
+        assert circle_condition(tau, m, n)
+    assert _circle_gap(trace_word_123(9, 5, 0.0), 9, 5) <= 1e-10
     assert not circle_condition(0j, 8, 11)
-    # non-integer and infinite orders and a zero tol are accepted
-    assert circle_condition(trace_word_123(INF, 7.5, 0.3), INF, 7.5, tol=1e-12)
-    assert not circle_condition(0j, INF, 7.5, tol=0.0)
+    # non-integer and infinite orders are accepted
+    tau = trace_word_123(INF, 7.5, 0.3)
+    assert _circle_gap(tau, INF, 7.5) <= 1e-12
+    assert circle_condition(tau, INF, 7.5)
+    assert not circle_condition(0j, INF, 7.5)
+    # the decision reads the module constant at each call
+    monkeypatch.setattr(cyclotomic, "DEFAULT_CIRCLE_TOL", 10.0)
+    assert circle_condition(0j, 8, 11)
 
 
 @pytest.mark.parametrize("s1, s2", [(2, 8), (1.5, 0.5), (0.5, -1.0000001), (math.nan, 0.5),
@@ -252,12 +264,6 @@ def test_trace_circle_rightmost_rejects_values_that_are_not_cosines(s1, s2):
 def test_circle_condition_rejects_corner_orders_below_3(m, n, name):
     with pytest.raises(ValueError, match=f"^{name} must be >= 3 or infinity$"):
         circle_condition(0j, m, n)
-
-
-@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-12])
-def test_circle_condition_rejects_nan_and_negative_tol(tol):
-    with pytest.raises(ValueError, match="^tol must be a non-negative number$"):
-        circle_condition(0j, 8, 11, tol=tol)
 
 
 def test_conjugate_scan_uses_the_unchecked_rightmost_point(monkeypatch):
@@ -357,16 +363,6 @@ def test_refutation_rejects_bad_input():
             refute_finite_order(8, 11, max_l=max_l)
 
 
-@pytest.mark.parametrize("tols", [
-    {"circle_tol": math.nan}, {"near_tol": math.nan}, {"near_tol": -1.0},
-    {"circle_tol": -1e-9},
-])
-def test_refutation_rejects_nan_and_negative_tolerances(tols):
-    # a NaN or negative tolerance would hide the ten near-misses of the default run
-    with pytest.raises(ValueError, match="must be a non-negative number"):
-        refute_finite_order(8, 11, max_l=60, **tols)
-
-
 def test_refutation_report_is_a_pure_value():
     assert refute_finite_order(8, 11, max_l=60) == refute_finite_order(8, 11, max_l=60)
 
@@ -446,11 +442,14 @@ def _assert_reports_agree(new, old):
         (8, 11, 48, {"circle_tol": 1e-3, "near_tol": 1e-3}),
     ],
 )
-def test_refutation_matches_scalar_oracle(m, n, max_l, tols):
-    _assert_reports_agree(
-        refute_finite_order(m, n, max_l=max_l, **tols),
-        refute_finite_order_oracle(m, n, max_l, **tols),
-    )
+def test_refutation_matches_scalar_oracle(monkeypatch, m, n, max_l, tols):
+    # the engine reads its tolerances from the module constants
+    for name, tol in tols.items():
+        monkeypatch.setattr(cyclotomic, f"DEFAULT_{name.upper()}", tol)
+    report = refute_finite_order(m, n, max_l=max_l)
+    assert (report.circle_tol, report.near_tol) == (
+        tols.get("circle_tol", 1e-8), tols.get("near_tol", 1e-3))
+    _assert_reports_agree(report, refute_finite_order_oracle(m, n, max_l, **tols))
 
 
 def test_refutation_matches_scalar_oracle_at_a_tiny_conductor_cap(monkeypatch):
@@ -462,8 +461,15 @@ def test_refutation_matches_scalar_oracle_at_a_tiny_conductor_cap(monkeypatch):
     )
 
 
-def test_forced_survivors_are_refuted_by_a_conjugate():
-    report = refute_finite_order(8, 11, max_l=48, circle_tol=1e-3, near_tol=1e-3)
+def _force_survivors(monkeypatch):
+    # at a circle tolerance of 1e-3 the near-misses of (8, 11) survive
+    monkeypatch.setattr(cyclotomic, "DEFAULT_CIRCLE_TOL", 1e-3)
+    monkeypatch.setattr(cyclotomic, "DEFAULT_NEAR_TOL", 1e-3)
+
+
+def test_forced_survivors_are_refuted_by_a_conjugate(monkeypatch):
+    _force_survivors(monkeypatch)
+    report = refute_finite_order(8, 11, max_l=48)
     assert report.survivors and not report.near_misses
     for s in report.survivors:
         assert s.galois_refuted
@@ -477,7 +483,8 @@ def test_decision_path_does_not_use_cyclotomic_int(monkeypatch):
 
     monkeypatch.setattr(CyclotomicInt, "evaluate_conjugate", refuse)
     assert refute_finite_order(8, 11, max_l=60).near_misses
-    assert refute_finite_order(8, 11, max_l=48, circle_tol=1e-3, near_tol=1e-3).survivors
+    _force_survivors(monkeypatch)
+    assert refute_finite_order(8, 11, max_l=48).survivors
 
 
 @pytest.mark.parametrize(

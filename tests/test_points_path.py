@@ -193,11 +193,13 @@ def same_bits(x, y) -> bool:
     st.integers(min_value=-10**6, max_value=10**6),
 ))
 def test_scalar_discriminant_is_bit_equal_to_array_path(z):
-    # the 0-d array path; a 1-d array rounds |z|**4 differently again
-    got = discriminant(z)
-    assert type(got) is float
-    assert same_bits(got, discriminant_oracle(z))
-    assert same_bits(discriminant(np.complex128(z)), got)
+    # the 0-d array path; a 1-d array rounds |z|**4 differently again.
+    # inf, NaN and huge z overflow or turn invalid on the numpy side
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = discriminant(z)
+        assert type(got) is float
+        assert same_bits(got, discriminant_oracle(z))
+        assert same_bits(discriminant(np.complex128(z)), got)
 
 
 def test_shared_involutions_are_read_only():

@@ -37,7 +37,7 @@ COMMAND_ARGUMENTS = {
     "classify": ["-h", "--help", "--m", "--n", "--theta", "--word", "--format"],
     "scan": ["-h", "--help", "--test", "--m", "--n", "--format"],
     "tables": ["-h", "--help", "which", "--format"],
-    "galois": ["-h", "--help", "--m", "--n", "--max-l", "--tol", "--near-tol", "--format"],
+    "galois": ["-h", "--help", "--m", "--n", "--max-l", "--format"],
 }
 
 RECORD_KEYS = ["command", "parameters", "tolerances", "version", "results"]

@@ -1,8 +1,8 @@
-"""The defining functions of the three criteria on their two paths: a
-scalar a is evaluated on Python floats, an array on numpy.  The float path
-must give the bits of the 0-d array evaluation in helpers.py, and the scans
-built on it must equal scans that read every midpoint sign from a 1-d array
-and agree with the point criteria."""
+"""The defining functions of the three criteria take one scalar a and
+evaluate it on Python floats.  That path must give the bits of the 0-d
+array evaluation in helpers.py, and the scans built on it must equal scans
+that read every midpoint sign from a 1-d array and agree with the point
+criteria."""
 
 import math
 
@@ -73,11 +73,10 @@ def test_scalar_value_is_bit_equal_to_the_0d_array_path(test, m, n, a):
         got = value(m, n, other)
         assert type(got) is float
         assert same_bits(got, VALUE_ORACLES[test](m, n, other))
-    # an array still gives an array, elementwise
-    batch = np.array([a, 0.5 * a, -a])
-    out = value(m, n, batch)
-    assert isinstance(out, np.ndarray) and out.shape == (3,)
-    assert out.tobytes() == VALUE_ORACLES[test](m, n, batch).tobytes()
+    # an array is refused, not evaluated elementwise
+    for batch in (np.array([a, 0.5 * a, -a]), np.array([a])):
+        with pytest.raises(TypeError):
+            value(m, n, batch)
 
 
 def test_every_survey_scan_equals_the_array_path_oracle(monkeypatch):
@@ -115,6 +114,28 @@ def test_scans_agree_with_the_point_criteria():
             assert scan.contains(a) == fires, (test, m, n, a)
             checked[test] += 1
     assert min(checked.values()) >= 1000, checked
+
+
+def test_re_point_criterion_firing_implies_the_scan_contains_a():
+    # one way only: the scan fires where f < 0, the point criterion where
+    # the discriminant of tr(123), built from e^{i theta}, is below
+    # -EPS_DISCRIMINANT, so just inside an endpoint the scan may contain
+    # an a at which the point criterion does not fire
+    checked = 0
+    for test, m, n in SURVEY_SPACE:
+        if test != "re":
+            continue
+        scan = scan_intervals(test, m, n)
+        for lo, hi in scan.intervals:
+            for end in (lo, hi):
+                for j in range(-30, 31):
+                    a = end + j * 1e-10
+                    if not -1.0 <= a <= 1.0:
+                        continue
+                    if regular_elliptic_criterion(m, n, math.acos(a)).fires:
+                        assert scan.contains(a), (m, n, a)
+                    checked += 1
+    assert checked == 329_034
 
 
 @pytest.mark.parametrize("test", SCAN_TESTS)
