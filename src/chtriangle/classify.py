@@ -27,9 +27,6 @@ RANK_TOL = 1e-8
 # eigenvalue clustering scale used to detect repeated spectra
 CLUSTER_TOL = 1e-4
 
-# |z| below this keeps every power in the scalar discriminant finite
-_SCALAR_DISCRIMINANT_BOUND = 1e75
-
 _IDENTITY = np.eye(3)
 _IDENTITY.flags.writeable = False
 
@@ -59,24 +56,24 @@ class Classification:
 def discriminant(z):
     """Evaluate f(z) = |z|^4 - 8 Re(z^3) + 18 |z|^2 - 27.
 
-    Accepts complex scalars or numpy arrays (evaluated elementwise).  A
-    Python or numpy scalar takes a path without 0-d arrays that rounds as
-    the array path does: |z| still comes from np.abs, whose loop rounds
-    differently from Python's abs(complex), and Python's z**3 multiplies
-    as numpy's does.
+    One body for every input: z becomes complex128, a 0-d value is taken
+    as a Python complex, and f is written on x = Re z and y = Im z with
+    only +, - and *:
+
+        r2 = x^2 + y^2,  f = r2^2 - 8 x (x^2 - 3 y^2) + 18 r2 - 27.
+
+    These operations round the same on Python floats and in numpy's
+    elementwise loops, so a scalar (returned as a Python float), a 0-d
+    array and each element of an array give the same bits.  Large or
+    non-finite z give inf or NaN, never an exception.
     """
-    if isinstance(z, (int, float, complex)):
-        z = complex(z)
-        r = float(np.abs(z))
-        # Python's ** raises OverflowError where numpy returns inf, so
-        # huge and non-finite z take the array path
-        if r < _SCALAR_DISCRIMINANT_BOUND:
-            return r**4 - 8.0 * (z**3).real + 18.0 * r**2 - 27.0
     z = np.asarray(z, dtype=complex)
-    val = np.abs(z) ** 4 - 8.0 * np.real(z**3) + 18.0 * np.abs(z) ** 2 - 27.0
-    if val.ndim == 0:
-        return float(val)
-    return val
+    if z.ndim == 0:
+        z = z.item()
+    x = z.real
+    y = z.imag
+    r2 = x * x + y * y
+    return r2 * r2 - 8.0 * x * (x * x - 3.0 * y * y) + 18.0 * r2 - 27.0
 
 
 def trace(M) -> complex:

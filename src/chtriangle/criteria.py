@@ -15,15 +15,14 @@ exactly where the criterion fires, so interval endpoints are honest roots,
 found in closed form as the real roots of a polynomial of degree <= 3 in a.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .classify import EPS_DISCRIMINANT, IsometryClass, cubic_roots, discriminant
 from .triangles import (
     _check_order,
+    _check_orders,
+    _check_theta,
     _trace_123_circle,
     _trace_word_123,
     _trace_word_3132,
@@ -50,8 +49,9 @@ TABLE_COLUMNS = {
 # roots this close to each other or to -1 and 1 merge in a scan, so an
 # interval reaching a = 1 ends at exactly 1.0
 MERGE_TOL = 1e-10
-# a polynomial root counts as a breakpoint when its imaginary part is at
-# most this; a spurious breakpoint only splits a piece of constant sign
+# a root of the re scan's cubic counts as a breakpoint when its imaginary
+# part is at most this; a spurious breakpoint only splits a piece of
+# constant sign
 _IMAG_TOL = 1e-6
 # a within this of an end of the word 3132's elliptic range takes its class
 WORD_3132_BOUNDARY_TOL = 1e-12
@@ -151,27 +151,13 @@ def shimizu_value(m, n, a) -> float:
     with u = s1^2 + s2^2 - 2 s1 s2 a and v = s1 s2 sin(theta).
 
     a is one scalar, taken through float(a) and evaluated on Python
-    floats; |u - 2iv| still comes from np.abs, which rounds differently
-    from Python's abs(complex)."""
+    floats; |u - 2iv| is math.hypot(u, 2v)."""
     s1 = corner_cos(n)
     s2 = corner_cos(m)
     a = float(a)
     u = s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * a
     v = s1 * s2 * math.sqrt(max(1.0 - a * a, 0.0))
-    return float(np.abs(u - 2j * v)) + 4.0 * u - 0.25
-
-
-def _check_orders(m, n):
-    """Reject corner orders below 3, NaN included; orders need not be
-    integers, as the criteria are continuous in them."""
-    _check_order(m, "m", integer=False)
-    _check_order(n, "n", integer=False)
-
-
-def _check_theta(theta):
-    """Reject an angular invariant outside [0, pi], NaN included."""
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError("theta must lie in [0, pi]")
+    return math.hypot(u, 2.0 * v) + 4.0 * u - 0.25
 
 
 def regular_elliptic_criterion(m, n, theta) -> CriterionEvaluation:
@@ -219,14 +205,18 @@ def _breakpoints(test, m, n):
         return [(center - half) / (4.0 * s1 * s2), (center + half) / (4.0 * s1 * s2)]
     if test == "shimizu":
         # u^2 + 4 v^2 - (1/4 - 4u)^2 with u = alpha - beta a, 4 v^2 = beta^2 (1 - a^2);
-        # q1 > 0 for orders >= 3, so this form of the root formula does not cancel
+        # q1 > 0 for orders >= 3, so this form of the root formula does not
+        # cancel; with no real root the function keeps one sign on [-1, 1]
         alpha = s1 * s1 + s2 * s2
         beta = 2.0 * s1 * s2
         q2 = -16.0 * beta * beta
         q1 = beta * (30.0 * alpha - 2.0)
         q0 = beta * beta - 15.0 * alpha * alpha + 2.0 * alpha - 0.0625
-        q = -0.5 * (q1 + cmath.sqrt(q1 * q1 - 4.0 * q2 * q0))
-        return [z.real for z in (q / q2, q0 / q) if abs(z.imag) <= _IMAG_TOL]
+        disc = q1 * q1 - 4.0 * q2 * q0
+        if disc < 0.0:
+            return []
+        q = -0.5 * (q1 + math.sqrt(disc))
+        return [q / q2, q0 / q]
     # f = |tau|^4 - 8 Re tau^3 + 18 |tau|^2 - 27 with |tau|^2 = c^2 + R^2 + 2cRa
     # and Re tau^3 = c^3 + 3c^2 R a + 3c R^2 (2a^2 - 1) + R^3 (4a^3 - 3a)
     c, r = _trace_123_circle(m, n)
@@ -308,7 +298,7 @@ def reproduce_table(which: int) -> TableResult:
     Cells are None where the criterion is inapplicable or the scan finds
     no interval; the CLI renders those as dashes.
     """
-    if which not in TABLE_ROWS:
+    if isinstance(which, bool) or which not in TABLE_ROWS:
         raise ValueError("table index must be 1, 2 or 3")
     m = 8 if which in (1, 2) else math.inf
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import EPS_DISCRIMINANT, discriminant
-from .triangles import _check_order, _trace_123_circle, is_infinite
+from .triangles import _check_order, _check_orders, _trace_123_circle, is_infinite
 
 # a regular elliptic candidate this close to the trace circle survives,
 # and one only within the larger DEFAULT_NEAR_TOL is a near-miss
@@ -54,9 +54,15 @@ DEFAULT_CONDUCTOR_CAP = 10**6
 MAX_ORDER_BOUND = 2000
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; a bool is no integer here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_positive_int(value, name: str):
-    """Reject anything but an integer >= 1; numpy integers count."""
-    if not isinstance(value, numbers.Integral) or value < 1:
+    """Reject anything but an integer >= 1; numpy integers count, bools
+    do not."""
+    if not _is_integer(value) or value < 1:
         raise ValueError(f"{name} must be a positive integer")
 
 
@@ -64,7 +70,7 @@ def _check_exponents(l, ks):
     """Reject an order l that is not a positive integer and exponents
     that are not integers."""
     _check_positive_int(l, "l")
-    if not all(isinstance(k, numbers.Integral) for k in ks):
+    if not all(_is_integer(k) for k in ks):
         raise ValueError("exponents must be integers")
 
 
@@ -97,17 +103,13 @@ def phi_inequality(l: int, k1: int, k2: int, k3: int) -> PhiCheck:
     """Evaluate 1/phi(d1) + 1/phi(d2) + 1/phi(d3) > 1 with
     d_i = l / gcd(k_i, l)."""
     _check_exponents(l, (k1, k2, k3))
-    return _phi_check(l, (k1, k2, k3), {})
+    return _phi_check(l, (k1, k2, k3))
 
 
-def _phi_check(l: int, ks, phis: dict) -> PhiCheck:
-    """phi_inequality with the totients looked up in, and added to, phis
-    (d -> phi(d))."""
+def _phi_check(l: int, ks) -> PhiCheck:
+    """phi_inequality for an order and exponents the caller has checked."""
     d = tuple(l // math.gcd(k % l, l) for k in ks)
-    for di in d:
-        if di not in phis:
-            phis[di] = euler_phi(di)
-    total = sum(1.0 / phis[di] for di in d)
+    total = sum(1.0 / euler_phi(di) for di in d)
     return PhiCheck(d=d, holds=total > 1.0)
 
 
@@ -123,8 +125,7 @@ class CyclotomicInt:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs=None):
-        if order < 1:
-            raise ValueError("order must be a positive integer")
+        _check_positive_int(order, "order")
         self.order = int(order)
         if coeffs is None:
             self.coeffs = np.zeros(self.order, dtype=np.int64)
@@ -162,7 +163,7 @@ class CyclotomicInt:
         return CyclotomicInt(self.order, -self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, (int, np.integer)):
+        if _is_integer(other):
             return CyclotomicInt(self.order, self.coeffs * int(other))
         self._check_compatible(other)
         # cyclic convolution over the sparser support
@@ -246,8 +247,7 @@ def circle_condition(tau: complex, m, n) -> bool:
     """True when tau lies on the trace circle of the (m, n) family to
     absolute tolerance DEFAULT_CIRCLE_TOL.  The orders must be >= 3 or
     infinite (NaN refused, non-integers accepted)."""
-    _check_order(m, "m", integer=False)
-    _check_order(n, "n", integer=False)
+    _check_orders(m, n)
     c, radius = _trace_123_circle(m, n)
     return abs(abs(tau - c) - radius) <= DEFAULT_CIRCLE_TOL
 
@@ -459,7 +459,7 @@ def _survivor_diagnostic(cand: CandidateTrace, gap: float, m, n) -> SurvivorDiag
     """Exact Galois check of a survivor: hunt for the smallest unit k whose
     conjugate of the cyclotomic trace has real part at least -1,
     contradicting the circle bound."""
-    phi = phi_inequality(cand.l, *cand.k)
+    phi = _phi_check(cand.l, cand.k)
     N = _conductor(cand.l, m, n)
     if N > DEFAULT_CONDUCTOR_CAP:
         return SurvivorDiagnostic(
@@ -508,7 +508,7 @@ def refute_finite_order(m, n: int, max_l: int = 60) -> RefutationReport:
             "equal corner orders are outside this engine's scope "
             "(covered by prior published results); m must differ from n"
         )
-    if not isinstance(max_l, (int, np.integer)):
+    if not _is_integer(max_l):
         raise ValueError("max_l must be an integer")
     if max_l < 1:
         raise ValueError("max_l must be at least 1")
@@ -522,8 +522,6 @@ def refute_finite_order(m, n: int, max_l: int = 60) -> RefutationReport:
     checked = 0
     elliptic = 0
     scans = {}
-    # phi(d) of the divisors d of the orders, each computed once per call
-    phis = {}
     for l_lo, l_hi in _order_blocks(max_l):
         ls, ks = _canonical_triples(l_lo, l_hi)
         checked += len(ks)
@@ -555,7 +553,7 @@ def refute_finite_order(m, n: int, max_l: int = 60) -> RefutationReport:
                     candidate=cand,
                     circle_gap=g,
                     conjugates=scan,
-                    phi=_phi_check(l, cand.k, phis),
+                    phi=_phi_check(l, cand.k),
                     note="" if scan is not None else "unchecked (N overflow)",
                 )
             )

@@ -48,7 +48,7 @@ class ExtendedPoint:
     u: float
 
     def __post_init__(self):
-        if self.u < 0:
+        if not self.u >= 0:
             raise ValueError("horospherical height u must be >= 0")
 
 

@@ -112,7 +112,7 @@ def psi(point) -> np.ndarray:
     else:
         xi, v, u = point
     xi = complex(xi)
-    if u < 0:
+    if not u >= 0:
         raise ValueError("horospherical height u must be >= 0")
     r = abs(xi) ** 2
     return np.array(
@@ -130,7 +130,7 @@ def z_chain_polar(z) -> np.ndarray:
 def zr_chain_polar(z: float, r: float) -> np.ndarray:
     """Polar vector of the radius-r circle chain centred on the vertical
     axis at height z."""
-    if r <= 0:
+    if not r > 0:
         raise ValueError("chain radius must be positive")
     w = 1j * z
     return np.array([0.0, 1 + r * r + w, 1 - r * r - w], dtype=complex)

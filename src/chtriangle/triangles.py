@@ -36,6 +36,19 @@ def _check_order(order, name: str, integer: bool = True):
         raise ValueError(f"{name} must be {kind} or infinity")
 
 
+def _check_orders(m, n):
+    """Reject corner orders below 3, NaN included; orders need not be
+    integers, as the criteria are continuous in them."""
+    _check_order(m, "m", integer=False)
+    _check_order(n, "n", integer=False)
+
+
+def _check_theta(theta):
+    """Reject an angular invariant outside [0, pi], NaN included."""
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError("theta must lie in [0, pi]")
+
+
 def _check_closed_form_order(order, name: str):
     """Reject orders <= 2 and NaN, where the corner cosine of a closed
     trace formula is not positive."""
@@ -64,8 +77,7 @@ class TriangleType:
     def __post_init__(self):
         _check_order(self.m, "m")
         _check_order(self.n, "n")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError("theta must lie in [0, pi]")
+        _check_theta(self.theta)
 
     @property
     def a(self) -> float:

@@ -1,7 +1,9 @@
 """Shared random generators and scalar oracles for the test suite."""
 
+import cmath
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
@@ -308,9 +310,11 @@ def scan_intervals_oracle(test: str, m, n, grid: int = 100_000, tol: float = 1e-
 # Reference for the per-point path: the constructions and checks as they
 # were before each public call checked each matrix once, the theta-free sides
 # were shared and classify lost its unused SVD.  They re-check a matrix
-# on every boundary action, rebuild every involution, evaluate the
-# discriminant on 0-d arrays and take the trace and second invariant from
-# numpy scalars.
+# on every boundary action, rebuild every involution and take the trace
+# and second invariant from numpy scalars.  classify_oracle reads the
+# library's discriminant; discriminant_oracle is the former formula on
+# np.abs and z**3, which the library's one real-arithmetic body meets
+# within discriminant_bound.
 
 
 def vector_type_oracle(z) -> str:
@@ -348,6 +352,15 @@ def discriminant_oracle(z):
     return val
 
 
+def discriminant_bound(z) -> float:
+    """16 ulps of |z|^4 + 8 |z|^3 + 18 |z|^2 + 27, the sum of the moduli of
+    f's terms: two evaluations of f that round differently can differ by
+    a few ulps of that sum (6.2 at most on 2.6 M random z, |z| from 1e-3
+    to 1e60)."""
+    r = abs(complex(z))
+    return 16.0 * sys.float_info.epsilon * (((r + 8.0) * r + 18.0) * r * r + 27.0)
+
+
 def classify_oracle(M, eps_f: float = EPS_DISCRIMINANT) -> Classification:
     M = np.asarray(M, dtype=complex)
     if not is_unitary_for_form(M):
@@ -355,7 +368,7 @@ def classify_oracle(M, eps_f: float = EPS_DISCRIMINANT) -> Classification:
     M = normalize_to_su(M)
 
     tau = complex(np.trace(M))
-    f = discriminant_oracle(tau)
+    f = discriminant(tau)
     c1 = complex(
         M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
         + M[0, 0] * M[2, 2] - M[0, 2] * M[2, 0]
@@ -494,6 +507,21 @@ def shimizu_value_oracle(m, n, a):
     if np.ndim(val) == 0:
         return float(val)
     return val
+
+
+def shimizu_breakpoints_oracle(m, n):
+    """The Shimizu breakpoints as criteria._breakpoints took them before
+    the real square root: a complex square root of the quadratic's
+    discriminant, keeping roots with an imaginary part up to 1e-6."""
+    s1 = corner_cos(n)
+    s2 = corner_cos(m)
+    alpha = s1 * s1 + s2 * s2
+    beta = 2.0 * s1 * s2
+    q2 = -16.0 * beta * beta
+    q1 = beta * (30.0 * alpha - 2.0)
+    q0 = beta * beta - 15.0 * alpha * alpha + 2.0 * alpha - 0.0625
+    q = -0.5 * (q1 + cmath.sqrt(q1 * q1 - 4.0 * q2 * q0))
+    return [z.real for z in (q / q2, q0 / q) if abs(z.imag) <= 1e-6]
 
 
 VALUE_ORACLES = {

@@ -275,6 +275,12 @@ def test_reproduce_table_structure():
         reproduce_table(4)
 
 
+def test_reproduce_table_refuses_bool():
+    # True == 1 is a key of TABLE_ROWS, but no table index
+    with pytest.raises(ValueError, match="^table index must be 1, 2 or 3$"):
+        reproduce_table(True)
+
+
 def test_reproduce_table_1_values():
     table = reproduce_table(1)
     byn = {row.n: row.cells for row in table.rows}

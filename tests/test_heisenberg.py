@@ -96,6 +96,12 @@ def test_extended_point_rejects_negative_height():
         ExtendedPoint(0j, 0.0, -1.0)
 
 
+def test_extended_point_rejects_nan_height():
+    # the check used to be u < 0, which NaN passes
+    with pytest.raises(ValueError, match="^horospherical height u must be >= 0$"):
+        ExtendedPoint(0j, 0.0, math.nan)
+
+
 def test_point_objects_lift_through_psi():
     from chtriangle.linalg import hermitian_form, psi
 

@@ -105,6 +105,17 @@ def test_psi_rejects_negative_height():
         psi((0, 0, -0.5))
 
 
+def test_psi_rejects_nan_height():
+    with pytest.raises(ValueError, match="^horospherical height u must be >= 0$"):
+        psi((0, 0, math.nan))
+
+
+def test_zr_chain_polar_rejects_nan_and_nonpositive_radius():
+    for r in (math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="^chain radius must be positive$"):
+            zr_chain_polar(0.5, r)
+
+
 def test_psi_norm_tracks_height():
     rng = make_rng(7)
     for _ in range(50):

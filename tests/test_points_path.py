@@ -28,6 +28,7 @@ from chtriangle.triangles import build_mn_inf, build_n_inf_inf
 from helpers import (
     boundary_action_oracle,
     classify_oracle,
+    discriminant_bound,
     discriminant_oracle,
     fixes_infinity_oracle,
     involution_from_polar_oracle,
@@ -101,6 +102,11 @@ def test_classify_matches_oracle_with_equal_refusals():
             got = outcome(classify, M)
             assert got == outcome(classify_oracle, M)
             refused += isinstance(got, tuple)
+            if not isinstance(got, tuple):
+                # the oracle reads the library's f; the former formula
+                # agrees within the stated bound
+                want = discriminant_oracle(got.trace)
+                assert abs(got.discriminant - want) <= discriminant_bound(got.trace)
     # the sample reaches the refusals of large conjugations
     assert refused > 0
     rng = make_rng(5)
@@ -193,13 +199,34 @@ def same_bits(x, y) -> bool:
     st.integers(min_value=-10**6, max_value=10**6),
 ))
 def test_scalar_discriminant_is_bit_equal_to_array_path(z):
-    # the 0-d array path; a 1-d array rounds |z|**4 differently again.
-    # inf, NaN and huge z overflow or turn invalid on the numpy side
+    # one body: a Python scalar, an np.complex128, a 0-d array and an
+    # element of a 1-d array give the same bits.  inf, NaN and huge z
+    # overflow or turn invalid on the numpy side
     with np.errstate(over="ignore", invalid="ignore"):
         got = discriminant(z)
         assert type(got) is float
-        assert same_bits(got, discriminant_oracle(z))
-        assert same_bits(discriminant(np.complex128(z)), got)
+        for other in (np.complex128(z), np.array(z)):
+            value = discriminant(other)
+            assert type(value) is float
+            assert same_bits(value, got)
+        batch = discriminant(np.array([z, 0.5 * z, 2j]))
+        assert batch.shape == (3,)
+        assert same_bits(batch[0], got)
+        assert same_bits(batch[1], discriminant(0.5 * z))
+        assert same_bits(batch[2], discriminant(2j))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.complex_numbers(max_magnitude=10.0),
+    st.complex_numbers(max_magnitude=1e60),
+    st.floats(min_value=-1e60, max_value=1e60),
+))
+def test_discriminant_agrees_with_the_former_formula(z):
+    # the former np.abs and z**3 formula, within a few ulps of the
+    # moduli of f's terms
+    got = discriminant(z)
+    assert abs(got - discriminant_oracle(z)) <= discriminant_bound(z), z
 
 
 def test_shared_involutions_are_read_only():

@@ -1,10 +1,12 @@
 """The defining functions of the three criteria take one scalar a and
 evaluate it on Python floats.  That path must give the bits of the 0-d
-array evaluation in helpers.py, and the scans built on it must equal scans
-that read every midpoint sign from a 1-d array and agree with the point
-criteria."""
+array evaluation in helpers.py (for Shimizu, whose |u - 2iv| is now
+math.hypot, agree with it within a stated bound), and the scans built on
+it must equal scans that read every midpoint sign from a 1-d array and
+agree with the point criteria."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +29,8 @@ from helpers import (
     make_rng,
     regular_elliptic_value_oracle,
     scan_intervals_array_oracle,
+    shimizu_breakpoints_oracle,
+    shimizu_value_oracle,
 )
 
 INF = math.inf
@@ -50,6 +54,18 @@ def same_bits(x, y) -> bool:
     return np.float64(x).tobytes() == np.float64(y).tobytes()
 
 
+# |u - 2iv|, 4u and 1/4 are each at most 16 for orders >= 3, and hypot
+# and np.abs differ by at most an ulp of |u - 2iv|: 4 ulps of 16 bound
+# the Shimizu value's change
+SHIMIZU_BOUND = 4.0 * sys.float_info.epsilon * 16.0
+
+
+def matches_oracle(test, got, want) -> bool:
+    if test == "shimizu":
+        return abs(got - want) <= SHIMIZU_BOUND
+    return same_bits(got, want)
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     st.sampled_from(SCAN_TESTS),
@@ -67,12 +83,12 @@ def test_scalar_value_is_bit_equal_to_the_0d_array_path(test, m, n, a):
     want = VALUE_ORACLES[test](m, n, a)
     got = value(m, n, a)
     assert type(got) is float
-    assert same_bits(got, want), (test, m, n, a)
+    assert matches_oracle(test, got, want), (test, m, n, a)
     # numpy scalars and 0-d arrays take the float path too
     for other in (np.float64(a), np.float32(a), np.array(a)):
         got = value(m, n, other)
         assert type(got) is float
-        assert same_bits(got, VALUE_ORACLES[test](m, n, other))
+        assert matches_oracle(test, got, VALUE_ORACLES[test](m, n, other))
     # an array is refused, not evaluated elementwise
     for batch in (np.array([a, 0.5 * a, -a]), np.array([a])):
         with pytest.raises(TypeError):
@@ -91,6 +107,25 @@ def test_every_survey_scan_equals_the_array_path_oracle(monkeypatch):
     assert len(got_scans) == 11_286
     assert got_scans == want_scans
     assert got_tables == want_tables
+
+
+def test_every_survey_shimizu_scan_equals_the_complex_sqrt_scan(monkeypatch):
+    keys = [key for key in SURVEY_SPACE if key[0] == "shimizu"]
+    got = [scan_intervals(*key) for key in keys]
+    # no real root: the quadratic's discriminant is negative
+    no_root = sum(not criteria._breakpoints(*key) for key in keys)
+    # the former scan: complex-sqrt breakpoints, np.abs midpoint signs
+    breakpoints = criteria._breakpoints
+    monkeypatch.setattr(
+        criteria, "_breakpoints",
+        lambda test, m, n: shimizu_breakpoints_oracle(m, n) if test == "shimizu"
+        else breakpoints(test, m, n),
+    )
+    monkeypatch.setitem(criteria._VALUE_FUNCTIONS, "shimizu", shimizu_value_oracle)
+    want = [scan_intervals(*key) for key in keys]
+    assert len(keys) == 3_762
+    assert no_root == 211
+    assert got == want
 
 
 def test_scans_agree_with_the_point_criteria():
