@@ -166,8 +166,9 @@ def classify(M) -> Classification:
     # trusted here.
     lam0 = _repeated_eigenvalue(tau, c1, eigs)
     d = M - lam0 * _IDENTITY
-    # the spectral norm (an SVD) is needed only on this path
-    scale = float(np.linalg.norm(M, 2))
+    # the spectral norm is needed only on this path: the largest singular
+    # value, the same bits as norm(M, 2), which takes the amax of this SVD
+    scale = float(np.linalg.svd(M, compute_uv=False)[0])
 
     diam = max(abs(eigs[i] - eigs[j]) for i in range(3) for j in range(i + 1, 3))
     if diam <= CLUSTER_TOL * max(1.0, scale):

@@ -23,6 +23,7 @@ from .triangles import (
     _check_order,
     _check_orders,
     _check_theta,
+    _is_integer,
     _trace_123_circle,
     _trace_word_123,
     _trace_word_3132,
@@ -298,8 +299,9 @@ def reproduce_table(which: int) -> TableResult:
     Cells are None where the criterion is inapplicable or the scan finds
     no interval; the CLI renders those as dashes.
     """
-    if isinstance(which, bool) or which not in TABLE_ROWS:
+    if not _is_integer(which) or which not in TABLE_ROWS:
         raise ValueError("table index must be 1, 2 or 3")
+    which = int(which)
     m = 8 if which in (1, 2) else math.inf
 
     def build_row(n: int) -> TableRow:

@@ -16,35 +16,45 @@ cyclotomic diagnostics.
 
 The engine works on blocks of consecutive orders l, each holding about
 2^14 exponent triples: orders 1..66 form one block, and from 223 on each
-order is a block of its own.  In a block the canonical triples come from
-a closed form (for each (l, k1), k2 runs over at most three ranges), the
-traces are gathered from one table of the block's roots of unity, the
-discriminant and circle filters run once over the whole block, and only
-survivors and near-misses become CandidateTrace objects.  Reports do not
-depend on the block size.  The conjugate scan is closed form.  The
-Galois map omega_N -> omega_N^k sends 2 cos(pi/n) to 2 cos(k pi/n) and
-fixes the integer 2 of an infinite corner, so the conjugated circle
-depends only on k mod M, with M = lcm(2m, 2n) (M = 2n when m is
-infinite).  As M divides the conductor N, the units mod N map onto the
-units mod M, and the phi(N) conjugates reduce to the phi(M) unit
-residues mod M.  Whether every conjugated circle lies strictly left of -1
-is decided on integers: |cos k pi/n| = |cos k pi/m| exactly when mn
-divides k(m - n) or k(m + n), and |cos k pi/n| = 1 exactly when n
-divides k.  The cost is that of the enumeration, O(max_l^3) in all:
-on one core of a 2-vCPU Xeon virtual machine, refute_finite_order(8, 11)
-takes 0.02 s of CPU at max_l = 120, 0.3 s at 300, 2.2 s at 600 and
-7.3 s at 900 (0.05, 0.6, 4.5 and 16 s one order at a time).
+order is a block of its own.  A block builds one (l, k) table.  It gives
+the canonical triples in closed form (for each (l, k1), k2 runs over two
+ranges, the exponent sums l and 2l) and the block's roots of unity, from
+which the traces are gathered.  The discriminant and circle filters run
+once over the whole block, and only survivors and near-misses become
+CandidateTrace objects.  Reports do not depend on the block size.
+
+The conjugate scan is closed form.  The Galois map omega_N -> omega_N^k
+sends 2 cos(pi/n) to 2 cos(k pi/n) and fixes the integer 2 of an
+infinite corner, so the conjugated circle depends only on k mod M, with
+M = lcm(2m, 2n) (M = 2n when m is infinite).  As M divides the conductor
+N, the units mod N map onto the units mod M, and the phi(N) conjugates
+reduce to the phi(M) unit residues mod M.  That residue part depends on
+(m, n) only: it is computed once per call, at the first near-miss, and
+each near-miss order lifts it to its conductor.  Whether every
+conjugated circle lies strictly left of -1 is decided on integers:
+|cos k pi/n| = |cos k pi/m| exactly when mn divides k(m - n) or
+k(m + n), and |cos k pi/n| = 1 exactly when n divides k.
+
+The cost is that of the enumeration, O(max_l^3) in all: on one core of
+a 2-vCPU Xeon virtual machine, refute_finite_order(8, 11) takes 0.02 s
+of CPU at max_l = 120, 0.24 s at 300, 1.3 s at 600 and 6.5 s at 900
+(0.05, 0.6, 4.5 and 16 s one order at a time).
 """
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classify import EPS_DISCRIMINANT, discriminant
-from .triangles import _check_order, _check_orders, _trace_123_circle, is_infinite
+from .triangles import (
+    _check_order,
+    _check_orders,
+    _is_integer,
+    _trace_123_circle,
+    is_infinite,
+)
 
 # a regular elliptic candidate this close to the trace circle survives,
 # and one only within the larger DEFAULT_NEAR_TOL is a near-miss
@@ -52,11 +62,6 @@ DEFAULT_CIRCLE_TOL = 1e-8
 DEFAULT_NEAR_TOL = 1e-3
 DEFAULT_CONDUCTOR_CAP = 10**6
 MAX_ORDER_BOUND = 2000
-
-
-def _is_integer(value) -> bool:
-    """True for Python and numpy integers; a bool is no integer here."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_positive_int(value, name: str):
@@ -305,44 +310,42 @@ def _order_exponents(l_lo: int, l_hi: int) -> tuple[np.ndarray, np.ndarray]:
     offset(l) = (l (l - 1) - l_lo (l_lo - 1)) / 2."""
     orders = np.arange(l_lo, l_hi + 1, dtype=np.int32)
     l = np.repeat(orders, orders)
-    k = np.arange(l.size, dtype=np.int32) - np.repeat(np.cumsum(orders) - orders, orders)
-    return l, k
+    offsets = np.cumsum(orders, dtype=np.int32) - orders
+    return l, np.arange(l.size, dtype=np.int32) - np.repeat(offsets, orders)
 
 
-def _canonical_triples(l_lo: int, l_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical exponent triples of the orders l_lo..l_hi in (l, k1, k2)
-    order, as a per-row order array and a (T, 3) exponent array:
+def _canonical_triples(tl: np.ndarray, tk: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical exponent triples of a block's orders, from the block's
+    (l, k) table (tl, tk) of _order_exponents, in (l, k1, k2) order:
     k1 <= k2 <= k3 < l, k1 + k2 + k3 = 0 mod l and gcd(k1, k2, k3, l) = 1.
 
-    The exponent sum s is 0, l or 2l.  For each (l, k1, s) the admissible
-    k2 form the range [max(k1, s - k1 - l + 1), (s - k1) // 2] with
-    k3 = s - k1 - k2, and the ranges of s = 0, l, 2l follow each other in
-    ascending k2.  s = 0 only gives (0, 0, 0), canonical at l = 1 alone.
-    As k3 = s - k1 - k2, gcd(k1, k2, k3, l) = gcd(gcd(k1, l), k2), and
-    gcd(k1, l) is taken once per (l, k1).
+    Returns (p, k2, k3): row i has (l, k1) = (tl[p[i]], tk[p[i]]), so the
+    table index of (l, k) is p[i] - k1 + k.  For each (l, k1), k2 runs
+    over [k1, (l - k1) // 2] and then [max(k1, l - k1 + 1), (2l - k1) // 2],
+    the exponent sums l and 2l, and k3 = (-k1 - k2) mod l.  The first range
+    starts with (0, 0, 0) at k1 = 0, whose gcd is l, so it stays only at
+    l = 1.  gcd(k1, k2, k3, l) = gcd(gcd(k1, l), k2), with gcd(k1, l) taken
+    once per (l, k1).
     """
-    seg_l, seg_k1 = _order_exponents(l_lo, l_hi)
-    seg_g = np.gcd(seg_k1, seg_l)
-    seg_s = seg_l[:, None] * np.arange(3, dtype=np.int32)
-    lo = np.maximum(seg_k1[:, None], seg_s - seg_k1[:, None] - seg_l[:, None] + 1).ravel()
-    counts = np.maximum((seg_s - seg_k1[:, None]).ravel() // 2 - lo + 1, 0)
-    # one row per admissible k2, seg its (l, k1, s) segment: the start of
-    # the segment's range plus the row's offset in it
-    ends = np.cumsum(counts)
-    seg = np.repeat(np.arange(counts.size, dtype=np.int32), counts)
-    k2 = np.arange(ends[-1], dtype=np.int32) + (lo - (ends - counts))[seg]
-    keep = np.gcd(seg_g[seg // 3], k2) == 1
-    seg, k2 = seg[keep], k2[keep]
-    l, k1 = seg_l[seg // 3], seg_k1[seg // 3]
-    return l, np.stack((k1, k2, seg_s.ravel()[seg] - k1 - k2), axis=1)
+    lo = np.stack((tk, np.maximum(tk, tl - tk + 1)), axis=1).ravel()
+    hi = np.stack(((tl - tk) // 2, (2 * tl - tk) // 2), axis=1).ravel()
+    counts = np.maximum(hi - lo + 1, 0)
+    # one row per admissible k2: the start of its range plus its offset in it
+    starts = np.cumsum(counts, dtype=np.int32) - counts
+    k2 = np.arange(starts[-1] + counts[-1], dtype=np.int32) + np.repeat(lo - starts, counts)
+    p = np.repeat(np.arange(tl.size), counts[0::2] + counts[1::2])
+    keep = np.flatnonzero(np.gcd(np.gcd(tk, tl)[p], k2) == 1)
+    p, k2 = p[keep], k2[keep]
+    return p, k2, (-tk[p] - k2) % tl[p]
 
 
 def enumerate_candidates(max_l: int):
     """All canonical candidates with l <= max_l, in (l, k) order."""
     out = []
     for block in _order_blocks(max_l):
-        ls, ks = _canonical_triples(*block)
-        out += map(CandidateTrace, ls.tolist(), map(tuple, ks.tolist()))
+        tl, tk = _order_exponents(*block)
+        p, k2, k3 = _canonical_triples(tl, tk)
+        out += map(CandidateTrace, tl[p].tolist(), zip(tk[p].tolist(), k2.tolist(), k3.tolist()))
     return out
 
 
@@ -423,13 +426,11 @@ def _units(N: int) -> np.ndarray:
     return k[np.gcd(k, N) == 1]
 
 
-def _conjugate_scan(l: int, m, n) -> ConjugateScan | None:
-    """Closed-form evaluation of the circle's rightmost point at every Galois
-    conjugate, over the unit residues mod M; None when the conductor
-    exceeds DEFAULT_CONDUCTOR_CAP."""
-    N = _conductor(l, m, n)
-    if N > DEFAULT_CONDUCTOR_CAP:
-        return None
+def _corner_residues(m, n):
+    """The part of the conjugate scan that depends on (m, n) only, over the
+    units r mod M: (M, the largest rightmost point, the residues attaining
+    it within 1e-12, whether every conjugated circle lies strictly left of
+    -1, decided on integers)."""
     M = _corner_modulus(m, n)
     n = int(n)
     r = _units(M)
@@ -443,16 +444,33 @@ def _conjugate_scan(l: int, m, n) -> ConjugateScan | None:
         on_line = ((r * (m - n)) % (m * n) == 0) | ((r * (m + n)) % (m * n) == 0)
     rightmost = _trace_circle_rightmost(s1, s2)
     worst = float(rightmost.max())
-    ties = r[rightmost >= worst - 1e-12]
+    return M, worst, r[rightmost >= worst - 1e-12], not on_line.any()
+
+
+def _lift_scan(l: int, residues) -> ConjugateScan | None:
+    """The conjugate scan at order l from _corner_residues: the conductor
+    N = lcm(l, M), phi(N) and the smallest unit in [1, N] over a maximising
+    residue; None when N exceeds DEFAULT_CONDUCTOR_CAP."""
+    M, worst, ties, strictly_below = residues
+    N = math.lcm(l, M)
+    if N > DEFAULT_CONDUCTOR_CAP:
+        return None
     # lift the maximising residues to [1, N] in ascending order
     lifts = (ties + M * np.arange(N // M)[:, None]).ravel()
     return ConjugateScan(
         conductor=N,
         n_conjugates=euler_phi(N),
         max_rightmost=worst,
-        all_strictly_below=not on_line.any(),
+        all_strictly_below=strictly_below,
         worst_k=int(lifts[np.gcd(lifts, N) == 1][0]),
     )
+
+
+def _conjugate_scan(l: int, m, n) -> ConjugateScan | None:
+    """Closed-form evaluation of the circle's rightmost point at every Galois
+    conjugate, over the unit residues mod M; None when the conductor
+    exceeds DEFAULT_CONDUCTOR_CAP."""
+    return _lift_scan(l, _corner_residues(m, n))
 
 
 def _survivor_diagnostic(cand: CandidateTrace, gap: float, m, n) -> SurvivorDiagnostic:
@@ -521,46 +539,53 @@ def refute_finite_order(m, n: int, max_l: int = 60) -> RefutationReport:
     near = []
     checked = 0
     elliptic = 0
+    residues = None
     scans = {}
     for l_lo, l_hi in _order_blocks(max_l):
-        ls, ks = _canonical_triples(l_lo, l_hi)
-        checked += len(ks)
-        # each root of unity of the block's orders once, at k + offset(l);
-        # 1j * (2 pi / l) rounds as Python's 2j * math.pi / l does, while
-        # numpy's complex division 2j * np.pi / l can differ in the last bit
         tl, tk = _order_exponents(l_lo, l_hi)
+        p, k2, k3 = _canonical_triples(tl, tk)
+        checked += p.size
+        # each root of unity of the block's orders once, at its (l, k) table
+        # index; 1j * (2 pi / l) rounds as Python's 2j * math.pi / l does,
+        # while numpy's complex division 2j * np.pi / l can differ in the
+        # last bit
         roots = np.exp(1j * (2.0 * math.pi / tl) * tk)
-        r = roots[ks + ((ls * (ls - 1) - l_lo * (l_lo - 1)) // 2)[:, None]]
-        tau = r[:, 0] + r[:, 1] + r[:, 2]
-        keep = discriminant(tau) < -EPS_DISCRIMINANT
-        ls, ks, tau = ls[keep], ks[keep], tau[keep]
-        elliptic += len(ks)
+        # (l, k) of a row's order sits at table index base + k
+        base = p - tk[p]
+        tau = roots[p] + roots[base + k2] + roots[base + k3]
+        rows = np.flatnonzero(discriminant(tau) < -EPS_DISCRIMINANT)
+        elliptic += rows.size
         # np.hypot rounds as abs(complex) does; np.abs can differ in the last bit
-        z = tau - c
+        z = tau[rows] - c
         gap = np.abs(np.hypot(z.real, z.imag) - radius)
         hits = np.flatnonzero(gap <= DEFAULT_NEAR_TOL)
-        for l, k, g in zip(ls[hits].tolist(), ks[hits].tolist(), gap[hits].tolist()):
-            cand = CandidateTrace(l=l, k=tuple(k))
+        rows = rows[hits]
+        ks = zip(tk[p[rows]].tolist(), k2[rows].tolist(), k3[rows].tolist())
+        for l, k, g in zip(tl[p[rows]].tolist(), ks, gap[hits].tolist()):
+            cand = CandidateTrace(l=l, k=k)
             if g <= DEFAULT_CIRCLE_TOL:
                 survivors.append(_survivor_diagnostic(cand, g, m, n))
                 continue
-            # the scan depends on l only through the conductor: one per l
+            # the scan depends on l only through the conductor: one per l,
+            # over residues mod M computed once per call
             if l not in scans:
-                scans[l] = _conjugate_scan(l, m, n)
+                if residues is None:
+                    residues = _corner_residues(m, n)
+                scans[l] = _lift_scan(l, residues)
             scan = scans[l]
             near.append(
                 NearMissDiagnostic(
                     candidate=cand,
                     circle_gap=g,
                     conjugates=scan,
-                    phi=_phi_check(l, cand.k),
+                    phi=_phi_check(l, k),
                     note="" if scan is not None else "unchecked (N overflow)",
                 )
             )
     return RefutationReport(
-        m=m,
-        n=n,
-        max_l=max_l,
+        m=int(m) if _is_integer(m) else m,
+        n=int(n),
+        max_l=int(max_l),
         circle_tol=DEFAULT_CIRCLE_TOL,
         near_tol=DEFAULT_NEAR_TOL,
         conductor_cap=DEFAULT_CONDUCTOR_CAP,

@@ -9,6 +9,7 @@ generate the group.  Infinite corner orders are passed as math.inf.
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,11 @@ _IDENTITY.flags.writeable = False
 def is_infinite(order) -> bool:
     """True for the infinite corner order, +inf; -inf is no order."""
     return isinstance(order, float) and order == math.inf
+
+
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; a bool is no integer here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _check_order(order, name: str, integer: bool = True):

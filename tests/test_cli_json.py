@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from chtriangle import cli
 from chtriangle.cli import _json, main
+from chtriangle.cyclotomic import refute_finite_order
 from helpers import jsonable_oracle
 
 INF = math.inf
@@ -129,6 +130,12 @@ def test_json_layout_examples(value, text):
 def test_json_refuses_other_types(value):
     with pytest.raises(TypeError):
         _json(value)
+
+
+def test_json_writes_a_report_built_from_numpy_integers():
+    report = refute_finite_order(8, np.int64(11), max_l=np.int64(20))
+    assert _json(report) == _json(refute_finite_order(8, 11, max_l=20))
+    assert _json(report) == oracle_text(report)
 
 
 # a fixed slice of the CLI output space: the three tables, every 7th

@@ -281,6 +281,19 @@ def test_reproduce_table_refuses_bool():
         reproduce_table(True)
 
 
+@pytest.mark.parametrize("which", [1.0, 2.0, np.float64(3.0), "1"])
+def test_reproduce_table_refuses_non_integers(which):
+    # 1.0 == 1 is a key of TABLE_ROWS, but no table index
+    with pytest.raises(ValueError, match="^table index must be 1, 2 or 3$"):
+        reproduce_table(which)
+
+
+def test_reproduce_table_accepts_numpy_integers():
+    table = reproduce_table(np.int64(1))
+    assert type(table.table) is int
+    assert table == reproduce_table(1)
+
+
 def test_reproduce_table_1_values():
     table = reproduce_table(1)
     byn = {row.n: row.cells for row in table.rows}

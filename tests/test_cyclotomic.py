@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from chtriangle.cyclotomic import (
     _canonical_triples,
     _conjugate_scan,
     _order_blocks,
+    _order_exponents,
     canonical_candidate,
     circle_condition,
     enumerate_candidates,
@@ -23,6 +25,7 @@ from chtriangle.triangles import _trace_123_circle, corner_cos, trace_word_123
 from helpers import (
     canonical_triples_oracle,
     conjugate_rightmost_oracle,
+    conjugate_scan_oracle,
     enumerate_candidates_oracle,
     make_rng,
     refute_finite_order_oracle,
@@ -307,20 +310,56 @@ def test_enumeration_matches_nested_loop_in_order():
         assert enumerate_candidates(bound) == enumerate_candidates_oracle(bound)
 
 
+def _block_rows(l_lo, l_hi):
+    """The generator's rows of a block as a per-row order array and a
+    (T, 3) exponent array, read back through the (l, k) table."""
+    tl, tk = _order_exponents(l_lo, l_hi)
+    p, k2, k3 = _canonical_triples(tl, tk)
+    return tl[p], np.stack((tk[p], k2, k3), axis=1)
+
+
+def _assert_block_matches_oracle(l_lo, l_hi):
+    ls, ks = _block_rows(l_lo, l_hi)
+    orders = range(l_lo, l_hi + 1)
+    want = [canonical_triples_oracle(l) for l in orders]
+    np.testing.assert_array_equal(ls, np.repeat(orders, [len(w) for w in want]))
+    np.testing.assert_array_equal(ks, np.concatenate(want))
+
+
 def test_block_generator_matches_per_order_oracle():
     for l in range(1, 301):
-        ls, ks = _canonical_triples(l, l)
+        ls, ks = _block_rows(l, l)
         assert (ls == l).all()
         np.testing.assert_array_equal(ks, canonical_triples_oracle(l), err_msg=str(l))
 
 
 @pytest.mark.parametrize("l_lo, l_hi", [(1, 36), (2, 60), (37, 90)])
 def test_block_generator_straddles_orders(l_lo, l_hi):
-    ls, ks = _canonical_triples(l_lo, l_hi)
-    orders = range(l_lo, l_hi + 1)
-    want = [canonical_triples_oracle(l) for l in orders]
-    np.testing.assert_array_equal(ls, np.repeat(orders, [len(w) for w in want]))
-    np.testing.assert_array_equal(ks, np.concatenate(want))
+    _assert_block_matches_oracle(l_lo, l_hi)
+
+
+@pytest.mark.parametrize("l_lo, l_hi", [(1, 1), (1, 2), (1, 3), (1, 66), (67, 120), (66, 67),
+                                        (223, 223), (224, 224)])
+def test_block_generator_at_small_orders_and_block_boundaries(l_lo, l_hi):
+    # the first blocks of max_l = 1, 2, 3, both sides of the 66/67 boundary
+    # and the first single-order blocks
+    _assert_block_matches_oracle(l_lo, l_hi)
+
+
+def test_block_generator_gives_zero_triple_only_at_order_1():
+    ls, ks = _block_rows(1, 66)
+    zero = np.flatnonzero((ks == 0).all(axis=1))
+    assert zero.tolist() == [0] and ls[0] == 1
+
+
+def test_block_generator_rows_index_the_roots_table():
+    # row i's (l, k1) sits at table index p[i], and (l, k) at p[i] - k1 + k
+    tl, tk = _order_exponents(37, 90)
+    p, k2, k3 = _canonical_triples(tl, tk)
+    base = p - tk[p]
+    for k in (k2, k3):
+        np.testing.assert_array_equal(tl[base + k], tl[p])
+        np.testing.assert_array_equal(tk[base + k], k)
 
 
 def test_order_blocks_cover_every_order_once():
@@ -537,3 +576,62 @@ def test_report_does_not_depend_on_block_size(monkeypatch):
     assert list(_order_blocks(5)) == [(l, l) for l in range(1, 6)]
     for (m, n, L), want in zip(pairs, default):
         assert refute_finite_order(m, n, max_l=L) == want, (m, n, L)
+
+
+def test_corner_residues_run_once_per_call(monkeypatch):
+    # (inf, 24) has near-misses at five orders up to 36
+    calls = []
+    residues = cyclotomic._corner_residues
+
+    def counted(m, n):
+        calls.append((m, n))
+        return residues(m, n)
+
+    monkeypatch.setattr(cyclotomic, "_corner_residues", counted)
+    report = refute_finite_order(INF, 24, max_l=36)
+    assert sorted({t.candidate.l for t in report.near_misses}) == [21, 30, 31, 32, 33]
+    assert calls == [(INF, 24)]
+    assert refute_finite_order(INF, 24, max_l=20).near_misses == ()
+    assert calls == [(INF, 24)]
+
+
+def _scan_oracle(l, m, n, conductor_cap):
+    """conjugate_scan_oracle with worst_k taken over ties within 1e-12, as
+    ConjugateScan documents it."""
+    want = conjugate_scan_oracle(l, m, n, conductor_cap)
+    if want is None:
+        return None
+    values = conjugate_rightmost_oracle(l, m, n)
+    ties = [k for k, v in values.items() if v >= want.max_rightmost - 1e-12]
+    return dataclasses.replace(want, worst_k=min(ties))
+
+
+@pytest.mark.parametrize("m, n, max_l", [(8, 11, 60), (INF, 24, 36), (9, 18, 36), (INF, 11, 36)])
+def test_near_miss_scans_equal_the_oracle(m, n, max_l):
+    report = refute_finite_order(m, n, max_l=max_l)
+    assert report.near_misses
+    for miss in report.near_misses:
+        l = miss.candidate.l
+        want = _scan_oracle(l, m, n, cyclotomic.DEFAULT_CONDUCTOR_CAP)
+        assert miss.conjugates == want, (m, n, l)
+        assert _conjugate_scan(l, m, n) == want, (m, n, l)
+
+
+def test_near_miss_scans_equal_the_oracle_on_conductor_overflow(monkeypatch):
+    # at a cap of 2000 the near-misses of (8, 11) below l = 60 split into
+    # checked and overflowed ones
+    monkeypatch.setattr(cyclotomic, "DEFAULT_CONDUCTOR_CAP", 2000)
+    report = refute_finite_order(8, 11, max_l=60)
+    scans = [miss.conjugates for miss in report.near_misses]
+    assert None in scans and any(scan is not None for scan in scans)
+    for miss in report.near_misses:
+        l = miss.candidate.l
+        assert miss.conjugates == _scan_oracle(l, 8, 11, 2000), l
+        assert miss.note == ("" if miss.conjugates else "unchecked (N overflow)")
+
+
+def test_report_stores_python_integers():
+    report = refute_finite_order(np.int64(8), np.int64(11), max_l=np.int64(20))
+    assert report == refute_finite_order(8, 11, max_l=20)
+    for value in (report.m, report.n, report.max_l):
+        assert type(value) is int
