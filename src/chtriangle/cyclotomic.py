@@ -416,8 +416,9 @@ def _corner_modulus(m, n) -> int:
     return math.lcm(2 * int(m), 2 * int(n))
 
 
-def _conductor(l: int, m, n) -> int:
-    return math.lcm(l, _corner_modulus(m, n))
+def _conductor(l: int, M: int) -> int:
+    """The conductor N = lcm(l, M) of an order-l trace at corner modulus M."""
+    return math.lcm(l, M)
 
 
 def _units(N: int) -> np.ndarray:
@@ -430,8 +431,11 @@ def _corner_residues(m, n):
     """The part of the conjugate scan that depends on (m, n) only, over the
     units r mod M: (M, the largest rightmost point, the residues attaining
     it within 1e-12, whether every conjugated circle lies strictly left of
-    -1, decided on integers)."""
+    -1, decided on integers).  None when M exceeds DEFAULT_CONDUCTOR_CAP,
+    since every conductor lcm(l, M) then does too; nothing is built."""
     M = _corner_modulus(m, n)
+    if M > DEFAULT_CONDUCTOR_CAP:
+        return None
     n = int(n)
     r = _units(M)
     s1 = np.cos(np.pi * (r % (2 * n)) / n)
@@ -450,9 +454,12 @@ def _corner_residues(m, n):
 def _lift_scan(l: int, residues) -> ConjugateScan | None:
     """The conjugate scan at order l from _corner_residues: the conductor
     N = lcm(l, M), phi(N) and the smallest unit in [1, N] over a maximising
-    residue; None when N exceeds DEFAULT_CONDUCTOR_CAP."""
+    residue; None when the residues are None or N exceeds
+    DEFAULT_CONDUCTOR_CAP."""
+    if residues is None:
+        return None
     M, worst, ties, strictly_below = residues
-    N = math.lcm(l, M)
+    N = _conductor(l, M)
     if N > DEFAULT_CONDUCTOR_CAP:
         return None
     # lift the maximising residues to [1, N] in ascending order
@@ -469,7 +476,9 @@ def _lift_scan(l: int, residues) -> ConjugateScan | None:
 def _conjugate_scan(l: int, m, n) -> ConjugateScan | None:
     """Closed-form evaluation of the circle's rightmost point at every Galois
     conjugate, over the unit residues mod M; None when the conductor
-    exceeds DEFAULT_CONDUCTOR_CAP."""
+    exceeds DEFAULT_CONDUCTOR_CAP.  The engine composes the same two parts
+    itself, computing the residues once per call; this single-order form
+    is what the tests compare with the oracle."""
     return _lift_scan(l, _corner_residues(m, n))
 
 
@@ -478,7 +487,7 @@ def _survivor_diagnostic(cand: CandidateTrace, gap: float, m, n) -> SurvivorDiag
     conjugate of the cyclotomic trace has real part at least -1,
     contradicting the circle bound."""
     phi = _phi_check(cand.l, cand.k)
-    N = _conductor(cand.l, m, n)
+    N = _conductor(cand.l, _corner_modulus(m, n))
     if N > DEFAULT_CONDUCTOR_CAP:
         return SurvivorDiagnostic(
             candidate=cand, circle_gap=gap, conductor=None, galois_refuted=None,
@@ -539,7 +548,6 @@ def refute_finite_order(m, n: int, max_l: int = 60) -> RefutationReport:
     near = []
     checked = 0
     elliptic = 0
-    residues = None
     scans = {}
     for l_lo, l_hi in _order_blocks(max_l):
         tl, tk = _order_exponents(l_lo, l_hi)
@@ -567,9 +575,10 @@ def refute_finite_order(m, n: int, max_l: int = 60) -> RefutationReport:
                 survivors.append(_survivor_diagnostic(cand, g, m, n))
                 continue
             # the scan depends on l only through the conductor: one per l,
-            # over residues mod M computed once per call
+            # over residues mod M computed once per call, at its first
+            # near-miss
             if l not in scans:
-                if residues is None:
+                if not scans:
                     residues = _corner_residues(m, n)
                 scans[l] = _lift_scan(l, residues)
             scan = scans[l]

@@ -630,6 +630,29 @@ def test_near_miss_scans_equal_the_oracle_on_conductor_overflow(monkeypatch):
         assert miss.note == ("" if miss.conjugates else "unchecked (N overflow)")
 
 
+def test_corner_modulus_over_the_cap_builds_no_residues(monkeypatch):
+    # M = lcm(2m, 2n) is about 2e10: every conductor overflows, and no
+    # array over the units mod M may be built
+    m, n = 100000, 100001
+    assert cyclotomic._corner_modulus(m, n) > cyclotomic.DEFAULT_CONDUCTOR_CAP
+    sizes = []
+    units = cyclotomic._units
+
+    def recorded(N):
+        sizes.append(N)
+        return units(N)
+
+    monkeypatch.setattr(cyclotomic, "_units", recorded)
+    report = refute_finite_order(m, n, max_l=60)
+    assert report.near_misses
+    for miss in report.near_misses:
+        assert miss.conjugates is None
+        assert miss.note == "unchecked (N overflow)"
+    assert report.overflowed == report.survivors + report.near_misses
+    assert _conjugate_scan(23, m, n) is None
+    assert all(N <= cyclotomic.DEFAULT_CONDUCTOR_CAP for N in sizes)
+
+
 def test_report_stores_python_integers():
     report = refute_finite_order(np.int64(8), np.int64(11), max_l=np.int64(20))
     assert report == refute_finite_order(8, 11, max_l=20)
