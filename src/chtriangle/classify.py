@@ -11,15 +11,13 @@ eigenstructure of M.
 """
 
 import cmath
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
+from .closed import EPS_DISCRIMINANT, IsometryClass, cubic_roots, discriminant
 from .linalg import is_unitary_for_form, normalize_to_su
 
-# f < -this is regular elliptic; |f| <= this is on the f = 0 locus
-EPS_DISCRIMINANT = 1e-9
 # eigenvalue modulus above 1 + this certifies loxodromic in the fallback path
 EPS_LOXODROMIC = 1e-7
 # rank tolerance for (M - lambda I), scaled by the spectral norm of M
@@ -31,18 +29,6 @@ _IDENTITY = np.eye(3)
 _IDENTITY.flags.writeable = False
 
 
-class IsometryClass(enum.Enum):
-    IDENTITY = "identity"
-    REGULAR_ELLIPTIC = "regular_elliptic"
-    BOUNDARY_ELLIPTIC = "boundary_elliptic"
-    UNIPOTENT_PARABOLIC = "unipotent_parabolic"
-    PARABOLIC = "parabolic"
-    LOXODROMIC = "loxodromic"
-
-    def __str__(self):
-        return self.value
-
-
 @dataclass(frozen=True)
 class Classification:
     """Classification verdict with its witnesses."""
@@ -51,29 +37,6 @@ class Classification:
     trace: complex
     eigenvalues: tuple
     discriminant: float
-
-
-def discriminant(z):
-    """Evaluate f(z) = |z|^4 - 8 Re(z^3) + 18 |z|^2 - 27.
-
-    One body for every input: z becomes complex128, a 0-d value is taken
-    as a Python complex, and f is written on x = Re z and y = Im z with
-    only +, - and *:
-
-        r2 = x^2 + y^2,  f = r2^2 - 8 x (x^2 - 3 y^2) + 18 r2 - 27.
-
-    These operations round the same on Python floats and in numpy's
-    elementwise loops, so a scalar (returned as a Python float), a 0-d
-    array and each element of an array give the same bits.  Large or
-    non-finite z give inf or NaN, never an exception.
-    """
-    z = np.asarray(z, dtype=complex)
-    if z.ndim == 0:
-        z = z.item()
-    x = z.real
-    y = z.imag
-    r2 = x * x + y * y
-    return r2 * r2 - 8.0 * x * (x * x - 3.0 * y * y) + 18.0 * r2 - 27.0
 
 
 def trace(M) -> complex:
@@ -99,23 +62,6 @@ def _second_invariant(a) -> complex:
         + a[0][0] * a[2][2] - a[0][2] * a[2][0]
         + a[1][1] * a[2][2] - a[1][2] * a[2][1]
     )
-
-
-def cubic_roots(c2: complex, c1: complex, c0: complex):
-    """Roots of x^3 - c2 x^2 + c1 x - c0 by the closed Cardano formulas."""
-    shift = c2 / 3.0
-    p = c1 - c2 * c2 / 3.0
-    q = -c0 + c1 * c2 / 3.0 - 2.0 * c2**3 / 27.0
-    if abs(p) < 1e-30 and abs(q) < 1e-30:
-        return (shift, shift, shift)
-    delta = cmath.sqrt((q / 2.0) ** 2 + (p / 3.0) ** 3)
-    u3a = -q / 2.0 + delta
-    u3b = -q / 2.0 - delta
-    u3 = u3a if abs(u3a) >= abs(u3b) else u3b
-    u = u3 ** (1.0 / 3.0)
-    v = -p / (3.0 * u)
-    w = cmath.exp(2j * cmath.pi / 3.0)
-    return tuple(u * w**j + v * w**-j + shift for j in range(3))
 
 
 def _repeated_eigenvalue(c2, c1, eigenvalues):

@@ -4,7 +4,9 @@ Every command emits a single machine-readable record, either as CSV
 (default: header row, comma separators, '.' decimal point, 12 significant
 digits, dashes for empty cells) or as JSON with --format json.  Output is
 assembled in full and written once.  Exit code 0 on success, 2 on usage
-errors and domain refusals.
+errors and domain refusals.  The modules that need numpy are imported
+inside the classify and galois handlers, so tables and scan run without
+numpy.
 
 The JSON layout is fixed: two-space indent, one member or element per
 line, non-ASCII characters as \\u escapes, keys in record order and
@@ -22,15 +24,13 @@ import sys
 import time
 
 from . import __version__
-from .classify import EPS_DISCRIMINANT, classify
+from .closed import EPS_DISCRIMINANT, is_infinite
 from .criteria import (
     MERGE_TOL,
     SCAN_TESTS,
     reproduce_table,
     scan_intervals,
 )
-from .cyclotomic import refute_finite_order
-from .triangles import build_mn_inf, build_n_inf_inf, is_infinite
 
 _ANGLE_HELP = "angle as raw radians, 'pi', 'pi/<k>' or 'acos(<float>)'"
 
@@ -144,6 +144,9 @@ def _record(command: str, parameters: dict, tolerances: dict, results) -> dict:
 
 
 def _cmd_classify(args) -> tuple[dict, list, list]:
+    from .classify import classify
+    from .triangles import build_mn_inf, build_n_inf_inf
+
     m = parse_order(args.m)
     n = parse_order(args.n)
     theta = parse_angle(args.theta)
@@ -213,6 +216,8 @@ def _cmd_tables(args) -> tuple[dict, list, list]:
 
 
 def _cmd_galois(args) -> tuple[dict, list, list]:
+    from .cyclotomic import refute_finite_order
+
     m = parse_order(args.m)
     n = parse_order(args.n)
     start = time.perf_counter()
@@ -302,6 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bound on the root-of-unity order l (default 60)")
     add_common(p)
     return parser
+
+
+def __getattr__(name):
+    # the names the classify and galois handlers import on use still read
+    # as attributes of this module, resolved as the package resolves them
+    if name in ("classify", "build_mn_inf", "build_n_inf_inf", "refute_finite_order"):
+        return getattr(sys.modules[__package__], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 _HANDLERS = {

@@ -18,17 +18,21 @@ found in closed form as the real roots of a polynomial of degree <= 3 in a.
 import math
 from dataclasses import dataclass
 
-from .classify import EPS_DISCRIMINANT, IsometryClass, cubic_roots, discriminant
-from .triangles import (
+from .closed import (
+    EPS_DISCRIMINANT,
+    IsometryClass,
     _check_order,
     _check_orders,
     _check_theta,
     _is_integer,
+    _plain_order,
     _trace_123_circle,
     _trace_word_123,
     _trace_word_3132,
     corner_cos,
     corner_sin,
+    cubic_roots,
+    discriminant,
     is_infinite,
 )
 
@@ -264,6 +268,7 @@ def scan_intervals(test: str, m, n) -> ScanResult:
     if test not in SCAN_TESTS:
         raise ValueError(f"unknown test {test!r}; expected one of {SCAN_TESTS}")
     _check_orders(m, n)
+    m, n = _plain_order(m), _plain_order(n)
     if test == "jorgensen" and not jorgensen_applies(n):
         return ScanResult(test=test, m=m, n=n, intervals=(), tol=MERGE_TOL)
 
@@ -355,10 +360,15 @@ def word_3132_analysis(n, a) -> WordClassification:
 
 def order_k_locus(n: int, k: int) -> float:
     """The value of a = cos(theta) at which the word 3132 becomes elliptic
-    of rotation angle 2 pi/k, i.e. has trace 1 + 2 cos(2 pi/k)."""
+    of rotation angle 2 pi/k, i.e. has trace 1 + 2 cos(2 pi/k).
+
+    k is an integer >= 2 (bools refused) or infinity, where the word is
+    parabolic and a = cos(pi/n) up to rounding."""
     _check_finite_order(n)
     if not k >= 2:
         raise ValueError("k must be at least 2")
+    if not is_infinite(k) and k != int(k):
+        raise ValueError("k must be an integer or infinity")
     s = corner_cos(n)
     a = (8.0 * s * s - math.cos(2.0 * math.pi / k) + 1.0) / (8.0 * s)
     if not -1.0 <= a <= 1.0:
@@ -423,8 +433,8 @@ def nondiscreteness_report(m, n, theta) -> NondiscretenessReport:
         fired.append("shimizu")
     certified = bool(fired)
     return NondiscretenessReport(
-        m=m,
-        n=n,
+        m=_plain_order(m),
+        n=_plain_order(n),
         theta=theta,
         a=a,
         regular_elliptic=re_eval,

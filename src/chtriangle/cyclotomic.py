@@ -47,12 +47,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import EPS_DISCRIMINANT, discriminant
-from .triangles import (
+from .closed import (
+    EPS_DISCRIMINANT,
     _check_order,
     _check_orders,
     _is_integer,
+    _plain_order,
     _trace_123_circle,
+    discriminant,
     is_infinite,
 )
 
@@ -592,7 +594,7 @@ def refute_finite_order(m, n: int, max_l: int = 60) -> RefutationReport:
                 )
             )
     return RefutationReport(
-        m=int(m) if _is_integer(m) else m,
+        m=_plain_order(m),
         n=int(n),
         max_l=int(max_l),
         circle_tol=DEFAULT_CIRCLE_TOL,

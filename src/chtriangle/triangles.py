@@ -9,11 +9,26 @@ generate the group.  Infinite corner orders are passed as math.inf.
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+# the closed forms and checks keep their names here as well
+from .closed import (
+    _check_closed_form_order,
+    _check_order,
+    _check_orders,
+    _check_theta,
+    _is_integer,
+    _trace_123_circle,
+    _trace_word_123,
+    _trace_word_3132,
+    corner_cos,
+    corner_sin,
+    is_infinite,
+    trace_word_123,
+    trace_word_3132,
+)
 from .linalg import cvector, hermitian_form, involution_from_polar
 
 # rejects configurations where the second and third sides collapse
@@ -21,55 +36,6 @@ DEGENERACY_TOL = 1e-14
 
 _IDENTITY = np.eye(3, dtype=complex)
 _IDENTITY.flags.writeable = False
-
-
-def is_infinite(order) -> bool:
-    """True for the infinite corner order, +inf; -inf is no order."""
-    return isinstance(order, float) and order == math.inf
-
-
-def _is_integer(value) -> bool:
-    """True for Python and numpy integers; a bool is no integer here."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _check_order(order, name: str, integer: bool = True):
-    """Reject corner orders below 3 and, with integer, non-integer ones."""
-    if is_infinite(order):
-        return
-    if not order >= 3 or (integer and order != int(order)):
-        kind = "an integer >= 3" if integer else ">= 3"
-        raise ValueError(f"{name} must be {kind} or infinity")
-
-
-def _check_orders(m, n):
-    """Reject corner orders below 3, NaN included; orders need not be
-    integers, as the criteria are continuous in them."""
-    _check_order(m, "m", integer=False)
-    _check_order(n, "n", integer=False)
-
-
-def _check_theta(theta):
-    """Reject an angular invariant outside [0, pi], NaN included."""
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError("theta must lie in [0, pi]")
-
-
-def _check_closed_form_order(order, name: str):
-    """Reject orders <= 2 and NaN, where the corner cosine of a closed
-    trace formula is not positive."""
-    if not order > 2:
-        raise ValueError(f"{name} must be > 2 or infinity")
-
-
-def corner_cos(order) -> float:
-    """cos(pi/order), with the value 1 at an infinite order."""
-    return 1.0 if is_infinite(order) else math.cos(math.pi / order)
-
-
-def corner_sin(order) -> float:
-    """sin(pi/order), with the value 0 at an infinite order."""
-    return 0.0 if is_infinite(order) else math.sin(math.pi / order)
 
 
 @dataclass(frozen=True)
@@ -187,51 +153,6 @@ def build_n_inf_inf(n: int, theta: float) -> TriangleGroup:
         vertices=(u1, u2, u3),
         involutions=(_I1, _I2_N_INF_INF, involution_from_polar(p3)),
     )
-
-
-def _trace_123_circle(m, n) -> tuple[float, float]:
-    """Center c = -(4 (s1^2 + s2^2) + 1) and radius R = 8 s1 s2 of the
-    circle tr(123) = c + R e^(i theta), with s1 = cos(pi/n) and
-    s2 = cos(pi/m); the one definition of the trace circle."""
-    s1 = corner_cos(n)
-    s2 = corner_cos(m)
-    return -(4.0 * (s1 * s1 + s2 * s2) + 1.0), 8.0 * s1 * s2
-
-
-def trace_word_123(m, n, theta) -> complex:
-    """Closed form for the trace of the product of the three involutions.
-
-    tr = -(4 cos^2(pi/m) + 4 cos^2(pi/n) + 1)
-         + 8 e^(i theta) cos(pi/m) cos(pi/n),
-
-    valid for finite or infinite corner orders.  The orders must be > 2,
-    so that both corner cosines are positive, or infinite; NaN is refused.
-    They need not be integers, as the closed form is continuous in them.
-    """
-    _check_closed_form_order(m, "m")
-    _check_closed_form_order(n, "n")
-    return _trace_word_123(m, n, theta)
-
-
-def _trace_word_123(m, n, theta) -> complex:
-    """trace_word_123 for orders the caller has checked."""
-    c, radius = _trace_123_circle(m, n)
-    return complex(c + radius * cmath.exp(1j * theta))
-
-
-def trace_word_3132(n, a) -> float:
-    """Closed form 3 + 16 s^2 - 16 s a for the word 3132 in the family
-    with one finite corner order n, where s = cos(pi/n) and a = cos(theta).
-    The order must be > 2 or infinite, NaN refused; it need not be an
-    integer."""
-    _check_closed_form_order(n, "n")
-    return _trace_word_3132(n, a)
-
-
-def _trace_word_3132(n, a) -> float:
-    """trace_word_3132 for an order the caller has checked."""
-    s = corner_cos(n)
-    return 3.0 + 16.0 * s * s - 16.0 * s * a
 
 
 def parameter_t(theta: float) -> float:

@@ -186,7 +186,8 @@ def conjugate_scan_oracle(l: int, m, n, conductor_cap: int) -> ConjugateScan | N
         n_conjugates=len(values),
         max_rightmost=worst,
         all_strictly_below=worst < -1.0,
-        worst_k=min(k for k, v in values.items() if v == worst),
+        # the smallest unit over ties within 1e-12, as ConjugateScan documents
+        worst_k=min(k for k, v in values.items() if v >= worst - 1e-12),
     )
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from chtriangle import cli
 from chtriangle.cli import _json, main
+from chtriangle.criteria import nondiscreteness_report, scan_intervals
 from chtriangle.cyclotomic import refute_finite_order
 from helpers import jsonable_oracle
 
@@ -135,6 +136,20 @@ def test_json_refuses_other_types(value):
 def test_json_writes_a_report_built_from_numpy_integers():
     report = refute_finite_order(8, np.int64(11), max_l=np.int64(20))
     assert _json(report) == _json(refute_finite_order(8, 11, max_l=20))
+    assert _json(report) == oracle_text(report)
+
+
+def test_json_writes_a_scan_built_from_numpy_integers():
+    scan = scan_intervals("re", np.int64(8), 11)
+    assert type(scan.m) is int
+    assert _json(scan) == _json(scan_intervals("re", 8, 11))
+    assert _json(scan) == oracle_text(scan)
+
+
+def test_json_writes_a_point_report_built_from_numpy_integers():
+    report = nondiscreteness_report(np.int64(8), np.int64(11), 0.3)
+    assert (type(report.m), type(report.n)) == (int, int)
+    assert _json(report) == _json(nondiscreteness_report(8, 11, 0.3))
     assert _json(report) == oracle_text(report)
 
 

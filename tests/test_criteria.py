@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chtriangle import criteria, triangles
+from chtriangle import closed, criteria
 from chtriangle.classify import IsometryClass, classify
 from chtriangle.criteria import (
     SCAN_TESTS,
@@ -354,6 +354,21 @@ def test_order_k_locus_rejects_k_below_2_and_nan(k):
         order_k_locus(7, k)
 
 
+@pytest.mark.parametrize("k", [7.5, 2.5, 1e9 + 0.5, True, False])
+def test_order_k_locus_rejects_non_integer_k_and_bools(k):
+    with pytest.raises(ValueError, match="^k must be "):
+        order_k_locus(7, k)
+
+
+def test_order_k_locus_at_infinite_k_is_the_parabolic_point():
+    # trace 3: the word 3132 is unipotent parabolic at a = cos(pi/n)
+    for n in (3, 5, 7, 8, 11, 100):
+        assert order_k_locus(n, INF) == math.cos(math.pi / n)
+    assert order_k_locus(4, INF) == pytest.approx(math.cos(math.pi / 4), abs=2e-16)
+    assert order_k_locus(7, INF) == 0.9009688679024191
+    assert order_k_locus(7, np.int64(5)) == order_k_locus(7, 5.0) == order_k_locus(7, 5)
+
+
 @pytest.mark.parametrize("n", [math.nan, INF, 2, 1, -3])
 def test_word_3132_analysis_and_order_k_locus_reject_bad_orders(n):
     with pytest.raises(ValueError, match="^n must be"):
@@ -428,8 +443,8 @@ def test_point_criteria_call_the_unchecked_closed_forms(monkeypatch):
     def refuse(order, name):
         raise AssertionError("public closed trace called")
 
-    monkeypatch.setattr(triangles, "_check_closed_form_order", refuse)
+    monkeypatch.setattr(closed, "_check_closed_form_order", refuse)
     for m, n in ((8, 11), (INF, 7)):
         report = nondiscreteness_report(m, n, 0.3)
-        assert report.regular_elliptic.trace == triangles._trace_word_123(m, n, 0.3)
-    assert report.word_3132.trace == triangles._trace_word_3132(7, math.cos(0.3))
+        assert report.regular_elliptic.trace == closed._trace_word_123(m, n, 0.3)
+    assert report.word_3132.trace == closed._trace_word_3132(7, math.cos(0.3))

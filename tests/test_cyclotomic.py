@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -471,6 +470,7 @@ def _assert_reports_agree(new, old):
         assert (x.conductor, x.n_conjugates, x.all_strictly_below) == (
             y.conductor, y.n_conjugates, y.all_strictly_below)
         assert x.max_rightmost == pytest.approx(y.max_rightmost, abs=1e-12)
+        assert x.worst_k == y.worst_k
 
 
 @pytest.mark.parametrize(
@@ -595,24 +595,13 @@ def test_corner_residues_run_once_per_call(monkeypatch):
     assert calls == [(INF, 24)]
 
 
-def _scan_oracle(l, m, n, conductor_cap):
-    """conjugate_scan_oracle with worst_k taken over ties within 1e-12, as
-    ConjugateScan documents it."""
-    want = conjugate_scan_oracle(l, m, n, conductor_cap)
-    if want is None:
-        return None
-    values = conjugate_rightmost_oracle(l, m, n)
-    ties = [k for k, v in values.items() if v >= want.max_rightmost - 1e-12]
-    return dataclasses.replace(want, worst_k=min(ties))
-
-
 @pytest.mark.parametrize("m, n, max_l", [(8, 11, 60), (INF, 24, 36), (9, 18, 36), (INF, 11, 36)])
 def test_near_miss_scans_equal_the_oracle(m, n, max_l):
     report = refute_finite_order(m, n, max_l=max_l)
     assert report.near_misses
     for miss in report.near_misses:
         l = miss.candidate.l
-        want = _scan_oracle(l, m, n, cyclotomic.DEFAULT_CONDUCTOR_CAP)
+        want = conjugate_scan_oracle(l, m, n, cyclotomic.DEFAULT_CONDUCTOR_CAP)
         assert miss.conjugates == want, (m, n, l)
         assert _conjugate_scan(l, m, n) == want, (m, n, l)
 
@@ -626,7 +615,7 @@ def test_near_miss_scans_equal_the_oracle_on_conductor_overflow(monkeypatch):
     assert None in scans and any(scan is not None for scan in scans)
     for miss in report.near_misses:
         l = miss.candidate.l
-        assert miss.conjugates == _scan_oracle(l, 8, 11, 2000), l
+        assert miss.conjugates == conjugate_scan_oracle(l, 8, 11, 2000), l
         assert miss.note == ("" if miss.conjugates else "unchecked (N overflow)")
 
 
