@@ -112,11 +112,6 @@ def trace_word_123(m, n, theta) -> complex:
     """
     _check_closed_form_order(m, "m")
     _check_closed_form_order(n, "n")
-    return _trace_word_123(m, n, theta)
-
-
-def _trace_word_123(m, n, theta) -> complex:
-    """trace_word_123 for orders the caller has checked."""
     c, radius = _trace_123_circle(m, n)
     return complex(c + radius * cmath.exp(1j * theta))
 
@@ -127,11 +122,6 @@ def trace_word_3132(n, a) -> float:
     The order must be > 2 or infinite, NaN refused; it need not be an
     integer."""
     _check_closed_form_order(n, "n")
-    return _trace_word_3132(n, a)
-
-
-def _trace_word_3132(n, a) -> float:
-    """trace_word_3132 for an order the caller has checked."""
     s = corner_cos(n)
     return 3.0 + 16.0 * s * s - 16.0 * s * a
 

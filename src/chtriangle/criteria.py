@@ -27,13 +27,13 @@ from .closed import (
     _is_integer,
     _plain_order,
     _trace_123_circle,
-    _trace_word_123,
-    _trace_word_3132,
     corner_cos,
     corner_sin,
     cubic_roots,
     discriminant,
     is_infinite,
+    trace_word_123,
+    trace_word_3132,
 )
 
 SCAN_TESTS = ("re", "jorgensen", "shimizu")
@@ -170,7 +170,7 @@ def regular_elliptic_criterion(m, n, theta) -> CriterionEvaluation:
     theta in [0, pi]."""
     _check_orders(m, n)
     _check_theta(theta)
-    tau = _trace_word_123(m, n, theta)
+    tau = trace_word_123(m, n, theta)
     f = discriminant(tau)
     return CriterionEvaluation(fires=f < -EPS_DISCRIMINANT, trace=tau, discriminant=f)
 
@@ -332,6 +332,12 @@ def _check_finite_order(n):
         raise ValueError("n must be a finite corner order >= 3")
 
 
+def _locus_3132(s, c) -> float:
+    """The a at which the word 3132 has trace 1 + 2c, for s = cos(pi/n):
+    (8 s^2 - c + 1)/(8 s), and exactly s at the parabolic point c = 1."""
+    return s if c == 1.0 else (8.0 * s * s - c + 1.0) / (8.0 * s)
+
+
 def word_3132_analysis(n, a) -> WordClassification:
     """Trace and isometry class of the word 3132 in the one-finite-corner
     family, from the closed trace formula.
@@ -345,8 +351,9 @@ def word_3132_analysis(n, a) -> WordClassification:
     if not -1.0 <= a <= 1.0:
         raise ValueError("a = cos(theta) must lie in [-1, 1]")
     s = corner_cos(n)
-    t = _trace_word_3132(n, a)
-    upper = (1.0 + 4.0 * s * s) / (4.0 * s)
+    t = trace_word_3132(n, a)
+    # the order-2 locus, trace -1: (1 + 4 s^2)/(4 s)
+    upper = _locus_3132(s, -1.0)
     if abs(a - s) <= WORD_3132_BOUNDARY_TOL:
         tag = IsometryClass.UNIPOTENT_PARABOLIC
     elif upper <= 1.0 + WORD_3132_BOUNDARY_TOL and abs(a - upper) <= WORD_3132_BOUNDARY_TOL:
@@ -363,14 +370,13 @@ def order_k_locus(n: int, k: int) -> float:
     of rotation angle 2 pi/k, i.e. has trace 1 + 2 cos(2 pi/k).
 
     k is an integer >= 2 (bools refused) or infinity, where the word is
-    parabolic and a = cos(pi/n) up to rounding."""
+    parabolic and a = cos(pi/n)."""
     _check_finite_order(n)
     if not k >= 2:
         raise ValueError("k must be at least 2")
     if not is_infinite(k) and k != int(k):
         raise ValueError("k must be an integer or infinity")
-    s = corner_cos(n)
-    a = (8.0 * s * s - math.cos(2.0 * math.pi / k) + 1.0) / (8.0 * s)
+    a = _locus_3132(corner_cos(n), math.cos(2.0 * math.pi / k))
     if not -1.0 <= a <= 1.0:
         raise ValueError(f"no geometric parameter: a = {a:.6g} outside [-1, 1]")
     return a

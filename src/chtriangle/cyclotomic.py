@@ -108,16 +108,12 @@ class PhiCheck:
 
 def phi_inequality(l: int, k1: int, k2: int, k3: int) -> PhiCheck:
     """Evaluate 1/phi(d1) + 1/phi(d2) + 1/phi(d3) > 1 with
-    d_i = l / gcd(k_i, l)."""
+    d_i = l / gcd(k_i, l), decided on integers: with p_i = phi(d_i) it
+    reads p2 p3 + p1 p3 + p1 p2 > p1 p2 p3."""
     _check_exponents(l, (k1, k2, k3))
-    return _phi_check(l, (k1, k2, k3))
-
-
-def _phi_check(l: int, ks) -> PhiCheck:
-    """phi_inequality for an order and exponents the caller has checked."""
-    d = tuple(l // math.gcd(k % l, l) for k in ks)
-    total = sum(1.0 / euler_phi(di) for di in d)
-    return PhiCheck(d=d, holds=total > 1.0)
+    d = tuple(l // math.gcd(k % l, l) for k in (k1, k2, k3))
+    p1, p2, p3 = map(euler_phi, d)
+    return PhiCheck(d=d, holds=p2 * p3 + p1 * p3 + p1 * p2 > p1 * p2 * p3)
 
 
 class CyclotomicInt:
@@ -475,20 +471,11 @@ def _lift_scan(l: int, residues) -> ConjugateScan | None:
     )
 
 
-def _conjugate_scan(l: int, m, n) -> ConjugateScan | None:
-    """Closed-form evaluation of the circle's rightmost point at every Galois
-    conjugate, over the unit residues mod M; None when the conductor
-    exceeds DEFAULT_CONDUCTOR_CAP.  The engine composes the same two parts
-    itself, computing the residues once per call; this single-order form
-    is what the tests compare with the oracle."""
-    return _lift_scan(l, _corner_residues(m, n))
-
-
 def _survivor_diagnostic(cand: CandidateTrace, gap: float, m, n) -> SurvivorDiagnostic:
     """Exact Galois check of a survivor: hunt for the smallest unit k whose
     conjugate of the cyclotomic trace has real part at least -1,
     contradicting the circle bound."""
-    phi = _phi_check(cand.l, cand.k)
+    phi = phi_inequality(cand.l, *cand.k)
     N = _conductor(cand.l, _corner_modulus(m, n))
     if N > DEFAULT_CONDUCTOR_CAP:
         return SurvivorDiagnostic(
@@ -589,7 +576,7 @@ def refute_finite_order(m, n: int, max_l: int = 60) -> RefutationReport:
                     candidate=cand,
                     circle_gap=g,
                     conjugates=scan,
-                    phi=_phi_check(l, k),
+                    phi=phi_inequality(l, *k),
                     note="" if scan is not None else "unchecked (N overflow)",
                 )
             )

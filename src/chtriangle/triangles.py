@@ -13,22 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# the closed forms and checks keep their names here as well
-from .closed import (
-    _check_closed_form_order,
-    _check_order,
-    _check_orders,
-    _check_theta,
-    _is_integer,
-    _trace_123_circle,
-    _trace_word_123,
-    _trace_word_3132,
-    corner_cos,
-    corner_sin,
-    is_infinite,
-    trace_word_123,
-    trace_word_3132,
-)
+from .closed import _check_order, _check_theta, _plain_order, corner_cos, is_infinite
 from .linalg import cvector, hermitian_form, involution_from_polar
 
 # rejects configurations where the second and third sides collapse
@@ -50,6 +35,10 @@ class TriangleType:
         _check_order(self.m, "m")
         _check_order(self.n, "n")
         _check_theta(self.theta)
+        # a numpy integer order is stored as a Python int, so that records
+        # built from it hold no numpy integer
+        object.__setattr__(self, "m", _plain_order(self.m))
+        object.__setattr__(self, "n", _plain_order(self.n))
 
     @property
     def a(self) -> float:

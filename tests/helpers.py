@@ -19,6 +19,7 @@ from chtriangle.classify import (
     discriminant,
 )
 from chtriangle.cli import _fmt
+from chtriangle.closed import _trace_123_circle, corner_cos, corner_sin, is_infinite
 from chtriangle.criteria import (
     MERGE_TOL,
     SCAN_TESTS,
@@ -61,7 +62,6 @@ from chtriangle.linalg import (
     normalize_to_su,
     psi,
 )
-from chtriangle.triangles import _trace_123_circle, corner_cos, corner_sin, is_infinite
 
 
 def make_rng(seed: int = 0) -> np.random.RandomState:

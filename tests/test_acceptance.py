@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from chtriangle.classify import discriminant, trace
+from chtriangle.closed import corner_cos, trace_word_123, trace_word_3132
 from chtriangle.criteria import (
     jorgensen_condition,
     nondiscreteness_report,
@@ -34,13 +35,7 @@ from chtriangle.heisenberg import (
     translation_of,
 )
 from chtriangle.linalg import hermitian_form
-from chtriangle.triangles import (
-    build_mn_inf,
-    build_n_inf_inf,
-    corner_cos,
-    trace_word_123,
-    trace_word_3132,
-)
+from chtriangle.triangles import build_mn_inf, build_n_inf_inf
 from helpers import make_rng
 
 INF = math.inf

@@ -17,6 +17,7 @@ from chtriangle import cli
 from chtriangle.cli import _json, main
 from chtriangle.criteria import nondiscreteness_report, scan_intervals
 from chtriangle.cyclotomic import refute_finite_order
+from chtriangle.triangles import TriangleType
 from helpers import jsonable_oracle
 
 INF = math.inf
@@ -151,6 +152,10 @@ def test_json_writes_a_point_report_built_from_numpy_integers():
     assert (type(report.m), type(report.n)) == (int, int)
     assert _json(report) == _json(nondiscreteness_report(8, 11, 0.3))
     assert _json(report) == oracle_text(report)
+    ttype = TriangleType(np.int64(8), np.int64(11), 0.3)
+    assert (type(ttype.m), type(ttype.n)) == (int, int)
+    assert _json(ttype) == _json(TriangleType(8, 11, 0.3))
+    assert _json(ttype) == oracle_text(ttype)
 
 
 # a fixed slice of the CLI output space: the three tables, every 7th

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chtriangle import closed, criteria
+from chtriangle import criteria
 from chtriangle.classify import IsometryClass, classify
+from chtriangle.closed import corner_cos, trace_word_123, trace_word_3132
 from chtriangle.criteria import (
     SCAN_TESTS,
     jorgensen_condition,
@@ -24,7 +25,7 @@ from chtriangle.criteria import (
     word_order_cos_window,
 )
 from chtriangle.heisenberg import shimizu_violation
-from chtriangle.triangles import build_n_inf_inf, corner_cos, trace_word_3132
+from chtriangle.triangles import build_n_inf_inf
 from helpers import make_rng, scan_intervals_oracle
 
 INF = math.inf
@@ -362,9 +363,8 @@ def test_order_k_locus_rejects_non_integer_k_and_bools(k):
 
 def test_order_k_locus_at_infinite_k_is_the_parabolic_point():
     # trace 3: the word 3132 is unipotent parabolic at a = cos(pi/n)
-    for n in (3, 5, 7, 8, 11, 100):
+    for n in (3, 4, 5, 7, 8, 11, 100):
         assert order_k_locus(n, INF) == math.cos(math.pi / n)
-    assert order_k_locus(4, INF) == pytest.approx(math.cos(math.pi / 4), abs=2e-16)
     assert order_k_locus(7, INF) == 0.9009688679024191
     assert order_k_locus(7, np.int64(5)) == order_k_locus(7, 5.0) == order_k_locus(7, 5)
 
@@ -437,14 +437,9 @@ def test_nondiscreteness_report_accepts_endpoints_and_non_integer_orders():
         assert report.verdict in ("certified non-discrete", "no certificate")
 
 
-def test_point_criteria_call_the_unchecked_closed_forms(monkeypatch):
-    # the criteria check their orders themselves; the public closed forms
-    # would check them once more
-    def refuse(order, name):
-        raise AssertionError("public closed trace called")
-
-    monkeypatch.setattr(closed, "_check_closed_form_order", refuse)
-    for m, n in ((8, 11), (INF, 7)):
+def test_point_criteria_traces_equal_the_closed_forms():
+    for m, n in ((8, 11), (INF, 7), (3.5, 4)):
         report = nondiscreteness_report(m, n, 0.3)
-        assert report.regular_elliptic.trace == closed._trace_word_123(m, n, 0.3)
-    assert report.word_3132.trace == closed._trace_word_3132(7, math.cos(0.3))
+        assert report.regular_elliptic.trace == trace_word_123(m, n, 0.3)
+    report = nondiscreteness_report(INF, 7, 0.3)
+    assert report.word_3132.trace == trace_word_3132(7, math.cos(0.3))

@@ -9,7 +9,8 @@ from chtriangle.cyclotomic import (
     CandidateTrace,
     CyclotomicInt,
     _canonical_triples,
-    _conjugate_scan,
+    _corner_residues,
+    _lift_scan,
     _order_blocks,
     _order_exponents,
     canonical_candidate,
@@ -20,7 +21,7 @@ from chtriangle.cyclotomic import (
     refute_finite_order,
     trace_circle_rightmost,
 )
-from chtriangle.triangles import _trace_123_circle, corner_cos, trace_word_123
+from chtriangle.closed import _trace_123_circle, corner_cos, trace_word_123
 from helpers import (
     canonical_triples_oracle,
     conjugate_rightmost_oracle,
@@ -95,6 +96,9 @@ def test_phi_inequality_examples():
     assert check.d == (3, 3, 3) and check.holds
     check = phi_inequality(9, 4, 5, 0)
     assert check.d[2] == 1 and check.holds
+    # 1/4 + 1/4 + 1/2 is exactly 1, so the strict inequality fails
+    check = phi_inequality(8, 1, 1, 6)
+    assert check.d == (8, 8, 4) and not check.holds
 
 
 def test_phi_inequality_invariances():
@@ -273,13 +277,13 @@ def test_circle_condition_rejects_corner_orders_below_3(m, n, name):
 
 
 def test_conjugate_scan_uses_the_unchecked_rightmost_point(monkeypatch):
-    want = _conjugate_scan(1, 8, 11)
+    want = _lift_scan(1, _corner_residues(8, 11))
 
     def refuse(s1, s2):
         raise AssertionError("checked rightmost point called")
 
     monkeypatch.setattr(cyclotomic, "trace_circle_rightmost", refuse)
-    assert _conjugate_scan(1, 8, 11) == want
+    assert _lift_scan(1, _corner_residues(8, 11)) == want
 
 
 def test_canonical_candidate_reduction():
@@ -542,7 +546,7 @@ def test_decision_path_does_not_use_cyclotomic_int(monkeypatch):
 def test_worst_k_is_the_smallest_maximising_unit(l, m, n):
     values = conjugate_rightmost_oracle(l, m, n)
     worst = max(values.values())
-    scan = _conjugate_scan(l, m, n)
+    scan = _lift_scan(l, _corner_residues(m, n))
     assert scan.n_conjugates == len(values)
     assert scan.max_rightmost == pytest.approx(worst, abs=1e-12)
     assert scan.worst_k == min(k for k, v in values.items() if v >= worst - 1e-12)
@@ -553,7 +557,7 @@ def test_exact_strictly_below_agrees_with_float_margin():
         for n in range(3, 41):
             if m == n:
                 continue
-            scan = _conjugate_scan(1, m, n)
+            scan = _lift_scan(1, _corner_residues(m, n))
             assert scan.all_strictly_below == (scan.max_rightmost < -1.0), (m, n)
 
 
@@ -603,7 +607,7 @@ def test_near_miss_scans_equal_the_oracle(m, n, max_l):
         l = miss.candidate.l
         want = conjugate_scan_oracle(l, m, n, cyclotomic.DEFAULT_CONDUCTOR_CAP)
         assert miss.conjugates == want, (m, n, l)
-        assert _conjugate_scan(l, m, n) == want, (m, n, l)
+        assert _lift_scan(l, _corner_residues(m, n)) == want, (m, n, l)
 
 
 def test_near_miss_scans_equal_the_oracle_on_conductor_overflow(monkeypatch):
@@ -638,7 +642,7 @@ def test_corner_modulus_over_the_cap_builds_no_residues(monkeypatch):
         assert miss.conjugates is None
         assert miss.note == "unchecked (N overflow)"
     assert report.overflowed == report.survivors + report.near_misses
-    assert _conjugate_scan(23, m, n) is None
+    assert _lift_scan(23, _corner_residues(m, n)) is None
     assert all(N <= cyclotomic.DEFAULT_CONDUCTOR_CAP for N in sizes)
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from chtriangle.closed import corner_cos
 from chtriangle.heisenberg import (
     ORIGIN,
     ExtendedPoint,
@@ -22,7 +23,7 @@ from chtriangle.heisenberg import (
 )
 from chtriangle.linalg import INFINITY, form_inverse, is_unitary_for_form
 from chtriangle.criteria import shimizu_value
-from chtriangle.triangles import build_mn_inf, corner_cos
+from chtriangle.triangles import build_mn_inf
 from helpers import make_rng, random_heisenberg_point
 
 

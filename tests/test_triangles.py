@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chtriangle.classify import discriminant, trace
+from chtriangle.closed import corner_cos, is_infinite, trace_word_123, trace_word_3132
 from chtriangle.heisenberg import (
     HeisenbergPoint,
     boundary_action,
@@ -18,11 +19,7 @@ from chtriangle.triangles import (
     angular_invariant,
     build_mn_inf,
     build_n_inf_inf,
-    corner_cos,
-    is_infinite,
     parameter_t,
-    trace_word_123,
-    trace_word_3132,
 )
 from helpers import make_rng
 
