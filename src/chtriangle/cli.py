@@ -9,13 +9,14 @@ inside the classify and galois handlers, so tables and scan run without
 numpy.
 
 The JSON layout is fixed: two-space indent, one member or element per
-line, non-ASCII characters as \\u escapes, keys in record order and
-dataclass fields in field order, complex numbers as {"real", "imag"},
+line, non-ASCII characters as \\u escapes, keys in record order, dataclass
+fields in order, complex numbers as {"real", "imag"}, enums as values,
 and non-finite floats as the strings "inf", "-inf" and "nan".
 """
 
 import argparse
 import dataclasses
+import enum
 import functools
 import json
 import math
@@ -95,7 +96,7 @@ def _json(value, pad: str = "") -> str:
     """The JSON text of value at indent pad, in one walk: the text of
     json.dumps(..., indent=2) with non-finite floats as the strings of
     their _fmt text, complex numbers as {"real", "imag"}, dataclasses in
-    field order and tuples as lists.  Other types raise TypeError."""
+    field order, tuples as lists and enums as their values; else TypeError."""
     if value is None:
         return "null"
     if isinstance(value, bool):  # before int: bool is an int subclass
@@ -121,6 +122,8 @@ def _json(value, pad: str = "") -> str:
             return "[]"
         items = [_json(v, inner) for v in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(value, enum.Enum):
+        return _json(value.value, pad)
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 

@@ -126,6 +126,13 @@ def trace_word_3132(n, a) -> float:
     return 3.0 + 16.0 * s * s - 16.0 * s * a
 
 
+def _locus_3132(s, c) -> float:
+    """The inverse of the 3132 trace: the a at which the word 3132 has
+    trace 1 + 2c, for s = cos(pi/n): (8 s^2 - c + 1)/(8 s), and exactly s
+    at the parabolic point c = 1."""
+    return s if c == 1.0 else (8.0 * s * s - c + 1.0) / (8.0 * s)
+
+
 def discriminant(z):
     """Evaluate f(z) = |z|^4 - 8 Re(z^3) + 18 |z|^2 - 27.
 

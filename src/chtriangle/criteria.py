@@ -25,6 +25,7 @@ from .closed import (
     _check_orders,
     _check_theta,
     _is_integer,
+    _locus_3132,
     _plain_order,
     _trace_123_circle,
     corner_cos,
@@ -332,12 +333,6 @@ def _check_finite_order(n):
         raise ValueError("n must be a finite corner order >= 3")
 
 
-def _locus_3132(s, c) -> float:
-    """The a at which the word 3132 has trace 1 + 2c, for s = cos(pi/n):
-    (8 s^2 - c + 1)/(8 s), and exactly s at the parabolic point c = 1."""
-    return s if c == 1.0 else (8.0 * s * s - c + 1.0) / (8.0 * s)
-
-
 def word_3132_analysis(n, a) -> WordClassification:
     """Trace and isometry class of the word 3132 in the one-finite-corner
     family, from the closed trace formula.
@@ -356,7 +351,7 @@ def word_3132_analysis(n, a) -> WordClassification:
     upper = _locus_3132(s, -1.0)
     if abs(a - s) <= WORD_3132_BOUNDARY_TOL:
         tag = IsometryClass.UNIPOTENT_PARABOLIC
-    elif upper <= 1.0 + WORD_3132_BOUNDARY_TOL and abs(a - upper) <= WORD_3132_BOUNDARY_TOL:
+    elif abs(a - upper) <= WORD_3132_BOUNDARY_TOL:
         tag = IsometryClass.BOUNDARY_ELLIPTIC
     elif s < a < upper:
         tag = IsometryClass.REGULAR_ELLIPTIC
@@ -398,7 +393,8 @@ def word_order_cos_window(n: int):
 
     Scans all three criteria for the family with finite corner order n,
     takes the union component of the certified set that reaches a = 1, and
-    maps its endpoints through the order-k locus relation.
+    maps its endpoints a through the trace t of the word 3132:
+    cos(2 pi/k) = (t(a) - 1)/2, the inverse of order_k_locus.
     """
     _check_finite_order(n)
     pieces = []
@@ -408,9 +404,7 @@ def word_order_cos_window(n: int):
     if not merged or merged[-1][1] != 1.0:
         raise ValueError(f"no certified interval reaching a = 1 for n = {n}")
     a_lo = merged[-1][0]
-    s = corner_cos(n)
-    c_at = lambda a: 8.0 * s * s + 1.0 - 8.0 * s * a
-    return (c_at(1.0), c_at(a_lo))
+    return ((trace_word_3132(n, 1.0) - 1.0) / 2.0, (trace_word_3132(n, a_lo) - 1.0) / 2.0)
 
 
 def nondiscreteness_report(m, n, theta) -> NondiscretenessReport:

@@ -37,8 +37,7 @@ k(m + n), and |cos k pi/n| = 1 exactly when n divides k.
 
 The cost is that of the enumeration, O(max_l^3) in all: on one core of
 a 2-vCPU Xeon virtual machine, refute_finite_order(8, 11) takes 0.02 s
-of CPU at max_l = 120, 0.24 s at 300, 1.3 s at 600 and 6.5 s at 900
-(0.05, 0.6, 4.5 and 16 s one order at a time).
+of CPU at max_l = 120, 0.24 s at 300, 1.3 s at 600 and 6.5 s at 900.
 """
 
 import cmath
@@ -205,18 +204,12 @@ class CyclotomicInt:
         return CyclotomicInt(self.order, out)
 
     def conjugate(self) -> "CyclotomicInt":
-        """Complex conjugation (the Galois map with k = N - 1 for N > 1)."""
-        if self.order == 1:
-            return CyclotomicInt(self.order, self.coeffs)
-        return self.galois(self.order - 1)
+        """Complex conjugation: the Galois map with k = -1."""
+        return self.galois(-1)
 
     def evaluate(self) -> complex:
         """Numeric value sum_j c_j exp(2 pi i j / N), over the support only."""
-        support = np.nonzero(self.coeffs)[0]
-        if support.size == 0:
-            return 0j
-        phases = np.exp((2j * np.pi / self.order) * support)
-        return complex(np.sum(self.coeffs[support] * phases))
+        return self.evaluate_conjugate(1)
 
     def evaluate_conjugate(self, k: int) -> complex:
         """Numeric value of the Galois image under omega_N -> omega_N^k,
@@ -401,8 +394,9 @@ class RefutationReport:
 
     @property
     def overflowed(self):
-        flagged = [s for s in self.survivors if s.note == "unchecked (N overflow)"]
-        flagged += [t for t in self.near_misses if t.note == "unchecked (N overflow)"]
+        """The overflow cases: survivors with no conductor, near-misses with no scan."""
+        flagged = [s for s in self.survivors if s.conductor is None]
+        flagged += [t for t in self.near_misses if t.conjugates is None]
         return tuple(flagged)
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import enum
 import math
 import sys
 
@@ -566,4 +567,6 @@ def jsonable_oracle(value):
         return {str(k): jsonable_oracle(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable_oracle(v) for v in value]
+    if isinstance(value, enum.Enum):
+        return jsonable_oracle(value.value)
     return str(value)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chtriangle import cli
+from chtriangle.classify import classify
 from chtriangle.cli import _json, main
 from chtriangle.criteria import nondiscreteness_report, scan_intervals
 from chtriangle.cyclotomic import refute_finite_order
@@ -156,6 +157,17 @@ def test_json_writes_a_point_report_built_from_numpy_integers():
     assert (type(ttype.m), type(ttype.n)) == (int, int)
     assert _json(ttype) == _json(TriangleType(8, 11, 0.3))
     assert _json(ttype) == oracle_text(ttype)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: nondiscreteness_report(INF, 7, 0.3), lambda: classify(np.eye(3))],
+    ids=["word_3132 tag", "classify tag"],
+)
+def test_json_writes_records_holding_an_isometry_class(make):
+    record = make()
+    assert '"tag": "' in _json(record)
+    assert _json(record) == oracle_text(record)
 
 
 # a fixed slice of the CLI output space: the three tables, every 7th

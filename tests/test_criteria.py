@@ -312,6 +312,12 @@ def test_word_3132_analysis_boundary_values():
     at_upper = word_3132_analysis(3, upper)
     assert at_upper.trace == pytest.approx(-1.0, abs=1e-12)
     assert at_upper.tag is IsometryClass.BOUNDARY_ELLIPTIC
+    # s = 0.5 + 1e-7 puts the order-2 locus 2e-14 above a = 1, within the
+    # boundary tolerance: the geometric a next to it take its class
+    n = math.pi / math.acos(0.5 + 1e-7)
+    assert 1.0 < (1 + 4 * corner_cos(n) ** 2) / (4 * corner_cos(n)) < 1.0 + 1e-12
+    for a in (1.0, 1.0 - 1e-13):
+        assert word_3132_analysis(n, a).tag is IsometryClass.BOUNDARY_ELLIPTIC
 
 
 def test_word_3132_analysis_matches_matrix_classification():
@@ -384,6 +390,17 @@ def test_word_3132_analysis_accepts_non_integer_orders():
     analysis = word_3132_analysis(7.5, 0.9)
     assert analysis.trace == pytest.approx(trace_word_3132(7.5, 0.9), abs=1e-15)
     assert -1.0 <= order_k_locus(7.5, 6) <= 1.0
+
+
+def test_word_order_window_maps_the_certified_ends_through_the_3132_trace():
+    # bit for bit the former relation cos(2 pi/k) = 8 s^2 + 1 - 8 s a
+    for n in range(5, 301):
+        pieces = []
+        for test in SCAN_TESTS:
+            pieces.extend(scan_intervals(test, INF, n).intervals)
+        a_lo = criteria._merge_intervals(pieces)[-1][0]
+        s = corner_cos(n)
+        assert word_order_cos_window(n) == (8 * s * s + 1 - 8 * s, 8 * s * s + 1 - 8 * s * a_lo), n
 
 
 def test_word_order_window_for_seven():

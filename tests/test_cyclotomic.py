@@ -169,6 +169,14 @@ def test_galois_action():
         assert a.evaluate_conjugate(k1) == pytest.approx(a.galois(k1).evaluate(), abs=1e-9)
     with pytest.raises(ValueError):
         CyclotomicInt.root(6, 1).galois(2)
+    # at N = 1 and 2, where k = -1 is k = 1: conjugation copies, and the
+    # value is the plain sum over the support
+    for order, coeffs in ((1, [5]), (2, [3, -2]), (2, [0, 4])):
+        a = CyclotomicInt(order, coeffs)
+        assert a.conjugate() == a and a.conjugate() is not a
+        support = np.nonzero(coeffs)[0]
+        phases = np.exp((2j * np.pi / order) * support)
+        assert a.evaluate() == complex(np.sum(np.array(coeffs)[support] * phases))
 
 
 def _mobius(d):
@@ -500,12 +508,17 @@ def test_refutation_matches_scalar_oracle(monkeypatch, m, n, max_l, tols):
 
 
 def test_refutation_matches_scalar_oracle_at_a_tiny_conductor_cap(monkeypatch):
-    # a tiny cap sends every near-miss down the overflow path
+    # a tiny cap sends 8 of the 10 near-misses, and then of the 10 forced
+    # survivors, down the overflow path
     monkeypatch.setattr("chtriangle.cyclotomic.DEFAULT_CONDUCTOR_CAP", 1000)
-    _assert_reports_agree(
-        refute_finite_order(8, 11, max_l=60),
-        refute_finite_order_oracle(8, 11, 60, conductor_cap=1000),
-    )
+    for tols in ({}, {"circle_tol": 1e-3, "near_tol": 1e-3}):
+        for name, tol in tols.items():
+            monkeypatch.setattr(cyclotomic, f"DEFAULT_{name.upper()}", tol)
+        report = refute_finite_order(8, 11, max_l=60)
+        _assert_reports_agree(report, refute_finite_order_oracle(8, 11, 60, conductor_cap=1000, **tols))
+        items = report.survivors + report.near_misses
+        noted = [x for x in items if x.note == "unchecked (N overflow)"]
+        assert 0 < len(noted) < len(items) and report.overflowed == tuple(noted)
 
 
 def _force_survivors(monkeypatch):
