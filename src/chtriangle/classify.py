@@ -18,7 +18,7 @@ import numpy as np
 from .closed import EPS_DISCRIMINANT, IsometryClass, cubic_roots, discriminant
 from .linalg import is_unitary_for_form, normalize_to_su
 
-# eigenvalue modulus above 1 + this certifies loxodromic in the fallback path
+# eigenvalue modulus above 1 + this certifies loxodromic at rank 3 on the band
 EPS_LOXODROMIC = 1e-7
 # rank tolerance for (M - lambda I), scaled by the spectral norm of M
 RANK_TOL = 1e-8
@@ -132,8 +132,9 @@ def classify(M) -> Classification:
         return Classification(IsometryClass.BOUNDARY_ELLIPTIC, tau, eigs, f)
     if rank == 2:
         return Classification(IsometryClass.PARABOLIC, tau, eigs, f)
-    # no defective eigenvalue found: fall back on the eigenvalue moduli
+    # rank 3: no eigenvalue is defective, so the three are distinct, and
+    # with all moduli at most 1 + EPS_LOXODROMIC the element is elliptic
     moduli = [abs(t) for t in eigs]
     tag = (IsometryClass.LOXODROMIC if max(moduli) > 1.0 + EPS_LOXODROMIC
-           else IsometryClass.PARABOLIC)
+           else IsometryClass.REGULAR_ELLIPTIC)
     return Classification(tag, tau, eigs, f)

@@ -284,17 +284,6 @@ def scan_intervals(test: str, m, n) -> ScanResult:
     return ScanResult(test=test, m=m, n=n, intervals=tuple(_merge_intervals(pieces)), tol=MERGE_TOL)
 
 
-def _table_cell(scan: ScanResult, which: str):
-    """Reduce a scan to the table cell convention: the full interval for the
-    regular elliptic columns, the left endpoint of the last interval for the
-    one-sided criteria."""
-    if not scan.intervals:
-        return (None, None) if which == "re" else None
-    if which == "re":
-        return scan.intervals[0]
-    return scan.intervals[-1][0]
-
-
 def reproduce_table(which: int) -> TableResult:
     """Recompute one of the three built-in survey tables.
 
@@ -313,12 +302,13 @@ def reproduce_table(which: int) -> TableResult:
     def build_row(n: int) -> TableRow:
         cells = {}
         if which in (1, 3):
-            lo, hi = _table_cell(scan_intervals("re", m, n), "re")
-            cells["elliptic_lo"] = lo
-            cells["elliptic_hi"] = hi
+            found = scan_intervals("re", m, n).intervals
+            cells["elliptic_lo"], cells["elliptic_hi"] = found[0] if found else (None, None)
         if which in (2, 3):
             for test in ("jorgensen", "shimizu"):
-                cells[f"{test}_lo"] = _table_cell(scan_intervals(test, m, n), test)
+                # the one-sided criteria: the left end of the last interval
+                found = scan_intervals(test, m, n).intervals
+                cells[f"{test}_lo"] = found[-1][0] if found else None
         return TableRow(n=n, cells=cells)
 
     rows = tuple(build_row(n) for n in TABLE_ROWS[which])
@@ -415,12 +405,11 @@ def nondiscreteness_report(m, n, theta) -> NondiscretenessReport:
     be >= 3 or infinity (not necessarily integers, as the criteria are
     continuous in them) and theta must lie in [0, pi].
     """
-    _check_orders(m, n)
-    _check_theta(theta)
-    a = math.cos(theta)
+    # the regular elliptic criterion checks the orders and theta for all three
     re_eval = regular_elliptic_criterion(m, n, theta)
-    jor = jorgensen_condition(m, n, theta) if jorgensen_applies(n) else None
-    shi = shimizu_condition(m, n, theta)
+    a = math.cos(theta)
+    jor = jorgensen_value(m, n, a) < 0.0 if jorgensen_applies(n) else None
+    shi = shimizu_value(m, n, a) < 0.0
     word = None
     if is_infinite(m) and not is_infinite(n):
         word = word_3132_analysis(n, a)

@@ -74,8 +74,10 @@ def _check_positive_int(value, name: str):
 
 def _check_exponents(l, ks):
     """Reject an order l that is not a positive integer and exponents
-    that are not integers."""
+    that are not three integers."""
     _check_positive_int(l, "l")
+    if len(ks) != 3:
+        raise ValueError("a candidate has three exponents")
     if not all(_is_integer(k) for k in ks):
         raise ValueError("exponents must be integers")
 
@@ -139,7 +141,9 @@ class CyclotomicInt:
 
     @classmethod
     def root(cls, order: int, j: int, coeff: int = 1) -> "CyclotomicInt":
-        """coeff * omega_order^j."""
+        """coeff * omega_order^j, for integers j and coeff."""
+        if not (_is_integer(j) and _is_integer(coeff)):
+            raise ValueError("exponent and coefficient must be integers")
         out = cls(order)
         out.coeffs[j % order] = coeff
         return out
@@ -194,10 +198,15 @@ class CyclotomicInt:
         body = " + ".join(terms) if terms else "0"
         return f"CyclotomicInt(N={self.order}: {body})"
 
+    def _check_unit(self, k):
+        """Reject a Galois index k that is not an integer coprime to N;
+        numpy integers count, bools do not."""
+        if not _is_integer(k) or math.gcd(k % self.order, self.order) != 1:
+            raise ValueError("galois automorphism index must be an integer coprime to N")
+
     def galois(self, k: int) -> "CyclotomicInt":
         """Galois image under omega_N -> omega_N^k; k must be coprime to N."""
-        if math.gcd(k % self.order, self.order) != 1:
-            raise ValueError("galois automorphism index must be coprime to N")
+        self._check_unit(k)
         out = np.zeros(self.order, dtype=np.int64)
         support = np.nonzero(self.coeffs)[0]
         np.add.at(out, (support * (k % self.order)) % self.order, self.coeffs[support])
@@ -214,11 +223,8 @@ class CyclotomicInt:
     def evaluate_conjugate(self, k: int) -> complex:
         """Numeric value of the Galois image under omega_N -> omega_N^k,
         computed over the support without materialising the image."""
-        if math.gcd(k % self.order, self.order) != 1:
-            raise ValueError("galois automorphism index must be coprime to N")
+        self._check_unit(k)
         support = np.nonzero(self.coeffs)[0]
-        if support.size == 0:
-            return 0j
         phases = np.exp((2j * np.pi / self.order) * ((support * k) % self.order))
         return complex(np.sum(self.coeffs[support] * phases))
 
@@ -408,11 +414,6 @@ def _corner_modulus(m, n) -> int:
     return math.lcm(2 * int(m), 2 * int(n))
 
 
-def _conductor(l: int, M: int) -> int:
-    """The conductor N = lcm(l, M) of an order-l trace at corner modulus M."""
-    return math.lcm(l, M)
-
-
 def _units(N: int) -> np.ndarray:
     """The units k in [1, N] mod N, ascending."""
     k = np.arange(1, N + 1)
@@ -451,7 +452,7 @@ def _lift_scan(l: int, residues) -> ConjugateScan | None:
     if residues is None:
         return None
     M, worst, ties, strictly_below = residues
-    N = _conductor(l, M)
+    N = math.lcm(l, M)
     if N > DEFAULT_CONDUCTOR_CAP:
         return None
     # lift the maximising residues to [1, N] in ascending order
@@ -470,7 +471,7 @@ def _survivor_diagnostic(cand: CandidateTrace, gap: float, m, n) -> SurvivorDiag
     conjugate of the cyclotomic trace has real part at least -1,
     contradicting the circle bound."""
     phi = phi_inequality(cand.l, *cand.k)
-    N = _conductor(cand.l, _corner_modulus(m, n))
+    N = math.lcm(cand.l, _corner_modulus(m, n))
     if N > DEFAULT_CONDUCTOR_CAP:
         return SurvivorDiagnostic(
             candidate=cand, circle_gap=gap, conductor=None, galois_refuted=None,

@@ -7,6 +7,7 @@ import pytest
 
 from chtriangle import criteria, cyclotomic, heisenberg, linalg
 from chtriangle.classify import (
+    EPS_DISCRIMINANT,
     IsometryClass,
     classify,
     cubic_roots,
@@ -14,6 +15,7 @@ from chtriangle.classify import (
     second_invariant,
     trace,
 )
+from chtriangle.linalg import normalize_to_su
 from chtriangle.triangles import build_mn_inf, build_n_inf_inf
 from helpers import make_rng, random_form_unitary
 
@@ -60,6 +62,7 @@ def test_classify_exact_integer_group_word_is_loxodromic():
     group = build_n_inf_inf(4, math.pi / 4)
     result = classify(group.word("123"))
     assert result.tag is IsometryClass.LOXODROMIC
+    assert str(result.tag) == "loxodromic"
     assert result.trace == pytest.approx(-3 + 4j, abs=1e-12)
 
 
@@ -70,6 +73,39 @@ def test_classify_unipotent_word_at_tangent_parameter():
         result = classify(group.word("3132"))
         assert result.tag is IsometryClass.UNIPOTENT_PARABOLIC, n
         assert result.trace == pytest.approx(3, abs=1e-10)
+
+
+def test_classify_ellipto_parabolic_is_parabolic():
+    # a rotation about the vertical chain times a vertical translation:
+    # f = 0, a repeated eigenvalue with a one-dimensional eigenspace
+    for phi, v in ((0.9, 1.0), (0.9, 2.0), (2.0, 0.5)):
+        rotation = np.diag([cmath.exp(1j * phi), 1, 1])
+        M = normalize_to_su(rotation @ heisenberg.heisenberg_translation(0, v))
+        assert classify(M).tag is IsometryClass.PARABOLIC, (phi, v)
+
+
+@pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-7])
+def test_classify_band_element_with_distinct_eigenvalues_is_regular_elliptic(delta):
+    # three distinct unit eigenvalues put f inside the band; M - lambda0 I
+    # has rank 3, and these used to be tagged parabolic
+    M = np.diag([cmath.exp(0.7j), cmath.exp((0.7 + delta) * 1j),
+                 cmath.exp(-(1.4 + delta) * 1j)])
+    result = classify(M)
+    assert -EPS_DISCRIMINANT <= result.discriminant < 0.0
+    assert result.tag is IsometryClass.REGULAR_ELLIPTIC
+
+
+def test_classify_band_element_with_a_large_modulus_is_loxodromic():
+    # a boost by r = 1 + 1e-6 times a rotation: f is inside the band, the
+    # eigenvalues are distinct, and their moduli r and 1/r decide
+    t = math.log(1.0 + 1e-6)
+    u = cmath.exp(0.7j)
+    M = np.array([[u ** -2, 0, 0],
+                  [0, u * math.cosh(t), u * math.sinh(t)],
+                  [0, u * math.sinh(t), u * math.cosh(t)]])
+    result = classify(M)
+    assert 0.0 < result.discriminant <= EPS_DISCRIMINANT
+    assert result.tag is IsometryClass.LOXODROMIC
 
 
 def test_classify_identity():

@@ -6,6 +6,7 @@ import pytest
 
 from chtriangle.cli import build_parser, main, parse_angle, parse_order
 from chtriangle.criteria import order_k_locus
+from chtriangle.cyclotomic import refute_finite_order
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +83,20 @@ def test_classify_command_rejects_zero_angle_denominator(capsys, theta):
     )
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "zero denominator" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--m", "inf", "--n", "inf", "--theta", "0.5", "--word", "123"],
+     "n must be finite; pass the single finite order as --n with --m inf"),
+    (["scan", "--test", "re", "--m", "8", "--n", "inf"],
+     "n must be finite; pass --m inf for the family with one finite corner"),
+    (["classify", "--m", "8", "--n", "11", "--theta", "acos(x)", "--word", "123"],
+     "invalid angle 'acos(x)'"),
+], ids=["classify-n-inf", "scan-n-inf", "acos-not-a-number"])
+def test_commands_refuse_bad_flags_with_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"chtriangle {argv[0]}: error: {message}\n"
 
 
 def test_scan_command_interval(capsys):
@@ -197,6 +212,23 @@ def test_galois_command(capsys):
     header, rows = csv_rows(out)
     assert rows[-1][0] == "summary"
     assert "survivors=0" in rows[-1][-1]
+
+
+def test_galois_command_writes_survivor_rows(capsys, monkeypatch):
+    # at a circle tolerance of 1e-3 the near-misses of (8, 11) survive
+    monkeypatch.setattr("chtriangle.cyclotomic.DEFAULT_CIRCLE_TOL", 1e-3)
+    monkeypatch.setattr("chtriangle.cyclotomic.DEFAULT_NEAR_TOL", 1e-3)
+    report = refute_finite_order(8, 11, max_l=48)
+    assert report.survivors and not report.near_misses
+    code, out, _ = run_cli(capsys, "galois", "--m", "8", "--n", "11", "--max-l", "48")
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert rows[:-1] == [
+        ["survivor", str(s.candidate.l), *map(str, s.candidate.k), f"{s.circle_gap:.12g}",
+         str(s.conductor), "---", "---", "true" if s.phi.holds else "false", ""]
+        for s in report.survivors
+    ]
+    assert f"survivors={len(report.survivors)}" in rows[-1][-1]
 
 
 def test_galois_command_json(capsys, monkeypatch):

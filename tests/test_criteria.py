@@ -385,6 +385,17 @@ def test_word_3132_analysis_and_order_k_locus_reject_bad_orders(n):
         word_order_cos_window(n)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: word_3132_analysis(7, 1.5), r"^a = cos\(theta\) must lie in \[-1, 1\]$"),
+    (lambda: word_3132_analysis(7, -1.5), r"^a = cos\(theta\) must lie in \[-1, 1\]$"),
+    (lambda: word_order_cos_window(3), "^no certified interval reaching a = 1 for n = 3$"),
+    (lambda: word_order_cos_window(4), "^no certified interval reaching a = 1 for n = 4$"),
+], ids=["a-above-1", "a-below-minus-1", "window-n3", "window-n4"])
+def test_word_3132_functions_refuse_out_of_range_inputs(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_word_3132_analysis_accepts_non_integer_orders():
     # the closed forms are continuous in n
     analysis = word_3132_analysis(7.5, 0.9)

@@ -60,6 +60,14 @@ def test_euler_phi_against_bruteforce():
     (lambda: phi_inequality(7, 1, 2.0, 4), "^exponents must be integers"),
     (lambda: canonical_candidate(0, (1, 2, 3)), "^l must be a positive integer"),
     (lambda: canonical_candidate(10, (1, 2, 7.0)), "^exponents must be integers"),
+    (lambda: canonical_candidate(5, (1, 1, 1, 2)), "^a candidate has three exponents$"),
+    (lambda: canonical_candidate(5, (1, 4)), "^a candidate has three exponents$"),
+    (lambda: CyclotomicInt.root(4, 1.5), "^exponent and coefficient must be integers$"),
+    (lambda: CyclotomicInt.root(6, 1).galois(1.5), "^galois automorphism index must be an integer"),
+    (lambda: CyclotomicInt.root(6, 1).evaluate_conjugate(3.0),
+     "^galois automorphism index must be an integer"),
+    (lambda: CyclotomicInt.root(6, 1).evaluate_conjugate(2),
+     "^galois automorphism index must be an integer coprime to N$"),
 ])
 def test_totient_and_candidate_inputs_must_be_integers(call, message):
     with pytest.raises(ValueError, match=message):
@@ -74,8 +82,10 @@ def test_totient_and_candidate_inputs_must_be_integers(call, message):
     (lambda: refute_finite_order(8, 11, max_l=True), "^max_l must be an integer$"),
     (lambda: CyclotomicInt(True), "^order must be a positive integer$"),
     (lambda: CyclotomicInt(4) * True, "^operands must share the same root order$"),
+    (lambda: CyclotomicInt.root(6, 1).galois(True),
+     "^galois automorphism index must be an integer coprime to N$"),
 ], ids=["euler_phi", "phi_l", "phi_k", "candidate_k", "max_l", "cyclotomic_order",
-        "cyclotomic_scalar"])
+        "cyclotomic_scalar", "galois_k"])
 def test_integer_inputs_refuse_bool(call, message):
     # bool is an int subclass: max_l=True used to give a report whose
     # JSON record printed max_l as true, and euler_phi(True) returned True
@@ -128,6 +138,9 @@ def test_cyclotomic_construction_and_repr():
     x = CyclotomicInt.root(5, 7)  # exponent reduced mod 5
     assert x.coeffs[2] == 1
     assert "w^2" in repr(x)
+    # equal elements hash equal, so they meet in a set
+    assert hash(x) == hash(CyclotomicInt(5, [0, 0, 1, 0, 0]))
+    assert len({x, CyclotomicInt.root(5, 2), CyclotomicInt.root(5, 3)}) == 2
     with pytest.raises(ValueError):
         CyclotomicInt(0)
     with pytest.raises(ValueError):

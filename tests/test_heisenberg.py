@@ -149,6 +149,12 @@ def test_translation_matrix_acts_as_left_multiplication():
         assert got.v == pytest.approx(want.v, abs=1e-10)
 
 
+def test_translation_of_rejects_a_rotation_fixing_infinity():
+    # the rotation fixes infinity and the origin but moves the probe points
+    with pytest.raises(ValueError, match="^not a Heisenberg translation$"):
+        translation_of(np.diag([cmath.exp(0.5j), 1, 1]))
+
+
 def test_translation_length_examples():
     rng = make_rng(53)
     vertical = heisenberg_translation(0, 4.0)

@@ -75,6 +75,9 @@ def test_public_names_are_their_defining_modules_objects():
     out = run_fresh("""
         import sys, types
         import chtriangle
+        # a submodule read before any import loads through the package
+        assert "chtriangle.linalg" not in sys.modules
+        assert chtriangle.linalg is sys.modules["chtriangle.linalg"]
         from chtriangle import cli
         count = 0
         for name in chtriangle.__all__:

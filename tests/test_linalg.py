@@ -96,6 +96,7 @@ def test_bergman_distance_rejects_nonnegative_vectors():
 
 def test_psi_special_points():
     np.testing.assert_allclose(psi(INFINITY), [0, -1, 1])
+    assert repr(INFINITY) == "infinity"
     np.testing.assert_allclose(psi((0, 0, 0)), [0, 0.5, 0.5])
     np.testing.assert_allclose(psi((0, 0, 1)), [0, 0, 1])
 
@@ -205,6 +206,8 @@ def test_is_unitary_for_form_examples():
     assert is_unitary_for_form(np.eye(3))
     assert is_unitary_for_form(np.diag([-1, 1, -1]))
     assert not is_unitary_for_form(np.diag([2, 1, 1]))
+    # only a 3x3 matrix can preserve the form
+    assert not is_unitary_for_form(np.eye(2))
 
 
 def test_normalize_to_su_picks_principal_cube_root():

@@ -73,6 +73,8 @@ def test_build_rejects_bad_orders():
         build_mn_inf(math.inf, 5, 0.5)
     with pytest.raises(ValueError):
         build_n_inf_inf(2, 0.5)
+    with pytest.raises(ValueError, match="^the finite corner order n must be finite$"):
+        build_n_inf_inf(math.inf, 0.3)
 
 
 def test_only_plus_inf_is_the_infinite_order():
