@@ -11,7 +11,12 @@ numpy.
 The JSON layout is fixed: two-space indent, one member or element per
 line, non-ASCII characters as \\u escapes, keys in record order, dataclass
 fields in order, complex numbers as {"real", "imag"}, enums as values,
-and non-finite floats as the strings "inf", "-inf" and "nan".
+and non-finite floats as the strings "inf", "-inf" and "nan".  The
+writer walks a record once: it dispatches on each value's exact type,
+reads a dataclass's field keys from a table built once per type, and
+appends every piece to one list that is joined at the end.  A value of
+any other type (numpy.float64, an IntEnum member, a namedtuple) is first
+mapped by an isinstance chain to the exact type it is written as.
 """
 
 import argparse
@@ -23,6 +28,7 @@ import math
 import re
 import sys
 import time
+from collections.abc import Iterator
 
 from . import __version__
 from .closed import EPS_DISCRIMINANT, is_infinite
@@ -90,46 +96,90 @@ def _fmt(value) -> str:
 
 
 _json_str = json.encoder.encode_basestring_ascii
+# dataclass type -> ((field name, its JSON key + ": "), ...), built once per type
+_FIELD_KEYS = {}
 
 
 def _json(value, pad: str = "") -> str:
-    """The JSON text of value at indent pad, in one walk: the text of
+    """The JSON text of value at indent pad: the text of
     json.dumps(..., indent=2) with non-finite floats as the strings of
     their _fmt text, complex numbers as {"real", "imag"}, dataclasses in
     field order, tuples as lists and enums as their values; else TypeError."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):  # before int: bool is an int subclass
-        return "true" if value else "false"
+    out = []
+    _write(value, pad, out.append)
+    return "".join(out)
+
+
+def _write(value, pad: str, put) -> None:
+    cls = type(value)  # exact types only; any other goes through _exact
+    if cls is float:
+        put(float.__repr__(value) if math.isfinite(value) else _json_str(_fmt(value)))
+    elif cls is int:
+        put(int.__repr__(value))
+    elif cls is str:
+        put(_json_str(value))
+    elif value is None:
+        put("null")
+    elif cls is bool:
+        put("true" if value else "false")
+    else:
+        keys = _FIELD_KEYS.get(cls)
+        brackets = "[]" if cls is list or cls is tuple else "{}"
+        inner = pad + "  "
+        sep = brackets[0] + "\n" + inner
+        comma = ",\n" + inner
+        if keys is not None:
+            for name, key in keys:
+                put(sep)
+                put(key)
+                _write(getattr(value, name), inner, put)
+                sep = comma
+        elif cls is list or cls is tuple:
+            for v in value:
+                put(sep)
+                _write(v, inner, put)
+                sep = comma
+        elif cls is dict or cls is complex:
+            if cls is complex:
+                value = {"real": value.real, "imag": value.imag}
+            for k, v in value.items():
+                put(sep)
+                put(_json_str(k if type(k) is str else str(k)) + ": ")
+                _write(v, inner, put)
+                sep = comma
+        else:
+            return _write(_exact(value), pad, put)
+        put("\n" + pad + brackets[1] if sep is comma else brackets)
+
+
+def _exact(value):
+    """value as a type _write dispatches on, picked by isinstance in the
+    order int, str, float, complex, dataclass, dict, list or tuple, enum:
+    numpy.float64 as a float, an IntEnum member as an int; else TypeError."""
     if isinstance(value, int):
-        return int.__repr__(value)
+        return int.__int__(value)
     if isinstance(value, str):
-        return _json_str(value)
+        return str.__str__(value)
     if isinstance(value, float):
-        return float.__repr__(value) if math.isfinite(value) else _json_str(_fmt(value))
+        return float.__float__(value)
     if isinstance(value, complex):
-        value = {"real": value.real, "imag": value.imag}
-    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-    inner = pad + "  "
+        return complex(value.real, value.imag)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = dataclasses.fields(value)
+        _FIELD_KEYS[type(value)] = tuple((f.name, _json_str(f.name) + ": ") for f in fields)
+        return value
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [_json_str(str(k)) + ": " + _json(v, inner) for k, v in value.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+        return dict(value.items())
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_json(v, inner) for v in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        return list(value)
     if isinstance(value, enum.Enum):
-        return _json(value.value, pad)
+        return value.value
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
 def _emit(record: dict, columns, rows, fmt: str) -> str:
     """Render one output record: CSV shows the tabular results, JSON the
-    whole record."""
+    whole record; rows is any iterable, read only for CSV."""
     if fmt == "json":
         return _json(record) + "\n"
     lines = [columns] + [[_fmt(c) for c in row] for row in rows]
@@ -218,7 +268,7 @@ def _cmd_tables(args) -> tuple[dict, list, list]:
     return record, columns, rows
 
 
-def _cmd_galois(args) -> tuple[dict, list, list]:
+def _cmd_galois(args) -> tuple[dict, list, Iterator[list]]:
     from .cyclotomic import refute_finite_order
 
     m = parse_order(args.m)
@@ -241,30 +291,32 @@ def _cmd_galois(args) -> tuple[dict, list, list]:
         "kind", "l", "k1", "k2", "k3", "circle_gap", "conductor",
         "max_rightmost", "all_strictly_below", "phi_holds", "note",
     ]
-    rows = []
-    for s in report.survivors:
-        rows.append([
-            "survivor", s.candidate.l, *s.candidate.k, s.circle_gap,
-            s.conductor, None, None, s.phi.holds, s.note,
-        ])
-    for t in report.near_misses:
-        scan = t.conjugates
-        rows.append([
-            "near_miss", t.candidate.l, *t.candidate.k, t.circle_gap,
-            None if scan is None else scan.conductor,
-            None if scan is None else scan.max_rightmost,
-            None if scan is None else scan.all_strictly_below,
-            t.phi.holds, t.note,
-        ])
-    note = (
-        f"checked={report.candidates_checked}"
-        f" elliptic={report.regular_elliptic_candidates}"
-        f" survivors={len(report.survivors)}"
-        f" near_misses={len(report.near_misses)}"
-        f" elapsed={elapsed:.3f}s"
-    )
-    rows.append(["summary", report.max_l] + [None] * 8 + [note])
-    return record, columns, rows
+
+    def rows():  # consumed by CSV output only, so JSON output builds none
+        for s in report.survivors:
+            yield [
+                "survivor", s.candidate.l, *s.candidate.k, s.circle_gap,
+                s.conductor, None, None, s.phi.holds, s.note,
+            ]
+        for t in report.near_misses:
+            scan = t.conjugates
+            yield [
+                "near_miss", t.candidate.l, *t.candidate.k, t.circle_gap,
+                None if scan is None else scan.conductor,
+                None if scan is None else scan.max_rightmost,
+                None if scan is None else scan.all_strictly_below,
+                t.phi.holds, t.note,
+            ]
+        note = (
+            f"checked={report.candidates_checked}"
+            f" elliptic={report.regular_elliptic_candidates}"
+            f" survivors={len(report.survivors)}"
+            f" near_misses={len(report.near_misses)}"
+            f" elapsed={elapsed:.3f}s"
+        )
+        yield ["summary", report.max_l] + [None] * 8 + [note]
+
+    return record, columns, rows()
 
 
 def build_parser() -> argparse.ArgumentParser:

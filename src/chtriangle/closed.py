@@ -15,9 +15,11 @@ import cmath
 import enum
 import math
 import numbers
+import sys
 
 # f < -this is regular elliptic; |f| <= this is on the f = 0 locus
 EPS_DISCRIMINANT = 1e-9
+_FLOAT_MAX = sys.float_info.max
 
 
 class IsometryClass(enum.Enum):
@@ -47,12 +49,21 @@ def _is_integer(value) -> bool:
 
 
 def _check_order(order, name: str, integer: bool = True):
-    """Reject corner orders below 3 and, with integer, non-integer ones."""
+    """Reject corner orders below 3, finite orders too large for a float
+    and, with integer, non-integer ones."""
     if is_infinite(order):
         return
-    if not order >= 3 or (integer and order != int(order)):
+    if not 3 <= order <= _FLOAT_MAX or (integer and order != int(order)):
+        _check_float_size(order, name)
         kind = "an integer >= 3" if integer else ">= 3"
         raise ValueError(f"{name} must be {kind} or infinity")
+
+
+def _check_float_size(order, name: str):
+    """Reject a finite order above the largest float, for which pi/order,
+    and so the corner cosine, has no float value."""
+    if order > _FLOAT_MAX and not is_infinite(order):
+        raise ValueError(f"{name} is too large for a float; pass inf for an infinite order")
 
 
 def _plain_order(order):
@@ -76,8 +87,9 @@ def _check_theta(theta):
 
 def _check_closed_form_order(order, name: str):
     """Reject orders <= 2 and NaN, where the corner cosine of a closed
-    trace formula is not positive."""
-    if not order > 2:
+    trace formula is not positive, and finite orders too large for a float."""
+    if not 2 < order <= _FLOAT_MAX and not is_infinite(order):
+        _check_float_size(order, name)
         raise ValueError(f"{name} must be > 2 or infinity")
 
 

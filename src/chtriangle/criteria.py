@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .closed import (
     EPS_DISCRIMINANT,
     IsometryClass,
+    _check_float_size,
     _check_order,
     _check_orders,
     _check_theta,
@@ -361,6 +362,7 @@ def order_k_locus(n: int, k: int) -> float:
         raise ValueError("k must be at least 2")
     if not is_infinite(k) and k != int(k):
         raise ValueError("k must be an integer or infinity")
+    _check_float_size(k, "k")
     a = _locus_3132(corner_cos(n), math.cos(2.0 * math.pi / k))
     if not -1.0 <= a <= 1.0:
         raise ValueError(f"no geometric parameter: a = {a:.6g} outside [-1, 1]")

@@ -1,9 +1,11 @@
 import argparse
+import inspect
 import json
 import math
 
 import pytest
 
+from chtriangle import cli
 from chtriangle.cli import build_parser, main, parse_angle, parse_order
 from chtriangle.criteria import order_k_locus
 from chtriangle.cyclotomic import refute_finite_order
@@ -97,6 +99,32 @@ def test_commands_refuse_bad_flags_with_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"chtriangle {argv[0]}: error: {message}\n"
+
+
+# a corner order above the largest float, whose corner cosine has no float value
+HUGE = "8" + "0" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--test", "re", "--m", "8", "--n", HUGE],
+    ["scan", "--test", "jorgensen", "--m", HUGE, "--n", "11"],
+    ["scan", "--test", "shimizu", "--m", "inf", "--n", HUGE],
+    ["classify", "--m", HUGE, "--n", "11", "--theta", "0.3", "--word", "123"],
+    ["classify", "--m", "inf", "--n", HUGE, "--theta", "0.3", "--word", "123"],
+    ["galois", "--m", HUGE, "--n", "11"],
+    ["galois", "--m", "8", "--n", HUGE],
+], ids=["scan-re-n", "scan-jorgensen-m", "scan-shimizu-n", "classify-m", "classify-n",
+        "galois-m", "galois-n"])
+def test_commands_refuse_orders_too_large_for_a_float(capsys, argv):
+    # such an order used to escape main as an OverflowError traceback;
+    # tables, the fourth command, takes no order
+    name = "m" if argv[argv.index("--m") + 1] == HUGE else "n"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (
+        f"chtriangle {argv[0]}: error: {name} is too large for a float;"
+        " pass inf for an infinite order\n"
+    )
 
 
 def test_scan_command_interval(capsys):
@@ -229,6 +257,22 @@ def test_galois_command_writes_survivor_rows(capsys, monkeypatch):
         for s in report.survivors
     ]
     assert f"survivors={len(report.survivors)}" in rows[-1][-1]
+
+
+def test_galois_command_builds_its_csv_rows_for_csv_only(capsys, monkeypatch):
+    states = []
+    emit = cli._emit
+
+    def spy(record, columns, rows, fmt):
+        text = emit(record, columns, rows, fmt)
+        states.append(inspect.getgeneratorstate(rows))
+        return text
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    argv = ["galois", "--m", "8", "--n", "11", "--max-l", "60"]
+    assert run_cli(capsys, *argv, "--format", "json")[0] == 0
+    assert run_cli(capsys, *argv)[0] == 0
+    assert states == [inspect.GEN_CREATED, inspect.GEN_CLOSED]
 
 
 def test_galois_command_json(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 json.dumps gives for the record conversion in helpers.jsonable_oracle,
 on random nested values and on the records of the four commands."""
 
+import collections
 import dataclasses
 import enum
 import io
@@ -53,6 +54,37 @@ class Pair:
     second: object
 
 
+class Other:
+    @dataclasses.dataclass(frozen=True)
+    class Pair:
+        """Named like the Pair above, with other fields."""
+
+        left: object
+        middle: object
+        right: object
+
+
+class Tag(str):
+    """A str subclass whose str() differs from its text."""
+
+    def __str__(self):
+        return "tag:" + self
+
+
+class Count(int):
+    """A plain int subclass that prints itself with its type."""
+
+    def __repr__(self):
+        return f"Count({int(self)})"
+
+
+class Row(list):
+    pass
+
+
+Point = collections.namedtuple("Point", "x y")
+
+
 floats = st.floats(allow_nan=True, allow_infinity=True)
 leaves = st.one_of(
     st.none(),
@@ -65,12 +97,16 @@ leaves = st.one_of(
     floats.map(np.float64),
     st.sampled_from(Level),
     st.text(max_size=8),
+    st.text(max_size=8).map(Tag),
+    st.integers().map(Count),
     # finite parts only: the oracle leaves the parts unconverted, so
     # json.dumps refuses a non-finite one (see the layout examples)
     st.complex_numbers(allow_nan=False, allow_infinity=False),
 )
 # keys of distinct str forms, so the oracle's str(k) merges none
-keys = st.one_of(st.text(max_size=8), st.integers(), st.booleans(), st.none())
+keys = st.one_of(
+    st.text(max_size=8), st.text(max_size=8).map(Tag), st.integers(), st.booleans(), st.none()
+)
 
 
 def str_key(item):
@@ -78,12 +114,17 @@ def str_key(item):
 
 
 def containers(children):
+    items = st.lists(st.tuples(keys, children), max_size=5, unique_by=str_key)
     return st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
-        st.lists(st.tuples(keys, children), max_size=5, unique_by=str_key).map(dict),
+        st.lists(children, max_size=5).map(Row),
+        st.builds(Point, children, children),
+        items.map(dict),
+        items.map(collections.OrderedDict),
         st.builds(Leaf, children),
         st.builds(Pair, children, children),
+        st.builds(Other.Pair, children, children, children),
     )
 
 
@@ -127,12 +168,28 @@ def test_json_layout_examples(value, text):
 
 @pytest.mark.parametrize(
     "value",
-    [np.int64(3), np.bool_(True), {1, 2}, object(), {"a": [np.int64(1)]}, Leaf(np.bool_(False))],
-    ids=["np.int64", "np.bool_", "set", "object", "nested np.int64", "np.bool_ field"],
+    [
+        np.int64(3), np.bool_(True), {1, 2}, object(), {"a": [np.int64(1)]},
+        Leaf(np.bool_(False)), Leaf, [Pair], b"ab", {"a": b""},
+    ],
+    ids=[
+        "np.int64", "np.bool_", "set", "object", "nested np.int64", "np.bool_ field",
+        "dataclass class", "nested dataclass class", "bytes", "nested bytes",
+    ],
 )
 def test_json_refuses_other_types(value):
     with pytest.raises(TypeError):
         _json(value)
+
+
+def test_json_keys_field_names_on_the_dataclass_type():
+    # two dataclass types of one __name__: the field keys are per type object
+    other = Other.Pair(1, Pair(2, 3), 4)
+    assert type(other).__name__ == Pair.__name__
+    record = [Pair(other, Leaf(5)), other, Pair(6, other)]
+    text = _json(record)
+    assert text == oracle_text(record)
+    assert text.count('"left": 1') == 3 and text.count('"first": ') == 5
 
 
 def test_json_writes_a_report_built_from_numpy_integers():
@@ -206,19 +263,25 @@ def sweep_argvs():
         yield ["classify", "--m", m, "--n", n, "--theta", theta, "--word", word]
 
 
-def test_cli_json_records_match_oracle(monkeypatch):
-    records = []
+@pytest.fixture
+def records(monkeypatch):
+    """The list of records the command handlers return, in call order."""
+    kept = []
 
     def keep(handler):
         def run(args):
             out = handler(args)
-            records.append(out[0])
+            kept.append(out[0])
             return out
 
         return run
 
     for name, handler in list(cli._HANDLERS.items()):
         monkeypatch.setitem(cli._HANDLERS, name, keep(handler))
+    return kept
+
+
+def test_cli_json_records_match_oracle(monkeypatch, records):
     commands = set()
     for argv in sweep_argvs():
         stdout = io.StringIO()
@@ -228,3 +291,14 @@ def test_cli_json_records_match_oracle(monkeypatch):
         commands.add(argv[0])
     assert commands == {"tables", "scan", "galois", "classify"}
     assert len(records) == 3 + len(SCAN_SLICE) + len(REFUTE_SLICE) + 5
+
+
+def test_galois_json_record_with_shared_scans_matches_oracle(monkeypatch, records):
+    # many near-misses, and each order's ConjugateScan is shared by its near-misses
+    stdout = io.StringIO()
+    monkeypatch.setattr("sys.stdout", stdout)
+    assert main(["galois", "--m", "8", "--n", "11", "--max-l", "120", "--format", "json"]) == 0
+    near = records[0]["results"]["near_misses"]
+    assert len(near) == 148
+    assert len({id(t.conjugates) for t in near}) < len(near)
+    assert stdout.getvalue() == oracle_text(records[0]) + "\n"

@@ -24,8 +24,9 @@ from chtriangle.criteria import (
     word_3132_analysis,
     word_order_cos_window,
 )
+from chtriangle.cyclotomic import refute_finite_order
 from chtriangle.heisenberg import shimizu_violation
-from chtriangle.triangles import build_n_inf_inf
+from chtriangle.triangles import TriangleType, build_mn_inf, build_n_inf_inf
 from helpers import make_rng, scan_intervals_oracle
 
 INF = math.inf
@@ -471,3 +472,35 @@ def test_point_criteria_traces_equal_the_closed_forms():
         assert report.regular_elliptic.trace == trace_word_123(m, n, 0.3)
     report = nondiscreteness_report(INF, 7, 0.3)
     assert report.word_3132.trace == trace_word_3132(7, math.cos(0.3))
+
+
+HUGE = 8 * 10**400  # above the largest float: pi/HUGE has no float value
+
+
+@pytest.mark.parametrize("name, call", [
+    ("m", lambda: scan_intervals("re", HUGE, 11)),
+    ("n", lambda: scan_intervals("shimizu", INF, HUGE)),
+    ("n", lambda: nondiscreteness_report(8, HUGE, 0.3)),
+    ("m", lambda: refute_finite_order(HUGE, 11)),
+    ("n", lambda: refute_finite_order(8, HUGE)),
+    ("n", lambda: build_mn_inf(8, HUGE, 0.3)),
+    ("n", lambda: build_n_inf_inf(HUGE, 0.3)),
+    ("m", lambda: TriangleType(HUGE, 7, 0.3)),
+    ("m", lambda: trace_word_123(HUGE, 7, 0.3)),
+    ("n", lambda: trace_word_3132(HUGE, 0.3)),
+    ("n", lambda: word_3132_analysis(HUGE, 0.5)),
+    ("n", lambda: order_k_locus(HUGE, 5)),
+    ("k", lambda: order_k_locus(7, HUGE)),
+], ids=["scan_intervals", "scan_intervals-inf", "nondiscreteness_report", "refute-m", "refute-n",
+        "build_mn_inf", "build_n_inf_inf", "TriangleType", "trace_word_123", "trace_word_3132",
+        "word_3132_analysis", "order_k_locus-n", "order_k_locus-k"])
+def test_orders_too_large_for_a_float_are_refused(name, call):
+    # each used to raise OverflowError from cos(pi/order)
+    with pytest.raises(ValueError, match=f"^{name} is too large for a float; pass inf"):
+        call()
+
+
+def test_orders_up_to_the_largest_float_are_accepted():
+    big = 10**300
+    assert order_k_locus(7, big) == order_k_locus(7, INF)
+    assert scan_intervals("re", big, 11).intervals == scan_intervals("re", INF, 11).intervals
