@@ -35,20 +35,15 @@ _EXPORTS = {
         "euler_phi", "phi_inequality", "refute_finite_order", "trace_circle_rightmost",
     ),
     "heisenberg": (
-        "ExtendedPoint", "HeisenbergPoint", "IsometricSphere", "boundary_action",
-        "cygan_distance", "cygan_distance_ext", "heis_inverse", "heis_mul", "heis_norm",
-        "heisenberg_translation", "isometric_sphere", "shimizu_violation",
-        "translation_length",
+        "HeisenbergPoint", "IsometricSphere", "boundary_action", "cygan_distance",
+        "heis_inverse", "heis_mul", "heis_norm", "heisenberg_translation",
+        "isometric_sphere", "shimizu_violation",
     ),
     "linalg": (
-        "INFINITY", "bergman_distance", "cvector", "form_inverse", "hermitian_form",
-        "involution_from_polar", "is_unitary_for_form", "normalize_to_su", "psi",
-        "vector_type", "z_chain_polar", "zr_chain_polar",
+        "INFINITY", "cvector", "form_inverse", "hermitian_form", "involution_from_polar",
+        "is_unitary_for_form", "normalize_to_su", "psi",
     ),
-    "triangles": (
-        "TriangleGroup", "TriangleType", "angular_invariant", "build_mn_inf",
-        "build_n_inf_inf", "parameter_t",
-    ),
+    "triangles": ("TriangleGroup", "TriangleType", "build_mn_inf", "build_n_inf_inf"),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 

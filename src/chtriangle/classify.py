@@ -44,11 +44,6 @@ def trace(M) -> complex:
     return _trace(np.asarray(M, dtype=complex).tolist())
 
 
-def second_invariant(M) -> complex:
-    """Sum of the principal 2x2 minors (second characteristic coefficient)."""
-    return _second_invariant(np.asarray(M, dtype=complex).tolist())
-
-
 def _trace(a) -> complex:
     """Trace of a matrix given as nested lists, summed left to right as
     np.trace sums."""

@@ -1,4 +1,4 @@
-"""Heisenberg group, Cygan metric and Ford isometric spheres.
+"""Heisenberg group, Cygan metric, Ford isometric spheres and Shimizu's lemma.
 
 The punctured boundary of the complex hyperbolic plane is the Heisenberg
 group: C x R with the twisted product
@@ -6,7 +6,10 @@ group: C x R with the twisted product
     (xi1, v1) * (xi2, v2) = (xi1 + xi2, v1 + v2 + 2 Im(xi1 conj(xi2))).
 
 The Cygan metric is induced by the gauge |(xi, v)| = ||xi|^2 - iv|^(1/2).
-Matrices act on the boundary through the horospherical lift psi.
+Matrices act on the boundary through the horospherical lift psi.  The
+boundary action, the isometric sphere and the translation read off a
+Heisenberg translation matrix are what the Shimizu certificate
+`shimizu_violation` needs.
 """
 
 import math
@@ -37,19 +40,6 @@ class HeisenbergPoint:
 
     xi: complex
     v: float
-
-
-@dataclass(frozen=True)
-class ExtendedPoint:
-    """Horospherical point (xi, v, u) with height u >= 0."""
-
-    xi: complex
-    v: float
-    u: float
-
-    def __post_init__(self):
-        if not self.u >= 0:
-            raise ValueError("horospherical height u must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -84,20 +74,6 @@ def cygan_distance(p: HeisenbergPoint, q: HeisenbergPoint) -> float:
     return heis_norm(heis_mul(heis_inverse(p), q))
 
 
-def cygan_distance_ext(p: ExtendedPoint, q: ExtendedPoint) -> float:
-    """Cygan distance extended to horospherical points by the |u1 - u2|
-    term inside the gauge."""
-    xi1, xi2 = complex(p.xi), complex(q.xi)
-    inner = (
-        abs(xi1 - xi2) ** 2
-        + abs(p.u - q.u)
-        - 1j * p.v
-        + 1j * q.v
-        - 2j * (xi1 * xi2.conjugate()).imag
-    )
-    return abs(inner) ** 0.5
-
-
 def _form_preserving(M, name: str) -> np.ndarray:
     """M as a complex array, after the one form-preservation check of a
     public call; the message names the function that checks it."""
@@ -129,11 +105,6 @@ def boundary_action(M, point):
     INFINITY rather than raising.
     """
     return _act(_form_preserving(M, "boundary_action"), point)
-
-
-def fixes_infinity(M) -> bool:
-    """True when M carries the distinguished boundary point to itself."""
-    return boundary_action(M, INFINITY) is INFINITY
 
 
 def heisenberg_translation(xi, v) -> np.ndarray:
@@ -177,15 +148,6 @@ def translation_of(M) -> HeisenbergPoint:
     translation on probe points.
     """
     return _translation(_form_preserving(M, "boundary_action"))
-
-
-def translation_length(M, z: HeisenbergPoint) -> float:
-    """Cygan displacement of an infinity-fixing isometry at z."""
-    M = _form_preserving(M, "boundary_action")
-    if _act(M, INFINITY) is not INFINITY:
-        raise ValueError("translation_length needs a map fixing infinity")
-    image = _act(M, z)
-    return cygan_distance(image, z)
 
 
 def _isometric_sphere(h: np.ndarray) -> IsometricSphere:

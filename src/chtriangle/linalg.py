@@ -10,11 +10,14 @@ the complex hyperbolic plane are projectivised negative vectors; boundary
 points are projectivised null vectors.  Nothing here normalises vectors
 automatically: every operation is written to be projective-scale invariant.
 
+This module holds what the group builders and the boundary geometry
+read: the form, the horospherical lift psi, the complex reflection in a
+polar vector, the SU(2,1) normalisation and the form inverse.
+
 All functions are pure; values can be shared freely across threads.
 """
 
 import cmath
-import math
 
 import numpy as np
 
@@ -25,7 +28,7 @@ _MINUS_IDENTITY.flags.writeable = False
 
 # max-entry tolerance for M* J M = J and |det - 1|
 UNITARITY_TOL = 1e-10
-# relative band around <z,z> = 0 that is classified as null
+# relative band around <p,p> = 0 inside which a polar vector is not positive
 NULL_BAND = 1e-12
 
 
@@ -62,58 +65,26 @@ def hermitian_form(z, w) -> complex:
     return complex(np.sum(FORM_SIGNS * z * np.conj(w)))
 
 
-def vector_type(z) -> str:
-    """Classify a nonzero vector as 'negative', 'null' or 'positive'.
-
-    A relative band of NULL_BAND around <z,z> = 0 is mapped to 'null' so
-    that exact boundary configurations survive rounding.
-    """
-    z = np.asarray(z, dtype=complex)
-    return _type_of_norm(hermitian_form(z, z).real, z)
-
-
-def _type_of_norm(q: float, z: np.ndarray) -> str:
-    """Type of the vector z whose squared norm <z,z> is q."""
-    scale = float(np.sum(np.abs(z) ** 2))
-    if scale == 0.0:
-        raise ValueError("zero vector has no type")
-    if abs(q) <= NULL_BAND * scale:
-        return "null"
-    return "negative" if q < 0 else "positive"
-
-
-def bergman_distance(x, y) -> float:
-    """Bergman distance between the points spanned by two negative vectors.
-
-    cosh^2(rho/2) = <x,y><y,x> / (<x,x><y,y>); the result does not depend
-    on the choice of lifts.
-    """
-    if vector_type(x) != "negative" or vector_type(y) != "negative":
-        raise ValueError("bergman_distance needs negative vectors")
-    num = (hermitian_form(x, y) * hermitian_form(y, x)).real
-    den = (hermitian_form(x, x) * hermitian_form(y, y)).real
-    ratio = num / den
-    # ratio >= 1 up to rounding; clip so coincident points give 0 exactly
-    return 2.0 * math.acosh(math.sqrt(max(ratio, 1.0)))
-
-
 def psi(point) -> np.ndarray:
     """Lift horospherical coordinates (xi, v, u) to a projective vector.
 
-    Accepts the INFINITY marker, a (xi, v, u) triple, or any object with
-    .xi/.v (and optionally .u) attributes.  The distinguished point at
-    infinity lifts to (0, -1, 1); other lifts are null exactly when u = 0
-    and negative when u > 0.
+    Accepts the INFINITY marker, a (xi, v, u) triple, or a boundary point
+    with .xi/.v attributes, which lifts at height u = 0.  The distinguished
+    point at infinity lifts to (0, -1, 1); other lifts are null exactly
+    when u = 0 and negative when u > 0.  A NaN or negative height, and an
+    inf or NaN coordinate, are refused.
     """
     if point is INFINITY:
         return Q_INFINITY_LIFT.copy()
     if hasattr(point, "xi"):
-        xi, v, u = point.xi, point.v, getattr(point, "u", 0.0)
+        xi, v, u = point.xi, point.v, 0.0
     else:
         xi, v, u = point
     xi = complex(xi)
     if not u >= 0:
         raise ValueError("horospherical height u must be >= 0")
+    if not (cmath.isfinite(xi) and cmath.isfinite(v) and cmath.isfinite(u)):
+        raise ValueError("horospherical coordinates must be finite")
     r = abs(xi) ** 2
     return np.array(
         [xi, 0.5 * (1 - r - u + 1j * v), 0.5 * (1 + r + u - 1j * v)],
@@ -121,30 +92,24 @@ def psi(point) -> np.ndarray:
     )
 
 
-def z_chain_polar(z) -> np.ndarray:
-    """Polar vector of the vertical chain through (z, 0)."""
-    z = complex(z)
-    return np.array([1.0, -np.conj(z), np.conj(z)], dtype=complex)
-
-
-def zr_chain_polar(z: float, r: float) -> np.ndarray:
-    """Polar vector of the radius-r circle chain centred on the vertical
-    axis at height z."""
-    if not r > 0:
-        raise ValueError("chain radius must be positive")
-    w = 1j * z
-    return np.array([0.0, 1 + r * r + w, 1 - r * r - w], dtype=complex)
-
-
 def involution_from_polar(p) -> np.ndarray:
     """Complex reflection of order 2 fixing the geodesic polar to p.
 
     As a linear map: z -> -z + 2 <z,p>/<p,p> p.  The result preserves the
-    form and has determinant 1.
+    form and has determinant 1.  p must be a finite 3-vector with <p,p>
+    above the relative band NULL_BAND around 0, so the zero vector and
+    null and negative vectors are refused.
     """
     p = np.asarray(p, dtype=complex)
+    if p.shape != (3,):
+        raise ValueError("polar vector must have shape (3,)")
+    scale = float(np.sum(np.abs(p) ** 2))
+    # an inf or NaN entry leaves the squared norm inf or NaN, and so does
+    # an entry whose square is past the float range
+    if not cmath.isfinite(scale):
+        raise ValueError("polar vector must be finite")
     pp = hermitian_form(p, p).real
-    if _type_of_norm(pp, p) != "positive":
+    if not pp > NULL_BAND * scale:
         raise ValueError("polar vector must be positive")
     mat = _MINUS_IDENTITY + (2.0 / pp) * np.outer(p, FORM_SIGNS * np.conj(p))
     return normalize_to_su(mat)

@@ -1,10 +1,12 @@
 """Parametrised families of complex hyperbolic triangle groups.
 
 A triangle of complex geodesics with corner angles (pi/m, pi/n, 0) is
-pinned down, up to conjugation, by its angular invariant theta.  The
-builders here produce the standard normalised configuration: three polar
-vectors, the triangle vertices, and the three side involutions that
-generate the group.  Infinite corner orders are passed as math.inf.
+pinned down, up to conjugation, by its angular invariant theta, the
+argument of <p3,p2><p1,p3><p2,p1> for the polar vectors p1, p2, p3 of
+its sides.  The two builders here produce the standard normalised
+configuration: three polar vectors, the triangle vertices, and the three
+side involutions that generate the group.  Infinite corner orders are
+passed as math.inf.
 """
 
 import cmath
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed import _check_order, _check_theta, _plain_order, corner_cos, is_infinite
-from .linalg import cvector, hermitian_form, involution_from_polar
+from .linalg import cvector, involution_from_polar
 
 # rejects configurations where the second and third sides collapse
 DEGENERACY_TOL = 1e-14
@@ -142,22 +144,3 @@ def build_n_inf_inf(n: int, theta: float) -> TriangleGroup:
         vertices=(u1, u2, u3),
         involutions=(_I1, _I2_N_INF_INF, involution_from_polar(p3)),
     )
-
-
-def parameter_t(theta: float) -> float:
-    """Alternative deformation parameter t with cos(theta) = (t^2-1)/(t^2+1)."""
-    if not 0.0 < theta < math.pi:
-        raise ValueError("parameter_t needs theta strictly inside (0, pi)")
-    a = math.cos(theta)
-    return math.sqrt((1.0 + a) / (1.0 - a))
-
-
-def angular_invariant(p1, p2, p3) -> float:
-    """Angular invariant: arg of the cyclic product of the pairwise
-    Hermitian products of the polar vectors."""
-    prod = (
-        hermitian_form(p3, p2)
-        * hermitian_form(p1, p3)
-        * hermitian_form(p2, p1)
-    )
-    return math.atan2(prod.imag, prod.real)

@@ -73,19 +73,6 @@ def random_complex(rng, scale: float = 1.0) -> complex:
     return complex(rng.randn() * scale, rng.randn() * scale)
 
 
-def random_negative_vector(rng) -> np.ndarray:
-    """Random vector with <z, z> < 0, at a random projective scale."""
-    while True:
-        a = random_complex(rng, 0.4)
-        b = random_complex(rng, 0.4)
-        if abs(a) ** 2 + abs(b) ** 2 < 0.95:
-            break
-    lam = random_complex(rng)
-    if abs(lam) < 1e-3:
-        lam = 1.0 + 0j
-    return lam * np.array([a, b, 1.0], dtype=complex)
-
-
 def random_positive_vector(rng) -> np.ndarray:
     """Random vector with <z, z> > 0, kept away from the null cone so the
     reflection it defines is well conditioned."""
@@ -337,6 +324,13 @@ def involution_from_polar_oracle(p) -> np.ndarray:
     pp = hermitian_form(p, p).real
     mat = -np.eye(3, dtype=complex) + (2.0 / pp) * np.outer(p, FORM_SIGNS * np.conj(p))
     return normalize_to_su(mat)
+
+
+def angular_invariant_oracle(p1, p2, p3) -> float:
+    """Angular invariant of a triangle: the argument of the cyclic product
+    of the pairwise Hermitian products of its polar vectors."""
+    prod = hermitian_form(p3, p2) * hermitian_form(p1, p3) * hermitian_form(p2, p1)
+    return math.atan2(prod.imag, prod.real)
 
 
 def word_oracle(involutions, letters: str) -> np.ndarray:

@@ -7,18 +7,14 @@ import pytest
 from chtriangle.closed import corner_cos
 from chtriangle.heisenberg import (
     ORIGIN,
-    ExtendedPoint,
     HeisenbergPoint,
     boundary_action,
     cygan_distance,
-    cygan_distance_ext,
-    fixes_infinity,
     heis_inverse,
     heis_mul,
     heisenberg_translation,
     isometric_sphere,
     shimizu_violation,
-    translation_length,
     translation_of,
 )
 from chtriangle.linalg import INFINITY, form_inverse, is_unitary_for_form
@@ -77,39 +73,13 @@ def test_cygan_distance_left_invariance():
         )
 
 
-def test_extended_cygan_examples():
-    assert cygan_distance_ext(ExtendedPoint(0j, 0, 1), ExtendedPoint(0j, 0, 1)) == 0
-    assert cygan_distance_ext(ExtendedPoint(0j, 0, 1), ExtendedPoint(0j, 0, 0)) == pytest.approx(1)
-    assert cygan_distance_ext(ExtendedPoint(2j, 0, 0), ExtendedPoint(0j, 0, 0)) == pytest.approx(2)
-
-
-def test_extended_cygan_restricts_to_boundary_metric():
-    rng = make_rng(41)
-    for _ in range(100):
-        p, q = random_heisenberg_point(rng), random_heisenberg_point(rng)
-        assert cygan_distance_ext(
-            ExtendedPoint(p.xi, p.v, 0.0), ExtendedPoint(q.xi, q.v, 0.0)
-        ) == pytest.approx(cygan_distance(p, q), abs=1e-12)
-
-
-def test_extended_point_rejects_negative_height():
-    with pytest.raises(ValueError):
-        ExtendedPoint(0j, 0.0, -1.0)
-
-
-def test_extended_point_rejects_nan_height():
-    # the check used to be u < 0, which NaN passes
-    with pytest.raises(ValueError, match="^horospherical height u must be >= 0$"):
-        ExtendedPoint(0j, 0.0, math.nan)
-
-
 def test_point_objects_lift_through_psi():
     from chtriangle.linalg import hermitian_form, psi
 
     lift = psi(HeisenbergPoint(1 + 2j, 0.5))
     assert hermitian_form(lift, lift) == pytest.approx(0, abs=1e-12)
-    lift = psi(ExtendedPoint(1 + 2j, 0.5, 0.7))
-    assert hermitian_form(lift, lift).real == pytest.approx(-0.7, abs=1e-12)
+    # a boundary point lifts at height 0
+    assert lift.tobytes() == psi((1 + 2j, 0.5, 0.0)).tobytes()
 
 
 def test_boundary_action_identity_and_side_involutions():
@@ -138,7 +108,7 @@ def test_translation_matrix_acts_as_left_multiplication():
         t = random_heisenberg_point(rng)
         mat = heisenberg_translation(t.xi, t.v)
         assert is_unitary_for_form(mat)
-        assert fixes_infinity(mat)
+        assert boundary_action(mat, INFINITY) is INFINITY
         recovered = translation_of(mat)
         assert recovered.xi == pytest.approx(t.xi, abs=1e-10)
         assert recovered.v == pytest.approx(t.v, abs=1e-10)
@@ -153,24 +123,6 @@ def test_translation_of_rejects_a_rotation_fixing_infinity():
     # the rotation fixes infinity and the origin but moves the probe points
     with pytest.raises(ValueError, match="^not a Heisenberg translation$"):
         translation_of(np.diag([cmath.exp(0.5j), 1, 1]))
-
-
-def test_translation_length_examples():
-    rng = make_rng(53)
-    vertical = heisenberg_translation(0, 4.0)
-    for _ in range(10):
-        z = random_heisenberg_point(rng)
-        assert translation_length(vertical, z) == pytest.approx(2.0, abs=1e-10)
-    generic = heisenberg_translation(3 + 4j, -2.0)
-    assert translation_length(generic, ORIGIN) == pytest.approx(
-        abs(25 + 2j) ** 0.5, abs=1e-10
-    )
-
-
-def test_translation_length_needs_infinity_fixed():
-    group = build_mn_inf(8, 5, 0.9)
-    with pytest.raises(ValueError):
-        translation_length(group.involutions[0], ORIGIN)
 
 
 def test_isometric_sphere_of_first_involution():

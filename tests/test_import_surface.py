@@ -1,8 +1,11 @@
 """The import surface, each case in a fresh interpreter: the package and
 the commands that need no matrices load no numpy, the name `classify`
 stays the function, and every public name is its defining module's
-object."""
+object.  Also read from the source: every module-level import of the
+package is used."""
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -98,3 +101,36 @@ def test_public_names_are_their_defining_modules_objects():
         print(count)
     """)
     assert out == f"{len(chtriangle.__all__)}\n"
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by module-level imports of source that no expression
+    reads, in import order; `from __future__` imports are skipped."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_module_level_import_is_read():
+    assert unused_imports(
+        "import math, os.path\nfrom .linalg import hermitian_form as hf, psi\n"
+        "from __future__ import annotations\nos.sep\npsi(hf)\n"
+    ) == ["math"]
+    assert unused_imports("import math\nfrom .linalg import cvector, hermitian_form\n"
+                          "def f():\n    return math.pi * cvector(0, 1, 0)\n") == ["hermitian_form"]
+    paths = sorted(glob.glob(os.path.join(SRC, "chtriangle", "*.py")))
+    assert paths
+    unused = {}
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            names = unused_imports(handle.read())
+        if names:
+            unused[os.path.basename(path)] = names
+    assert unused == {}

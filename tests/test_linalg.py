@@ -7,7 +7,7 @@ import pytest
 from chtriangle.linalg import (
     FORM_MATRIX,
     INFINITY,
-    bergman_distance,
+    NULL_BAND,
     cvector,
     form_inverse,
     hermitian_form,
@@ -15,11 +15,8 @@ from chtriangle.linalg import (
     is_unitary_for_form,
     normalize_to_su,
     psi,
-    vector_type,
-    z_chain_polar,
-    zr_chain_polar,
 )
-from helpers import make_rng, random_negative_vector, random_positive_vector
+from helpers import involution_from_polar_oracle, make_rng, random_positive_vector
 
 
 def test_hermitian_form_basic_values():
@@ -44,56 +41,6 @@ def test_hermitian_form_is_sesquilinear():
         )
 
 
-def test_vector_type_examples():
-    assert vector_type(cvector(0, 0, 1)) == "negative"
-    assert vector_type(cvector(0, 1, -1)) == "null"
-    assert vector_type(cvector(1, -1, 1)) == "positive"
-
-
-def test_vector_type_rejects_zero():
-    with pytest.raises(ValueError):
-        vector_type(cvector(0, 0, 0))
-
-
-def test_bergman_distance_coincident_points():
-    x = cvector(0, 0, 1)
-    assert bergman_distance(x, x) == 0.0
-
-
-def test_bergman_distance_hand_value():
-    # cosh^2(rho/2) = 1/(1 - 0.36) = 1.5625, so rho = 2 log 2
-    x = cvector(0, 0, 1)
-    y = cvector(0.6, 0, 1)
-    assert bergman_distance(x, y) == pytest.approx(2 * math.log(2), abs=1e-12)
-
-
-def test_bergman_distance_projective_invariance():
-    x = cvector(0, 0, 1)
-    assert bergman_distance(x, (2 + 1j) * x) == 0.0
-    y = cvector(0.6, 0, 1)
-    d = bergman_distance(x, y)
-    assert bergman_distance((3 - 2j) * x, (0.1 + 7j) * y) == pytest.approx(d, abs=1e-12)
-
-
-def test_bergman_distance_contracts_on_random_pairs():
-    rng = make_rng(5)
-    for _ in range(100):
-        x = random_negative_vector(rng)
-        y = random_negative_vector(rng)
-        d = bergman_distance(x, y)
-        assert d >= 0
-        assert bergman_distance(y, x) == pytest.approx(d, abs=1e-10)
-        lam = complex(rng.randn(), rng.randn()) or 1.0
-        assert bergman_distance(lam * x, y) == pytest.approx(d, abs=1e-10)
-
-
-def test_bergman_distance_rejects_nonnegative_vectors():
-    with pytest.raises(ValueError):
-        bergman_distance(cvector(0, 1, 0), cvector(0, 0, 1))
-    with pytest.raises(ValueError):
-        bergman_distance(cvector(0, 0, 1), cvector(0, 1, -1))
-
-
 def test_psi_special_points():
     np.testing.assert_allclose(psi(INFINITY), [0, -1, 1])
     assert repr(INFINITY) == "infinity"
@@ -111,10 +58,11 @@ def test_psi_rejects_nan_height():
         psi((0, 0, math.nan))
 
 
-def test_zr_chain_polar_rejects_nan_and_nonpositive_radius():
-    for r in (math.nan, 0.0, -1.0):
-        with pytest.raises(ValueError, match="^chain radius must be positive$"):
-            zr_chain_polar(0.5, r)
+def test_psi_rejects_non_finite_coordinates():
+    for point in ((0, 0, math.inf), (math.inf, 0, 0), (complex(0, math.nan), 0, 0),
+                  (0, -math.inf, 0), (0, math.nan, 0.5), (1j, 2.0, math.inf)):
+        with pytest.raises(ValueError, match="^horospherical coordinates must be finite$"):
+            psi(point)
 
 
 def test_psi_norm_tracks_height():
@@ -122,31 +70,14 @@ def test_psi_norm_tracks_height():
     for _ in range(50):
         xi = complex(rng.randn(), rng.randn())
         v = float(rng.randn())
-        assert vector_type(psi((xi, v, 0.0))) == "null"
+        # null: <z,z> inside the relative band around 0
+        lift = psi((xi, v, 0.0))
+        scale = float(np.sum(np.abs(lift) ** 2))
+        assert abs(hermitian_form(lift, lift).real) <= NULL_BAND * scale
         u = float(rng.uniform(0.1, 3.0))
         lift = psi((xi, v, u))
-        assert vector_type(lift) == "negative"
+        assert hermitian_form(lift, lift).real < 0
         assert hermitian_form(lift, lift).real == pytest.approx(-u, abs=1e-12)
-
-
-def test_chain_polar_values():
-    np.testing.assert_allclose(z_chain_polar(math.cos(math.pi / 3)), [1, -0.5, 0.5])
-    np.testing.assert_allclose(zr_chain_polar(0, 1), [0, 2, 0])
-    np.testing.assert_allclose(zr_chain_polar(1, 1), [0, 2 + 1j, -1j])
-
-
-def test_chain_polar_vectors_are_positive():
-    rng = make_rng(3)
-    for _ in range(25):
-        assert vector_type(z_chain_polar(complex(rng.randn(), rng.randn()))) == "positive"
-        assert vector_type(zr_chain_polar(rng.randn(), rng.uniform(0.1, 4))) == "positive"
-
-
-def test_chain_polar_rejects_nonpositive_radius():
-    with pytest.raises(ValueError):
-        zr_chain_polar(0.0, 0.0)
-    with pytest.raises(ValueError):
-        zr_chain_polar(0.0, -1.0)
 
 
 def test_involution_of_axis_chain():
@@ -196,10 +127,52 @@ def test_involution_properties_on_random_polars():
 
 
 def test_involution_rejects_nonpositive_polar():
-    with pytest.raises(ValueError):
-        involution_from_polar(cvector(0, 0, 1))
-    with pytest.raises(ValueError):
-        involution_from_polar(cvector(0, 1, -1))
+    for p in (cvector(0, 0, 1), cvector(0, 1, -1), cvector(0, 0, 0)):
+        with pytest.raises(ValueError, match="^polar vector must be positive$"):
+            involution_from_polar(p)
+
+
+def test_involution_rejects_polars_not_of_shape_3():
+    # unchecked, a shape (1,) vector broadcasts against the form into a
+    # form-preserving 3x3 matrix
+    for p in ([2.0], [1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [[0.0, 1.0, 0.0]], 1.0):
+        with pytest.raises(ValueError, match=r"^polar vector must have shape \(3,\)$"):
+            involution_from_polar(p)
+
+
+def test_involution_rejects_non_finite_polars():
+    # unchecked, each gives an all-NaN matrix
+    for bad in (math.nan, math.inf, -math.inf, complex(0, math.inf), complex(math.nan, 1)):
+        for i in range(3):
+            p = [1.0, 2.0, 0.5]
+            p[i] = bad
+            with pytest.raises(ValueError, match="^polar vector must be finite$"):
+                involution_from_polar(p)
+
+
+def test_involution_refuses_what_the_oracle_refuses_near_the_null_cone():
+    # positivity decided by one comparison against the relative band, as
+    # the oracle decides it through the vector's type; accepted polars
+    # give the oracle's bits.  A polar this close to the cone gives an
+    # ill-conditioned matrix, whose determinant can round to 0
+    rng = make_rng(13)
+    refused = 0
+    for _ in range(400):
+        xi = complex(rng.randn(), rng.randn())
+        null = psi((xi, float(rng.randn()), 0.0)) * complex(rng.randn(), rng.randn())
+        scale = float(np.sum(np.abs(null) ** 2))
+        p = null + rng.uniform(-3, 3) * NULL_BAND * scale * cvector(0, 1, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            try:
+                want = involution_from_polar_oracle(p)
+            except ValueError as exc:
+                refused += 1
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    involution_from_polar(p)
+            else:
+                assert involution_from_polar(p).tobytes() == want.tobytes()
+    # the draws straddle the band
+    assert 0 < refused < 400
 
 
 def test_is_unitary_for_form_examples():

@@ -13,22 +13,19 @@ import chtriangle
 from chtriangle.cli import build_parser, main
 
 PUBLIC_NAMES = [
-    "CandidateTrace", "Classification", "CyclotomicInt", "ExtendedPoint",
-    "HeisenbergPoint", "INFINITY", "IsometricSphere", "IsometryClass",
-    "NondiscretenessReport", "RefutationReport", "ScanResult", "TableResult",
-    "TriangleGroup", "TriangleType", "angular_invariant", "bergman_distance",
-    "boundary_action", "build_mn_inf", "build_n_inf_inf", "circle_condition",
-    "classify", "criteria", "cvector", "cyclotomic", "cygan_distance",
-    "cygan_distance_ext", "discriminant", "euler_phi", "form_inverse",
-    "heis_inverse", "heis_mul", "heis_norm", "heisenberg",
+    "CandidateTrace", "Classification", "CyclotomicInt", "HeisenbergPoint", "INFINITY",
+    "IsometricSphere", "IsometryClass", "NondiscretenessReport", "RefutationReport",
+    "ScanResult", "TableResult", "TriangleGroup", "TriangleType", "boundary_action",
+    "build_mn_inf", "build_n_inf_inf", "circle_condition", "classify", "criteria",
+    "cvector", "cyclotomic", "cygan_distance", "discriminant", "euler_phi",
+    "form_inverse", "heis_inverse", "heis_mul", "heis_norm", "heisenberg",
     "heisenberg_translation", "hermitian_form", "involution_from_polar",
     "is_unitary_for_form", "isometric_sphere", "jorgensen_condition", "linalg",
-    "nondiscreteness_report", "normalize_to_su", "order_k_locus", "parameter_t",
-    "phi_inequality", "psi", "refute_finite_order", "regular_elliptic_criterion",
-    "reproduce_table", "scan_intervals", "shimizu_condition", "shimizu_violation",
-    "trace", "trace_circle_rightmost", "trace_word_123", "trace_word_3132",
-    "translation_length", "triangles", "vector_type", "word_3132_analysis",
-    "word_order_cos_window", "z_chain_polar", "zr_chain_polar",
+    "nondiscreteness_report", "normalize_to_su", "order_k_locus", "phi_inequality",
+    "psi", "refute_finite_order", "regular_elliptic_criterion", "reproduce_table",
+    "scan_intervals", "shimizu_condition", "shimizu_violation", "trace",
+    "trace_circle_rightmost", "trace_word_123", "trace_word_3132", "triangles",
+    "word_3132_analysis", "word_order_cos_window",
 ]
 
 #: option strings of each subcommand in definition order; a positional
