@@ -14,9 +14,10 @@ fields in order, complex numbers as {"real", "imag"}, enums as values,
 and non-finite floats as the strings "inf", "-inf" and "nan".  The
 writer walks a record once: it dispatches on each value's exact type,
 reads a dataclass's field keys from a table built once per type, and
-appends every piece to one list that is joined at the end.  A value of
-any other type (numpy.float64, an IntEnum member, a namedtuple) is first
-mapped by an isinstance chain to the exact type it is written as.
+appends every piece to one list that is joined at the end.  It writes
+values of exact types only (dict keys are str), dataclass instances, and
+enum members as their values; it refuses any other value with TypeError,
+a subclass such as numpy.float64 or a namedtuple included.
 """
 
 import argparse
@@ -111,7 +112,7 @@ def _json(value, pad: str = "") -> str:
 
 
 def _write(value, pad: str, put) -> None:
-    cls = type(value)  # exact types only; any other goes through _exact
+    cls = type(value)  # exact types only; a dataclass or enum goes through _exact
     if cls is float:
         put(float.__repr__(value) if math.isfinite(value) else _json_str(_fmt(value)))
     elif cls is int:
@@ -144,7 +145,7 @@ def _write(value, pad: str, put) -> None:
                 value = {"real": value.real, "imag": value.imag}
             for k, v in value.items():
                 put(sep)
-                put(_json_str(k if type(k) is str else str(k)) + ": ")
+                put(_json_str(k) + ": ")
                 _write(v, inner, put)
                 sep = comma
         else:
@@ -153,25 +154,12 @@ def _write(value, pad: str, put) -> None:
 
 
 def _exact(value):
-    """value as a type _write dispatches on, picked by isinstance in the
-    order int, str, float, complex, dataclass, dict, list or tuple, enum:
-    numpy.float64 as a float, an IntEnum member as an int; else TypeError."""
-    if isinstance(value, int):
-        return int.__int__(value)
-    if isinstance(value, str):
-        return str.__str__(value)
-    if isinstance(value, float):
-        return float.__float__(value)
-    if isinstance(value, complex):
-        return complex(value.real, value.imag)
+    """A dataclass instance, with its type's field keys filed, or an enum
+    member's value; else TypeError."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         fields = dataclasses.fields(value)
         _FIELD_KEYS[type(value)] = tuple((f.name, _json_str(f.name) + ": ") for f in fields)
         return value
-    if isinstance(value, dict):
-        return dict(value.items())
-    if isinstance(value, (list, tuple)):
-        return list(value)
     if isinstance(value, enum.Enum):
         return value.value
     raise TypeError(f"no JSON form for {type(value).__name__}")

@@ -56,10 +56,6 @@ TABLE_COLUMNS = {
 # roots this close to each other or to -1 and 1 merge in a scan, so an
 # interval reaching a = 1 ends at exactly 1.0
 MERGE_TOL = 1e-10
-# a root of the re scan's cubic counts as a breakpoint when its imaginary
-# part is at most this; a spurious breakpoint only splits a piece of
-# constant sign
-_IMAG_TOL = 1e-6
 # a within this of an end of the word 3132's elliptic range takes its class
 WORD_3132_BOUNDARY_TOL = 1e-12
 
@@ -201,8 +197,8 @@ _VALUE_FUNCTIONS = {
 
 
 def _breakpoints(test, m, n):
-    """Real roots of a polynomial in a that vanishes wherever the test's
-    defining function does."""
+    """Breakpoint candidates: every real root of a polynomial in a that
+    vanishes wherever the test's defining function does, and maybe more."""
     s1 = corner_cos(n)
     s2 = corner_cos(m)
     if test == "jorgensen":
@@ -213,16 +209,14 @@ def _breakpoints(test, m, n):
     if test == "shimizu":
         # u^2 + 4 v^2 - (1/4 - 4u)^2 with u = alpha - beta a, 4 v^2 = beta^2 (1 - a^2);
         # q1 > 0 for orders >= 3, so this form of the root formula does not
-        # cancel; with no real root the function keeps one sign on [-1, 1]
+        # cancel; a complex pair (discriminant read as 0) gives its real part
+        # and one more point, extra breakpoints that split a piece of one sign
         alpha = s1 * s1 + s2 * s2
         beta = 2.0 * s1 * s2
         q2 = -16.0 * beta * beta
         q1 = beta * (30.0 * alpha - 2.0)
         q0 = beta * beta - 15.0 * alpha * alpha + 2.0 * alpha - 0.0625
-        disc = q1 * q1 - 4.0 * q2 * q0
-        if disc < 0.0:
-            return []
-        q = -0.5 * (q1 + math.sqrt(disc))
+        q = -0.5 * (q1 + math.sqrt(max(q1 * q1 - 4.0 * q2 * q0, 0.0)))
         return [q / q2, q0 / q]
     # f = |tau|^4 - 8 Re tau^3 + 18 |tau|^2 - 27 with |tau|^2 = c^2 + R^2 + 2cRa
     # and Re tau^3 = c^3 + 3c^2 R a + 3c R^2 (2a^2 - 1) + R^3 (4a^3 - 3a)
@@ -233,10 +227,8 @@ def _breakpoints(test, m, n):
     p0 = (c * c + r * r) ** 2 - 8.0 * c**3 + 24.0 * c * r * r + 18.0 * (c * c + r * r) - 27.0
     roots = []
     for z in cubic_roots(-p2 / p3, p1 / p3, -p0 / p3):
-        if abs(z.imag) > _IMAG_TOL:
-            continue
-        # Newton steps on the defining function: the monomial coefficients
-        # cancel near a = 1, leaving roots off by up to 2e-10 at m = inf
+        # Newton steps from the real part, a complex root's too: the monomial
+        # coefficients cancel near a = 1, leaving roots off by up to 2e-10 at m = inf
         a = min(1.0, max(-1.0, z.real))
         for _ in range(3):
             slope = (3.0 * p3 * a + 2.0 * p2) * a + p1
@@ -250,13 +242,15 @@ def _breakpoints(test, m, n):
 def scan_intervals(test: str, m, n) -> ScanResult:
     """Find all maximal intervals of a in [-1, 1] where a criterion fires.
 
-    The breakpoints are the real roots of a polynomial that vanishes at
-    every zero of the defining function: the discriminant of tr(123) is a
-    cubic in a, Jorgensen has two linear branches, and Shimizu squared
-    under its sign condition is a quadratic.  Roots closer than MERGE_TOL
-    to each other or to -1 and 1 merge, so an interval narrower than that
-    is not reported.  Each piece between breakpoints takes the sign of the
-    defining function at its midpoint, and negative pieces join.  The
+    The breakpoints are the roots of a polynomial that vanishes at every
+    zero of the defining function: the discriminant of tr(123) is a cubic
+    in a, Jorgensen has two linear branches, and Shimizu squared under its
+    sign condition is a quadratic; each root's real part is a candidate,
+    a complex root's too.  Roots closer than MERGE_TOL to each other or to
+    -1 and 1 merge, so an interval narrower than that is not reported.
+    Each piece between breakpoints takes the sign of the defining function
+    at its midpoint, and negative pieces join, so an extra breakpoint only
+    splits a piece of one sign: it is harmless.  The
     result's tol reports MERGE_TOL, not an endpoint error: each endpoint
     is a root itself.  For "re" the scan and regular_elliptic_criterion
     agree one way only: where the criterion fires the scan contains a,

@@ -59,9 +59,11 @@ def cvector(z1, z2, z3) -> np.ndarray:
 
 
 def hermitian_form(z, w) -> complex:
-    """Signature-(2,1) Hermitian product <z, w>."""
+    """Signature-(2,1) Hermitian product <z, w> of two shape-(3,) vectors."""
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
+    if z.shape != (3,) or w.shape != (3,):
+        raise ValueError("hermitian_form needs two vectors of shape (3,)")
     return complex(np.sum(FORM_SIGNS * z * np.conj(w)))
 
 
@@ -71,8 +73,9 @@ def psi(point) -> np.ndarray:
     Accepts the INFINITY marker, a (xi, v, u) triple, or a boundary point
     with .xi/.v attributes, which lifts at height u = 0.  The distinguished
     point at infinity lifts to (0, -1, 1); other lifts are null exactly
-    when u = 0 and negative when u > 0.  A NaN or negative height, and an
-    inf or NaN coordinate, are refused.
+    when u = 0 and negative when u > 0.  A NaN or negative height, an inf
+    or NaN coordinate, and coordinates too large for a finite lift are
+    refused.
     """
     if point is INFINITY:
         return Q_INFINITY_LIFT.copy()
@@ -85,11 +88,15 @@ def psi(point) -> np.ndarray:
         raise ValueError("horospherical height u must be >= 0")
     if not (cmath.isfinite(xi) and cmath.isfinite(v) and cmath.isfinite(u)):
         raise ValueError("horospherical coordinates must be finite")
-    r = abs(xi) ** 2
-    return np.array(
-        [xi, 0.5 * (1 - r - u + 1j * v), 0.5 * (1 + r + u - 1j * v)],
-        dtype=complex,
-    )
+    try:
+        r = abs(xi) ** 2
+    except OverflowError:
+        r = cmath.inf
+    z2 = 0.5 * (1 - r - u + 1j * v)
+    z3 = 0.5 * (1 + r + u - 1j * v)
+    if not (cmath.isfinite(z2) and cmath.isfinite(z3)):
+        raise ValueError("horospherical coordinates too large for a finite lift")
+    return np.array([xi, z2, z3], dtype=complex)
 
 
 def involution_from_polar(p) -> np.ndarray:

@@ -1,6 +1,7 @@
 """The JSON writer of the CLI: cli._json must give, byte for byte, the text
 json.dumps gives for the record conversion in helpers.jsonable_oracle,
-on random nested values and on the records of the four commands."""
+on random nested values of the types it writes and on the records of the
+four commands, and refuse every other type."""
 
 import collections
 import dataclasses
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from chtriangle import cli
 from chtriangle.classify import classify
 from chtriangle.cli import _json, main
-from chtriangle.criteria import nondiscreteness_report, scan_intervals
+from chtriangle.criteria import SCAN_TESTS, nondiscreteness_report, scan_intervals
 from chtriangle.cyclotomic import refute_finite_order
 from chtriangle.triangles import TriangleType
 from helpers import jsonable_oracle
@@ -93,35 +94,20 @@ leaves = st.one_of(
     st.integers(min_value=-(2**200), max_value=2**200),
     floats,
     st.sampled_from([0.0, -0.0, INF, -INF, math.nan, 5e-324, 1e16, 1e-7]),
-    floats.map(Seconds),
-    floats.map(np.float64),
     st.sampled_from(Level),
     st.text(max_size=8),
-    st.text(max_size=8).map(Tag),
-    st.integers().map(Count),
     # finite parts only: the oracle leaves the parts unconverted, so
     # json.dumps refuses a non-finite one (see the layout examples)
     st.complex_numbers(allow_nan=False, allow_infinity=False),
 )
-# keys of distinct str forms, so the oracle's str(k) merges none
-keys = st.one_of(
-    st.text(max_size=8), st.text(max_size=8).map(Tag), st.integers(), st.booleans(), st.none()
-)
-
-
-def str_key(item):
-    return str(item[0])
 
 
 def containers(children):
-    items = st.lists(st.tuples(keys, children), max_size=5, unique_by=str_key)
+    items = st.dictionaries(st.text(max_size=8), children, max_size=5)
     return st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
-        st.lists(children, max_size=5).map(Row),
-        st.builds(Point, children, children),
-        items.map(dict),
-        items.map(collections.OrderedDict),
+        items,
         st.builds(Leaf, children),
         st.builds(Pair, children, children),
         st.builds(Other.Pair, children, children, children),
@@ -158,8 +144,7 @@ def test_json_matches_oracle(value):
         ({"a": ()}, '{\n  "a": []\n}'),
         (1 - 2j, '{\n  "real": 1.0,\n  "imag": -2.0\n}'),
         (complex(INF, math.nan), '{\n  "real": "inf",\n  "imag": "nan"\n}'),
-        (Pair(Level.HIGH, Seconds(0.5)), '{\n  "first": 2,\n  "second": 0.5\n}'),
-        (np.float64(0.5), "0.5"),
+        (Pair(Level.HIGH, 0.5), '{\n  "first": 2,\n  "second": 0.5\n}'),
     ],
 )
 def test_json_layout_examples(value, text):
@@ -171,10 +156,16 @@ def test_json_layout_examples(value, text):
     [
         np.int64(3), np.bool_(True), {1, 2}, object(), {"a": [np.int64(1)]},
         Leaf(np.bool_(False)), Leaf, [Pair], b"ab", {"a": b""},
+        np.float64(0.5), np.complex128(1j), Seconds(0.5), Count(3), Tag("a"),
+        Row([1]), Point(1, 2), collections.OrderedDict(a=1), [Leaf(Seconds(0.5))],
+        {1: 2}, {True: 2}, {None: 2},
     ],
     ids=[
         "np.int64", "np.bool_", "set", "object", "nested np.int64", "np.bool_ field",
         "dataclass class", "nested dataclass class", "bytes", "nested bytes",
+        "np.float64", "np.complex128", "float subclass", "int subclass", "str subclass",
+        "list subclass", "namedtuple", "OrderedDict", "nested float subclass",
+        "int key", "bool key", "None key",
     ],
 )
 def test_json_refuses_other_types(value):
@@ -302,3 +293,42 @@ def test_galois_json_record_with_shared_scans_matches_oracle(monkeypatch, record
     assert len(near) == 148
     assert len({id(t.conjugates) for t in near}) < len(near)
     assert stdout.getvalue() == oracle_text(records[0]) + "\n"
+
+
+# the types the writer takes as they are; a dataclass instance or an enum
+# member is checked apart, and a dict's keys must be exact str
+EXACT_TYPES = (float, int, str, type(None), bool, list, tuple, dict, complex)
+
+
+def _assert_exact_types(value, path="record"):
+    cls = type(value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for f in dataclasses.fields(value):
+            _assert_exact_types(getattr(value, f.name), f"{path}.{f.name}")
+    elif isinstance(value, enum.Enum):
+        _assert_exact_types(value.value, f"{path}.value")
+    else:
+        assert cls in EXACT_TYPES, (path, cls)
+        if cls is dict:
+            for k, v in value.items():
+                assert type(k) is str, (path, type(k))
+                _assert_exact_types(v, f"{path}[{k!r}]")
+        elif cls is list or cls is tuple:
+            for i, v in enumerate(value):
+                _assert_exact_types(v, f"{path}[{i}]")
+
+
+def test_cli_records_hold_exact_types(monkeypatch, records):
+    # the writer relies on this: it writes no subclass and no numpy scalar
+    argvs = [["tables", str(which)] for which in (1, 2, 3)]
+    argvs += [["scan", "--test", test, "--m", "8", "--n", "11"] for test in SCAN_TESTS]
+    argvs += [
+        ["galois", "--m", "8", "--n", "11", "--max-l", "120"],
+        ["classify", "--m", "8", "--n", "11", "--theta", "acos(-0.25)", "--word", "12312"],
+    ]
+    monkeypatch.setattr("sys.stdout", io.StringIO())
+    for argv in argvs:
+        assert main(argv + ["--format", "json"]) == 0
+    assert [r["command"] for r in records] == [argv[0] for argv in argvs]
+    for record in records:
+        _assert_exact_types(record)

@@ -212,6 +212,30 @@ def test_scan_matches_grid_oracle_property(test, m, n):
     _assert_scan_matches_oracle(test, m, n)
 
 
+orders = st.one_of(st.floats(3, 1e300), st.just(INF))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    test=st.sampled_from(SCAN_TESTS),
+    m=orders,
+    n=orders,
+    extra=st.lists(st.floats(-1, 1), max_size=6),
+)
+def test_extra_breakpoints_never_change_a_scan(test, m, n, extra):
+    # an extra breakpoint only splits a piece of one sign, so the scan
+    # stays byte-equal while it keeps clear of the merge distance of every
+    # true breakpoint and of -1 and 1
+    breakpoints = criteria._breakpoints
+    true = breakpoints(test, m, n) + [-1.0, 1.0]
+    extra = [x for x in extra if all(abs(x - b) > 2 * criteria.MERGE_TOL for b in true)]
+    want = scan_intervals(test, m, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(criteria, "_breakpoints", lambda *key: breakpoints(*key) + extra)
+        got = scan_intervals(test, m, n)
+    assert repr(got) == repr(want)
+
+
 def _defining_value_mp(test, m, n, a):
     """The three defining functions in mpmath arithmetic."""
     pi = mpmath.pi

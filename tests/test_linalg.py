@@ -25,6 +25,17 @@ def test_hermitian_form_basic_values():
     assert hermitian_form(cvector(0, 1, -1), cvector(0, 1, -1)) == 0
 
 
+@pytest.mark.parametrize(
+    "z, w",
+    [([2.0], [1, 0, 0]), ([[1, 0, 0]], [1, 0, 0]), ([1, 0, 0], [[1], [0], [0]]),
+     ([1, 0, 0, 0], [1, 0, 0, 0]), (1.0, 1.0), ([1, 0, 0], np.eye(3))],
+    ids=["(1,) vector", "(1, 3) row", "(3, 1) column", "two (4,) vectors", "scalars", "matrix"],
+)
+def test_hermitian_form_refuses_other_shapes(z, w):
+    with pytest.raises(ValueError, match=r"^hermitian_form needs two vectors of shape \(3,\)$"):
+        hermitian_form(z, w)
+
+
 def test_hermitian_form_is_sesquilinear():
     rng = make_rng(11)
     for _ in range(100):
@@ -63,6 +74,16 @@ def test_psi_rejects_non_finite_coordinates():
                   (0, -math.inf, 0), (0, math.nan, 0.5), (1j, 2.0, math.inf)):
         with pytest.raises(ValueError, match="^horospherical coordinates must be finite$"):
             psi(point)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(2e154, 0, 0), (1e200j, 0, 0), (1e154, 0, 1.7e308)],
+    ids=["|xi|^2 overflows", "imaginary xi", "1 + |xi|^2 + u overflows"],
+)
+def test_psi_refuses_coordinates_with_no_finite_lift(point):
+    with pytest.raises(ValueError, match="^horospherical coordinates too large for a finite lift$"):
+        psi(point)
 
 
 def test_psi_norm_tracks_height():

@@ -112,8 +112,9 @@ def test_every_survey_scan_equals_the_array_path_oracle(monkeypatch):
 def test_every_survey_shimizu_scan_equals_the_complex_sqrt_scan(monkeypatch):
     keys = [key for key in SURVEY_SPACE if key[0] == "shimizu"]
     got = [scan_intervals(*key) for key in keys]
-    # no real root: the quadratic's discriminant is negative
-    no_root = sum(not criteria._breakpoints(*key) for key in keys)
+    # no real root: the quadratic's discriminant is negative, so the former
+    # scan had no breakpoint and the present one two extra ones
+    no_root = sum(not shimizu_breakpoints_oracle(m, n) for _, m, n in keys)
     # the former scan: complex-sqrt breakpoints, np.abs midpoint signs
     breakpoints = criteria._breakpoints
     monkeypatch.setattr(
