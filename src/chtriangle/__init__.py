@@ -31,8 +31,8 @@ _EXPORTS = {
         "word_order_cos_window",
     ),
     "cyclotomic": (
-        "CandidateTrace", "CyclotomicInt", "RefutationReport", "circle_condition",
-        "euler_phi", "phi_inequality", "refute_finite_order", "trace_circle_rightmost",
+        "CandidateTrace", "CyclotomicInt", "RefutationReport", "euler_phi",
+        "phi_inequality", "refute_finite_order", "trace_circle_rightmost",
     ),
     "heisenberg": (
         "HeisenbergPoint", "IsometricSphere", "boundary_action", "cygan_distance",

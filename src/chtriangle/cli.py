@@ -144,6 +144,8 @@ def _write(value, pad: str, put) -> None:
             if cls is complex:
                 value = {"real": value.real, "imag": value.imag}
             for k, v in value.items():
+                if type(k) is not str:
+                    raise TypeError(f"no JSON key form for {type(k).__name__}")
                 put(sep)
                 put(_json_str(k) + ": ")
                 _write(v, inner, put)

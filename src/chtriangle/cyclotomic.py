@@ -1,4 +1,4 @@
-"""Exact cyclotomic arithmetic and the finite-order refutation engine.
+"""The finite-order refutation engine and its cyclotomic diagnostics.
 
 A trace of a finite-order regular elliptic product of three involutions
 would be a sum of three l-th roots of unity with exponents summing to
@@ -21,7 +21,10 @@ the canonical triples in closed form (for each (l, k1), k2 runs over two
 ranges, the exponent sums l and 2l) and the block's roots of unity, from
 which the traces are gathered.  The discriminant and circle filters run
 once over the whole block, and only survivors and near-misses become
-CandidateTrace objects.  Reports do not depend on the block size.
+CandidateTrace objects.  Reports do not depend on the block size.  The
+block's triples are the one canonical form of a candidate, and its table
+of roots of unity the one candidate value; CyclotomicInt, a sum of roots
+of unity evaluated as a float, serves the test oracles, not the engine.
 
 The conjugate scan is closed form.  The Galois map omega_N -> omega_N^k
 sends 2 cos(pi/n) to 2 cos(k pi/n) and fixes the integer 2 of an
@@ -40,7 +43,6 @@ a 2-vCPU Xeon virtual machine, refute_finite_order(8, 11) takes 0.02 s
 of CPU at max_l = 120, 0.24 s at 300, 1.3 s at 600 and 6.5 s at 900.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -49,7 +51,6 @@ import numpy as np
 from .closed import (
     EPS_DISCRIMINANT,
     _check_order,
-    _check_orders,
     _is_integer,
     _plain_order,
     _trace_123_circle,
@@ -70,16 +71,6 @@ def _check_positive_int(value, name: str):
     do not."""
     if not _is_integer(value) or value < 1:
         raise ValueError(f"{name} must be a positive integer")
-
-
-def _check_exponents(l, ks):
-    """Reject an order l that is not a positive integer and exponents
-    that are not three integers."""
-    _check_positive_int(l, "l")
-    if len(ks) != 3:
-        raise ValueError("a candidate has three exponents")
-    if not all(_is_integer(k) for k in ks):
-        raise ValueError("exponents must be integers")
 
 
 def euler_phi(d: int) -> int:
@@ -111,7 +102,9 @@ def phi_inequality(l: int, k1: int, k2: int, k3: int) -> PhiCheck:
     """Evaluate 1/phi(d1) + 1/phi(d2) + 1/phi(d3) > 1 with
     d_i = l / gcd(k_i, l), decided on integers: with p_i = phi(d_i) it
     reads p2 p3 + p1 p3 + p1 p2 > p1 p2 p3."""
-    _check_exponents(l, (k1, k2, k3))
+    _check_positive_int(l, "l")
+    if not all(_is_integer(k) for k in (k1, k2, k3)):
+        raise ValueError("exponents must be integers")
     d = tuple(l // math.gcd(k % l, l) for k in (k1, k2, k3))
     p1, p2, p3 = map(euler_phi, d)
     return PhiCheck(d=d, holds=p2 * p3 + p1 * p3 + p1 * p2 > p1 * p2 * p3)
@@ -121,9 +114,11 @@ class CyclotomicInt:
     """Element of Z[omega_N] as an integer coefficient vector mod N.
 
     coeffs[j] is the coefficient of omega_N^j = exp(2 pi i j / N).  The
-    representation works in Z[x]/(x^N - 1); it is not reduced modulo the
-    cyclotomic polynomial, which is irrelevant for evaluation and for the
-    Galois reindexing used here.
+    vector is not reduced modulo the cyclotomic polynomial, so two vectors
+    can name one number (1 + omega_3 + omega_3^2 is 0); the class has no
+    equality of numbers and no product.  It builds sums of roots of unity
+    and evaluates them and their Galois conjugates as floats: the test
+    oracles and the benchmark read it, the engine does not.
     """
 
     __slots__ = ("order", "coeffs")
@@ -153,68 +148,15 @@ class CyclotomicInt:
         """The rational integer t."""
         return cls.root(order, 0, t)
 
-    def _check_compatible(self, other):
+    def __add__(self, other):
         if not isinstance(other, CyclotomicInt) or other.order != self.order:
             raise ValueError("operands must share the same root order")
-
-    def __add__(self, other):
-        self._check_compatible(other)
         return CyclotomicInt(self.order, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return CyclotomicInt(self.order, self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return CyclotomicInt(self.order, -self.coeffs)
-
-    def __mul__(self, other):
-        if _is_integer(other):
-            return CyclotomicInt(self.order, self.coeffs * int(other))
-        self._check_compatible(other)
-        # cyclic convolution over the sparser support
-        a, b = self, other
-        if np.count_nonzero(b.coeffs) < np.count_nonzero(a.coeffs):
-            a, b = b, a
-        out = np.zeros(self.order, dtype=np.int64)
-        for j in np.nonzero(a.coeffs)[0]:
-            out += a.coeffs[j] * np.roll(b.coeffs, j)
-        return CyclotomicInt(self.order, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CyclotomicInt)
-            and other.order == self.order
-            and bool(np.array_equal(self.coeffs, other.coeffs))
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs.tobytes()))
 
     def __repr__(self):
         terms = [f"{int(c)}*w^{j}" for j, c in enumerate(self.coeffs) if c]
         body = " + ".join(terms) if terms else "0"
         return f"CyclotomicInt(N={self.order}: {body})"
-
-    def _check_unit(self, k):
-        """Reject a Galois index k that is not an integer coprime to N;
-        numpy integers count, bools do not."""
-        if not _is_integer(k) or math.gcd(k % self.order, self.order) != 1:
-            raise ValueError("galois automorphism index must be an integer coprime to N")
-
-    def galois(self, k: int) -> "CyclotomicInt":
-        """Galois image under omega_N -> omega_N^k; k must be coprime to N."""
-        self._check_unit(k)
-        out = np.zeros(self.order, dtype=np.int64)
-        support = np.nonzero(self.coeffs)[0]
-        np.add.at(out, (support * (k % self.order)) % self.order, self.coeffs[support])
-        return CyclotomicInt(self.order, out)
-
-    def conjugate(self) -> "CyclotomicInt":
-        """Complex conjugation: the Galois map with k = -1."""
-        return self.galois(-1)
 
     def evaluate(self) -> complex:
         """Numeric value sum_j c_j exp(2 pi i j / N), over the support only."""
@@ -222,8 +164,10 @@ class CyclotomicInt:
 
     def evaluate_conjugate(self, k: int) -> complex:
         """Numeric value of the Galois image under omega_N -> omega_N^k,
-        computed over the support without materialising the image."""
-        self._check_unit(k)
+        sum_j c_j exp(2 pi i (jk mod N) / N) over the support; k must be an
+        integer coprime to N (numpy integers count, bools do not)."""
+        if not _is_integer(k) or math.gcd(k % self.order, self.order) != 1:
+            raise ValueError("galois automorphism index must be an integer coprime to N")
         support = np.nonzero(self.coeffs)[0]
         phases = np.exp((2j * np.pi / self.order) * ((support * k) % self.order))
         return complex(np.sum(self.coeffs[support] * phases))
@@ -245,15 +189,6 @@ def _trace_circle_rightmost(s1, s2):
     return -4.0 * (abs(s1) - abs(s2)) ** 2 - 1.0
 
 
-def circle_condition(tau: complex, m, n) -> bool:
-    """True when tau lies on the trace circle of the (m, n) family to
-    absolute tolerance DEFAULT_CIRCLE_TOL.  The orders must be >= 3 or
-    infinite (NaN refused, non-integers accepted)."""
-    _check_orders(m, n)
-    c, radius = _trace_123_circle(m, n)
-    return abs(abs(tau - c) - radius) <= DEFAULT_CIRCLE_TOL
-
-
 @dataclass(frozen=True)
 class CandidateTrace:
     """Canonical candidate omega_l^k1 + omega_l^k2 + omega_l^k3 with
@@ -261,23 +196,6 @@ class CandidateTrace:
 
     l: int
     k: tuple
-
-    def value(self) -> complex:
-        w = 2j * math.pi / self.l
-        return sum(cmath.exp(w * k) for k in self.k)
-
-
-def canonical_candidate(l: int, ks) -> CandidateTrace:
-    """Sort the exponents mod l and divide out any common factor with l."""
-    _check_exponents(l, ks)
-    ks = sorted(k % l for k in ks)
-    if sum(ks) % l != 0:
-        raise ValueError("exponents must sum to 0 mod l")
-    g = math.gcd(math.gcd(ks[0], math.gcd(ks[1], ks[2])), l)
-    if g > 1:
-        l //= g
-        ks = sorted(k // g for k in ks)
-    return CandidateTrace(l=l, k=tuple(ks))
 
 
 # exponent triples per block of orders: a block's arrays then take about

@@ -18,6 +18,8 @@ All functions are pure; values can be shared freely across threads.
 """
 
 import cmath
+import math
+import sys
 
 import numpy as np
 
@@ -28,8 +30,12 @@ _MINUS_IDENTITY.flags.writeable = False
 
 # max-entry tolerance for M* J M = J and |det - 1|
 UNITARITY_TOL = 1e-10
-# relative band around <p,p> = 0 inside which a polar vector is not positive
-NULL_BAND = 1e-12
+# relative band around <p,p> = 0 inside which a polar vector is refused.
+# The reflection's entries reach 2 |p|^2 / <p,p>, and rounding leaves it a
+# form defect of about 4 eps (|p|^2 / <p,p>)^2, so at the band's edge the
+# defect is about UNITARITY_TOL / 4: every accepted polar gives a matrix
+# that is_unitary_for_form accepts
+NULL_BAND = 4.0 * math.sqrt(sys.float_info.epsilon / UNITARITY_TOL)
 
 
 class Infinity:
@@ -103,9 +109,10 @@ def involution_from_polar(p) -> np.ndarray:
     """Complex reflection of order 2 fixing the geodesic polar to p.
 
     As a linear map: z -> -z + 2 <z,p>/<p,p> p.  The result preserves the
-    form and has determinant 1.  p must be a finite 3-vector with <p,p>
-    above the relative band NULL_BAND around 0, so the zero vector and
-    null and negative vectors are refused.
+    form to UNITARITY_TOL and has determinant 1.  p must be a finite
+    3-vector with <p,p> above NULL_BAND |p|^2, so the zero vector, null and
+    negative vectors, and positive vectors too close to the null cone for
+    the rounded reflection to preserve the form are refused.
     """
     p = np.asarray(p, dtype=complex)
     if p.shape != (3,):
@@ -126,10 +133,13 @@ def normalize_to_su(M) -> np.ndarray:
     """Scale a form-unitary matrix so that det = 1.
 
     Divides by the cube root of the determinant whose argument lies in
-    (-pi/3, pi/3], i.e. the principal root.
+    (-pi/3, pi/3], i.e. the principal root.  A zero or non-finite
+    determinant is refused.
     """
     M = np.asarray(M, dtype=complex)
     d = complex(np.linalg.det(M))
+    if d == 0 or not cmath.isfinite(d):
+        raise ValueError("matrix must have a finite nonzero determinant")
     root = cmath.rect(abs(d) ** (1.0 / 3.0), cmath.phase(d) / 3.0)
     return M / root
 

@@ -101,9 +101,28 @@ def random_heisenberg_point(rng, scale: float = 1.0) -> HeisenbergPoint:
 
 
 # Scalar reference for the refutation engine: one CandidateTrace per
-# candidate from the nested enumeration loop, cand.value(), the scalar
-# discriminant and circle gap, and conjugate scans that evaluate the
-# CyclotomicInt corner cosines and traces at every unit k of the conductor.
+# candidate from the nested enumeration loop, its value as a cmath sum,
+# the scalar discriminant and circle gap, and conjugate scans that
+# evaluate the CyclotomicInt corner cosines and traces at every unit k of
+# the conductor.
+
+
+def canonical_candidate(l: int, ks) -> CandidateTrace:
+    """Sort the exponents mod l and divide out any common factor with l;
+    the exponents must sum to 0 mod l."""
+    ks = sorted(k % l for k in ks)
+    assert sum(ks) % l == 0, (l, ks)
+    g = math.gcd(math.gcd(ks[0], math.gcd(ks[1], ks[2])), l)
+    if g > 1:
+        l //= g
+        ks = sorted(k // g for k in ks)
+    return CandidateTrace(l=l, k=tuple(ks))
+
+
+def candidate_value(cand: CandidateTrace) -> complex:
+    """omega_l^k1 + omega_l^k2 + omega_l^k3, summed with cmath."""
+    w = 2j * math.pi / cand.l
+    return sum(cmath.exp(w * k) for k in cand.k)
 
 
 def enumerate_candidates_oracle(max_l: int):
@@ -225,7 +244,7 @@ def refute_finite_order_oracle(
     elliptic = 0
     for cand in enumerate_candidates_oracle(max_l):
         checked += 1
-        tau = cand.value()
+        tau = candidate_value(cand)
         if discriminant(tau) >= -1e-9:
             continue
         elliptic += 1

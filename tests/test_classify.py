@@ -179,7 +179,7 @@ def test_tolerances_take_no_per_call_keyword():
     # each tolerance is read at its decision from one module constant
     for fn in (classify, linalg.is_unitary_for_form, heisenberg.translation_of,
                heisenberg.shimizu_violation, criteria.word_3132_analysis,
-               cyclotomic.refute_finite_order, cyclotomic.circle_condition):
+               cyclotomic.refute_finite_order):
         params = set(inspect.signature(fn).parameters)
         assert not params & {"eps_f", "tol", "slack", "boundary_tol", "conductor_cap",
                              "circle_tol", "near_tol"}, fn

@@ -158,14 +158,14 @@ def test_json_layout_examples(value, text):
         Leaf(np.bool_(False)), Leaf, [Pair], b"ab", {"a": b""},
         np.float64(0.5), np.complex128(1j), Seconds(0.5), Count(3), Tag("a"),
         Row([1]), Point(1, 2), collections.OrderedDict(a=1), [Leaf(Seconds(0.5))],
-        {1: 2}, {True: 2}, {None: 2},
+        {1: 2}, {True: 2}, {None: 2}, {Tag("a"): 2},
     ],
     ids=[
         "np.int64", "np.bool_", "set", "object", "nested np.int64", "np.bool_ field",
         "dataclass class", "nested dataclass class", "bytes", "nested bytes",
         "np.float64", "np.complex128", "float subclass", "int subclass", "str subclass",
         "list subclass", "namedtuple", "OrderedDict", "nested float subclass",
-        "int key", "bool key", "None key",
+        "int key", "bool key", "None key", "str subclass key",
     ],
 )
 def test_json_refuses_other_types(value):

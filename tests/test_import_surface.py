@@ -2,7 +2,7 @@
 the commands that need no matrices load no numpy, the name `classify`
 stays the function, and every public name is its defining module's
 object.  Also read from the source: every module-level import of the
-package is used."""
+package is used, and so is every module-level private name."""
 
 import ast
 import glob
@@ -134,3 +134,54 @@ def test_every_module_level_import_is_read():
         if names:
             unused[os.path.basename(path)] = names
     assert unused == {}
+
+
+def _bound_names(node) -> list:
+    """Names a module-level statement binds by def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def unread_private_names(sources: dict) -> list:
+    """(file, name) for each module-level private name (one leading
+    underscore) bound by a def, class or assignment in sources that no
+    statement but its own reads, in file and definition order.  A read is
+    a loaded name, a loaded attribute or a name in an import, since every
+    import is itself read (test above)."""
+    defined = []
+    readers = {}
+    for path, source in sources.items():
+        for i, node in enumerate(ast.parse(source).body):
+            defined += [(path, name, i) for name in _bound_names(node)
+                        if name.startswith("_") and not name.startswith("__")]
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                    name = sub.attr
+                elif isinstance(sub, ast.alias):
+                    name = sub.name
+                else:
+                    continue
+                readers.setdefault(name, set()).add((path, i))
+    return [(path, name) for path, name, i in defined
+            if not readers.get(name, set()) - {(path, i)}]
+
+
+def test_every_module_level_private_name_is_read():
+    assert unread_private_names({
+        "a.py": "import math\n_A = 1\n_B: int = 2\n__all__ = []\nPUBLIC = 3\n"
+                "def _dead(n):\n    return _dead(n - 1) if n else _A\n"
+                "class _Used:\n    pass\n",
+        "b.py": "from a import _B as b\nimport a\na._Used\nb\n",
+    }) == [("a.py", "_dead")]
+    assert unread_private_names({"a.py": "def _f():\n    pass\nself._f = 1\n"}) == [("a.py", "_f")]
+    paths = sorted(glob.glob(os.path.join(SRC, "chtriangle", "*.py")))
+    assert paths
+    sources = {}
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            sources[os.path.basename(path)] = handle.read()
+    assert unread_private_names(sources) == []

@@ -91,10 +91,10 @@ def test_psi_norm_tracks_height():
     for _ in range(50):
         xi = complex(rng.randn(), rng.randn())
         v = float(rng.randn())
-        # null: <z,z> inside the relative band around 0
+        # null: <z,z> is 0 up to rounding
         lift = psi((xi, v, 0.0))
         scale = float(np.sum(np.abs(lift) ** 2))
-        assert abs(hermitian_form(lift, lift).real) <= NULL_BAND * scale
+        assert abs(hermitian_form(lift, lift).real) <= 1e-12 * scale
         u = float(rng.uniform(0.1, 3.0))
         lift = psi((xi, v, u))
         assert hermitian_form(lift, lift).real < 0
@@ -174,26 +174,57 @@ def test_involution_rejects_non_finite_polars():
 def test_involution_refuses_what_the_oracle_refuses_near_the_null_cone():
     # positivity decided by one comparison against the relative band, as
     # the oracle decides it through the vector's type; accepted polars
-    # give the oracle's bits.  A polar this close to the cone gives an
-    # ill-conditioned matrix, whose determinant can round to 0
+    # give the oracle's bits and preserve the form
     rng = make_rng(13)
     refused = 0
     for _ in range(400):
         xi = complex(rng.randn(), rng.randn())
         null = psi((xi, float(rng.randn()), 0.0)) * complex(rng.randn(), rng.randn())
         scale = float(np.sum(np.abs(null) ** 2))
-        p = null + rng.uniform(-3, 3) * NULL_BAND * scale * cvector(0, 1, 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            try:
-                want = involution_from_polar_oracle(p)
-            except ValueError as exc:
-                refused += 1
-                with pytest.raises(ValueError, match=f"^{exc}$"):
-                    involution_from_polar(p)
-            else:
-                assert involution_from_polar(p).tobytes() == want.tobytes()
+        p = null + rng.uniform(-3, 3) * NULL_BAND * math.sqrt(scale) * cvector(0, 1, 0)
+        try:
+            want = involution_from_polar_oracle(p)
+        except ValueError as exc:
+            refused += 1
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                involution_from_polar(p)
+        else:
+            got = involution_from_polar(p)
+            assert got.tobytes() == want.tobytes()
+            assert is_unitary_for_form(got)
     # the draws straddle the band
     assert 0 < refused < 400
+
+
+def test_involution_accepts_only_polars_whose_reflection_preserves_the_form():
+    # the lift of (0.3 + 0.2i, 0.7) pushed off the null cone along
+    # (0, 1, 0): with a band of 1e-12 every accepted polar up to k = 1e8
+    # failed the form check, and at some the determinant rounded to 0
+    null = psi((0.3 + 0.2j, 0.7, 0.0))
+    scale = float(np.sum(np.abs(null) ** 2))
+    accepted = []
+    for k in np.geomspace(1.16, 1e11, 400):
+        p = null + k * 1e-12 * scale * cvector(0, 1, 0)
+        try:
+            refl = involution_from_polar(p)
+        except ValueError as exc:
+            assert str(exc) == "polar vector must be positive"
+            continue
+        accepted.append(k)
+        assert np.isfinite(refl).all() and is_unitary_for_form(refl), k
+    # the band refuses the whole former range and accepts further out
+    assert accepted and min(accepted) > 1e8
+
+
+def test_normalize_to_su_refuses_a_zero_or_non_finite_determinant():
+    for M in (np.zeros((3, 3)), np.ones((3, 3)), np.diag([1.0, 1.0, 0.0])):
+        with pytest.raises(ValueError, match="^matrix must have a finite nonzero determinant$"):
+            normalize_to_su(M)
+    # numpy warns of the overflow or NaN in det, then the determinant is refused
+    for M in (np.diag([1e200, 1e200, 1e200]), np.diag([1.0, math.nan, 1.0])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^matrix must have a finite nonzero determinant$"):
+                normalize_to_su(M)
 
 
 def test_is_unitary_for_form_examples():

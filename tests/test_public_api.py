@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "CandidateTrace", "Classification", "CyclotomicInt", "HeisenbergPoint", "INFINITY",
     "IsometricSphere", "IsometryClass", "NondiscretenessReport", "RefutationReport",
     "ScanResult", "TableResult", "TriangleGroup", "TriangleType", "boundary_action",
-    "build_mn_inf", "build_n_inf_inf", "circle_condition", "classify", "criteria",
+    "build_mn_inf", "build_n_inf_inf", "classify", "criteria",
     "cvector", "cyclotomic", "cygan_distance", "discriminant", "euler_phi",
     "form_inverse", "heis_inverse", "heis_mul", "heis_norm", "heisenberg",
     "heisenberg_translation", "hermitian_form", "involution_from_polar",
