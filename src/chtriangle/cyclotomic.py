@@ -26,6 +26,14 @@ block's triples are the one canonical form of a candidate, and its table
 of roots of unity the one candidate value; CyclotomicInt, a sum of roots
 of unity evaluated as a float, serves the test oracles, not the engine.
 
+The first block's integer enumeration, its (l, k) table and canonical
+triples, depends on neither (m, n) nor max_l.  It is built once per
+process, at the first call that reads it, and kept as read-only arrays
+(about 14.2k rows, 245 KB); its rows run in (l, k1, k2) order, so a
+max_l below 66 reads a prefix of it.  Later blocks are built per call.
+The float stage stays per call over every block: the roots of unity,
+the traces, both filters and the diagnostics (the README says why).
+
 The conjugate scan is closed form.  The Galois map omega_N -> omega_N^k
 sends 2 cos(pi/n) to 2 cos(k pi/n) and fixes the integer 2 of an
 infinite corner, so the conjugated circle depends only on k mod M, with
@@ -38,11 +46,17 @@ conjugated circle lies strictly left of -1 is decided on integers:
 |cos k pi/n| = |cos k pi/m| exactly when mn divides k(m - n) or
 k(m + n), and |cos k pi/n| = 1 exactly when n divides k.
 
-The cost is that of the enumeration, O(max_l^3) in all: on one core of
-a 2-vCPU Xeon virtual machine, refute_finite_order(8, 11) takes 0.02 s
-of CPU at max_l = 120, 0.24 s at 300, 1.3 s at 600 and 6.5 s at 900.
+The enumeration and the filters grow as max_l^3, and the near-miss
+diagnostics add a part that grows with the near-misses: at max_l = 600
+the trial-division totients of phi_inequality (three per near-miss) and
+_lift_scan (one per order) take a quarter to a third of the engine's
+CPU.  On one core of a 2-vCPU Xeon
+virtual machine, refute_finite_order(8, 11) takes (median of 3 fresh
+processes) 0.02 s of CPU at max_l = 120, 0.21 s at 300, 1.1 s at 600
+and 3.5 s at 900.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,6 +124,13 @@ def phi_inequality(l: int, k1: int, k2: int, k3: int) -> PhiCheck:
     return PhiCheck(d=d, holds=p2 * p3 + p1 * p3 + p1 * p2 > p1 * p2 * p3)
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _fits_int64(value) -> bool:
+    return _INT64.min <= value <= _INT64.max
+
+
 class CyclotomicInt:
     """Element of Z[omega_N] as an integer coefficient vector mod N.
 
@@ -128,17 +149,27 @@ class CyclotomicInt:
         self.order = int(order)
         if coeffs is None:
             self.coeffs = np.zeros(self.order, dtype=np.int64)
-        else:
-            coeffs = np.asarray(coeffs, dtype=np.int64)
-            if coeffs.shape != (self.order,):
-                raise ValueError("coefficient vector must have length N")
-            self.coeffs = coeffs.copy()
+            return
+        # as objects, entry by entry: a cast to int64 would truncate floats
+        # and parse strings, and numpy's own promotion turns a list mixing
+        # 2**63 and 0 into floats
+        coeffs = np.asarray(coeffs, dtype=object)
+        if coeffs.shape != (self.order,):
+            raise ValueError("coefficient vector must have length N")
+        entries = coeffs.tolist()
+        if not all(map(_is_integer, entries)):
+            raise ValueError("coefficients must be integers")
+        if not all(map(_fits_int64, entries)):
+            raise ValueError("coefficients must fit in int64")
+        self.coeffs = np.array(entries, dtype=np.int64)
 
     @classmethod
     def root(cls, order: int, j: int, coeff: int = 1) -> "CyclotomicInt":
         """coeff * omega_order^j, for integers j and coeff."""
         if not (_is_integer(j) and _is_integer(coeff)):
             raise ValueError("exponent and coefficient must be integers")
+        if not _fits_int64(coeff):
+            raise ValueError("coefficients must fit in int64")
         out = cls(order)
         out.coeffs[j % order] = coeff
         return out
@@ -151,7 +182,13 @@ class CyclotomicInt:
     def __add__(self, other):
         if not isinstance(other, CyclotomicInt) or other.order != self.order:
             raise ValueError("operands must share the same root order")
-        return CyclotomicInt(self.order, self.coeffs + other.coeffs)
+        a, b = self.coeffs, other.coeffs
+        total = a + b
+        # int64 addition wraps: it overflowed where both operands differ in
+        # sign from the wrapped sum
+        if (((a ^ total) & (b ^ total)) < 0).any():
+            raise ValueError("sum overflows int64")
+        return CyclotomicInt(self.order, total)
 
     def __repr__(self):
         terms = [f"{int(c)}*w^{j}" for j, c in enumerate(self.coeffs) if c]
@@ -254,12 +291,45 @@ def _canonical_triples(tl: np.ndarray, tk: np.ndarray) -> tuple[np.ndarray, np.n
     return p, k2, (-tk[p] - k2) % tl[p]
 
 
+# the last order of the first block at the default _BLOCK_ROWS, fixed at
+# import so that the shared table does not follow a later change of it
+_SHARED_ORDERS = next(_order_blocks(MAX_ORDER_BOUND))[1]
+
+
+@functools.cache
+def _shared_block() -> tuple:
+    """The integer enumeration of orders 1.._SHARED_ORDERS, built once per
+    process on first use: (tl, tk, p, k2, k3) of _order_exponents and
+    _canonical_triples, as read-only arrays.  It depends on no argument,
+    and its rows are in (l, k1, k2) order, so any first block that ends
+    at or before _SHARED_ORDERS is a prefix of it."""
+    arrays = _order_exponents(1, _SHARED_ORDERS)
+    arrays += _canonical_triples(*arrays)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _block_enumeration(l_lo: int, l_hi: int) -> tuple:
+    """(tl, tk, p, k2, k3) of the block of orders l_lo..l_hi, as
+    _order_exponents and _canonical_triples give them.  A block of orders
+    1..L with L <= _SHARED_ORDERS reads a prefix of the shared block: the
+    first L (L + 1) / 2 entries of its (l, k) table and the rows whose
+    table index lies below that; any other block is built here."""
+    if l_lo != 1 or l_hi > _SHARED_ORDERS:
+        tl, tk = _order_exponents(l_lo, l_hi)
+        return (tl, tk, *_canonical_triples(tl, tk))
+    tl, tk, p, k2, k3 = _shared_block()
+    size = l_hi * (l_hi + 1) // 2
+    rows = int(np.searchsorted(p, size))
+    return tl[:size], tk[:size], p[:rows], k2[:rows], k3[:rows]
+
+
 def enumerate_candidates(max_l: int):
     """All canonical candidates with l <= max_l, in (l, k) order."""
     out = []
     for block in _order_blocks(max_l):
-        tl, tk = _order_exponents(*block)
-        p, k2, k3 = _canonical_triples(tl, tk)
+        tl, tk, p, k2, k3 = _block_enumeration(*block)
         out += map(CandidateTrace, tl[p].tolist(), zip(tk[p].tolist(), k2.tolist(), k3.tolist()))
     return out
 
@@ -451,9 +521,8 @@ def refute_finite_order(m, n: int, max_l: int = 60) -> RefutationReport:
     checked = 0
     elliptic = 0
     scans = {}
-    for l_lo, l_hi in _order_blocks(max_l):
-        tl, tk = _order_exponents(l_lo, l_hi)
-        p, k2, k3 = _canonical_triples(tl, tk)
+    for block in _order_blocks(max_l):
+        tl, tk, p, k2, k3 = _block_enumeration(*block)
         checked += p.size
         # each root of unity of the block's orders once, at its (l, k) table
         # index; 1j * (2 pi / l) rounds as Python's 2j * math.pi / l does,

@@ -6,13 +6,16 @@ import pytest
 
 from chtriangle import cyclotomic
 from chtriangle.cyclotomic import (
+    _SHARED_ORDERS,
     CandidateTrace,
     CyclotomicInt,
+    _block_enumeration,
     _canonical_triples,
     _corner_residues,
     _lift_scan,
     _order_blocks,
     _order_exponents,
+    _shared_block,
     enumerate_candidates,
     euler_phi,
     phi_inequality,
@@ -135,6 +138,34 @@ def test_cyclotomic_construction_and_repr():
         CyclotomicInt(0)
     with pytest.raises(ValueError):
         CyclotomicInt(4, [1, 2, 3])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CyclotomicInt(4, [1, 2, 3, 4.5]), "^coefficients must be integers$"),
+    (lambda: CyclotomicInt(4, ["1", "2", "3", "4"]), "^coefficients must be integers$"),
+    (lambda: CyclotomicInt(2, [True, 0]), "^coefficients must be integers$"),
+    (lambda: CyclotomicInt(2, [2**63, 0]), "^coefficients must fit in int64$"),
+    (lambda: CyclotomicInt.root(2, 0, 2**70), "^coefficients must fit in int64$"),
+    (lambda: CyclotomicInt.root(2, 0, 2**62) + CyclotomicInt.root(2, 0, 2**62),
+     "^sum overflows int64$"),
+    (lambda: CyclotomicInt.root(2, 1, -2**62) + CyclotomicInt.root(2, 1, -2**62 - 1),
+     "^sum overflows int64$"),
+], ids=["float", "string", "bool", "list_past_int64", "root_past_int64", "sum_past_int64_max",
+        "sum_past_int64_min"])
+def test_cyclotomic_int_refuses_non_integers_and_int64_overflow(call, message):
+    # a cast to int64 used to truncate 4.5 and parse "1", root raised
+    # numpy's OverflowError, and the sum wrapped to -2^63
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_cyclotomic_int_keeps_the_int64_range():
+    top, bottom = 2**63 - 1, -2**63
+    assert CyclotomicInt(2, [top, bottom]).coeffs.tolist() == [top, bottom]
+    assert (CyclotomicInt.root(2, 0, -2**62) + CyclotomicInt.root(2, 0, -2**62)).coeffs[0] == bottom
+    assert (CyclotomicInt.root(2, 0, top) + CyclotomicInt.root(2, 0, -1)).coeffs[0] == top - 1
+    x = CyclotomicInt(3, np.array([1, 2, 3], dtype=np.uint8))
+    assert x.coeffs.dtype == np.int64 and x.coeffs.tolist() == [1, 2, 3]
 
 
 def test_cyclotomic_ring_operations_track_evaluation():
@@ -574,15 +605,82 @@ def test_refutation_at_max_l_200():
             assert miss.conjugates.max_rightmost < -1.0
 
 
-def test_report_does_not_depend_on_block_size(monkeypatch):
-    pairs = [(m, n, 36) for m in [*range(3, 17), INF] for n in range(3, 31) if m != n]
-    pairs += [(8, 11, 200), (INF, 7, 200)]
-    default = [refute_finite_order(m, n, max_l=L) for m, n, L in pairs]
-    # a budget of one row makes every order a block of its own
-    monkeypatch.setattr("chtriangle.cyclotomic._BLOCK_ROWS", 1)
-    assert list(_order_blocks(5)) == [(l, l) for l in range(1, 6)]
-    for (m, n, L), want in zip(pairs, default):
-        assert refute_finite_order(m, n, max_l=L) == want, (m, n, L)
+# the refute workload's (m, n) pairs, and orders on both sides of the
+# shared first block's last order, 66
+REFUTE_PAIRS = [(m, n) for m in [*range(3, 17), INF] for n in range(3, 31) if m != n]
+SHARED_LS = (1, 2, 16, 36, 65, 66, 67, 120)
+
+
+def _per_call_block(l_lo, l_hi):
+    """A block's enumeration built afresh, with no shared table."""
+    tl, tk = _order_exponents(l_lo, l_hi)
+    return (tl, tk, *_canonical_triples(tl, tk))
+
+
+@pytest.fixture(scope="module")
+def per_call_reports():
+    """Reports with every block built per call, at the default block size:
+    every refute pair at SHARED_LS, and two pairs at 200."""
+    cases = [(m, n, L) for L in SHARED_LS for m, n in REFUTE_PAIRS]
+    cases += [(8, 11, 200), (INF, 7, 200)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cyclotomic, "_block_enumeration", _per_call_block)
+        return {case: refute_finite_order(*case) for case in cases}
+
+
+def test_shared_block_reports_equal_per_call_builds(per_call_reports):
+    for case, want in per_call_reports.items():
+        assert refute_finite_order(*case) == want, case
+
+
+@pytest.mark.parametrize("rows", [cyclotomic._BLOCK_ROWS, 1, 1 << 16])
+def test_block_enumeration_equals_a_per_call_build(monkeypatch, rows):
+    monkeypatch.setattr(cyclotomic, "_BLOCK_ROWS", rows)
+    if rows == 1 << 16:
+        # this first block runs past the shared table's orders
+        assert next(_order_blocks(120)) == (1, 105)
+    shared = _shared_block()
+    for L in SHARED_LS:
+        for block in _order_blocks(L):
+            got = _block_enumeration(*block)
+            for a, b in zip(got, _per_call_block(*block), strict=True):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b, err_msg=str(block))
+            # a first block within the table reads a prefix of it, any other
+            # block is built per call
+            reads_table = block[0] == 1 and block[1] <= _SHARED_ORDERS
+            assert all(np.may_share_memory(a, b) == reads_table for a, b in zip(got, shared)), block
+
+
+@pytest.mark.parametrize("rows", [1, 1 << 16])
+def test_shared_block_extent_ignores_the_block_size_at_first_build(monkeypatch, rows):
+    _shared_block.cache_clear()
+    monkeypatch.setattr(cyclotomic, "_BLOCK_ROWS", rows)
+    refute_finite_order(8, 11, max_l=20)
+    assert _shared_block.cache_info().misses == 1
+    monkeypatch.undo()
+    assert _SHARED_ORDERS == 66 and next(_order_blocks(120)) == (1, _SHARED_ORDERS)
+    for a, b in zip(_shared_block(), _per_call_block(1, _SHARED_ORDERS), strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_shared_block_is_read_only():
+    for a in (*_shared_block(), *_block_enumeration(1, 10)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+def test_report_does_not_depend_on_block_size(monkeypatch, per_call_reports):
+    # a budget of one row makes every order a block of its own; one of 2^16
+    # rows makes the first block of max_l >= 67 longer than the shared table
+    cases = [(m, n, L) for m, n, L in per_call_reports
+             if L <= 36 or (m, n) in ((8, 11), (5, 7), (INF, 9), (INF, 7))]
+    for rows in (1, 1 << 16):
+        monkeypatch.setattr(cyclotomic, "_BLOCK_ROWS", rows)
+        if rows == 1:
+            assert list(_order_blocks(5)) == [(l, l) for l in range(1, 6)]
+        for case in cases:
+            assert refute_finite_order(*case) == per_call_reports[case], (rows, case)
 
 
 def test_corner_residues_run_once_per_call(monkeypatch):

@@ -58,6 +58,26 @@ def test_matrix_commands_load_numpy():
     assert out == "True\n"
 
 
+def test_the_shared_first_block_is_built_at_the_first_galois_call():
+    # import and the commands that never refute leave it unbuilt, so
+    # set-up, tables and scans pay nothing for it
+    out = run_fresh("""
+        import contextlib, io, sys
+        from chtriangle import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["tables", "1"]) == 0
+        assert "chtriangle.cyclotomic" not in sys.modules
+        from chtriangle import cyclotomic
+        assert cyclotomic._shared_block.cache_info().currsize == 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            for max_l in (10, 120):
+                assert cli.main(["galois", "--m", "8", "--n", "11", "--max-l", str(max_l)]) == 0
+        info = cyclotomic._shared_block.cache_info()
+        print(info.misses, info.hits)
+    """)
+    assert out == "1 1\n"
+
+
 def test_classify_stays_the_function_after_its_module_loads():
     out = run_fresh("""
         import sys
