@@ -19,20 +19,23 @@ The engine works on blocks of consecutive orders l, each holding about
 order is a block of its own.  A block builds one (l, k) table.  It gives
 the canonical triples in closed form (for each (l, k1), k2 runs over two
 ranges, the exponent sums l and 2l) and the block's roots of unity, from
-which the traces are gathered.  The discriminant and circle filters run
-once over the whole block, and only survivors and near-misses become
-CandidateTrace objects.  Reports do not depend on the block size.  The
-block's triples are the one canonical form of a candidate, and its table
-of roots of unity the one candidate value; CyclotomicInt, a sum of roots
-of unity evaluated as a float, serves the test oracles, not the engine.
+which the traces are gathered.  The discriminant filter keeps the regular
+elliptic rows, the circle filter runs once over those, and only
+survivors and near-misses become CandidateTrace objects.  Reports do not
+depend on the block size.  The block's triples are the one canonical
+form of a candidate, and its table of roots of unity the one candidate
+value; CyclotomicInt, a sum of roots of unity evaluated as a float,
+serves the test oracles, not the engine.
 
-The first block's integer enumeration, its (l, k) table and canonical
-triples, depends on neither (m, n) nor max_l.  It is built once per
-process, at the first call that reads it, and kept as read-only arrays
-(about 14.2k rows, 245 KB); its rows run in (l, k1, k2) order, so a
-max_l below 66 reads a prefix of it.  Later blocks are built per call.
-The float stage stays per call over every block: the roots of unity,
-the traces, both filters and the diagnostics (the README says why).
+Of a block, only the circle gap and the diagnostics depend on (m, n).
+The rest, the integer enumeration and the float stage (the traces and
+the elliptic filter), depends on neither (m, n) nor max_l, so the first
+block's is built once per process, at the first call that reads it, and
+kept as read-only arrays: its (l, k) table and 14,181 canonical rows
+(245 KB), and its 12,853 elliptic rows with the real and imaginary parts
+of their traces (257 KB).  EPS_DISCRIMINANT is read then, once.  The
+rows run in (l, k1, k2) order, so a max_l below 66 reads a prefix of
+them.  Blocks from order 67 on are built per call.
 
 The conjugate scan is closed form.  The Galois map omega_N -> omega_N^k
 sends 2 cos(pi/n) to 2 cos(k pi/n) and fixes the integer 2 of an
@@ -47,13 +50,16 @@ conjugated circle lies strictly left of -1 is decided on integers:
 k(m + n), and |cos k pi/n| = 1 exactly when n divides k.
 
 The enumeration and the filters grow as max_l^3, and the near-miss
-diagnostics add a part that grows with the near-misses: at max_l = 600
-the trial-division totients of phi_inequality (three per near-miss) and
-_lift_scan (one per order) take a quarter to a third of the engine's
-CPU.  On one core of a 2-vCPU Xeon
-virtual machine, refute_finite_order(8, 11) takes (median of 3 fresh
-processes) 0.02 s of CPU at max_l = 120, 0.21 s at 300, 1.1 s at 600
-and 3.5 s at 900.
+diagnostics add a part that grows with the near-misses.  Their totients
+come from the primes of l: phi_inequality factors l once, as each d_i
+divides l, and _lift_scan takes phi(lcm(l, M)) as
+phi(l) phi(M) / phi(gcd(l, M)), with phi(M) the number of unit residues.
+On one core of a 2-vCPU Xeon virtual machine, refute_finite_order(8, 11)
+takes (median of 7 fresh processes) 0.016 s of CPU at max_l = 120, 0.25 s
+at 300, 1.8 s at 600 and 5.5 s at 900.  Building the blocks from order 67
+on per call costs what it did before the first block's float stage was
+shared: in the same set of launches, with the float stage per call, it
+took 0.020, 0.24, 1.7 and 5.4 s.
 """
 
 import functools
@@ -87,21 +93,45 @@ def _check_positive_int(value, name: str):
         raise ValueError(f"{name} must be a positive integer")
 
 
+def _check_max_l(max_l):
+    """Refuse anything but an integer 1 <= max_l <= MAX_ORDER_BOUND; numpy
+    integers count, bools do not."""
+    if not _is_integer(max_l):
+        raise ValueError("max_l must be an integer")
+    if max_l < 1:
+        raise ValueError("max_l must be at least 1")
+    if max_l > MAX_ORDER_BOUND:
+        raise ValueError(f"max_l is capped at {MAX_ORDER_BOUND}")
+
+
+def _prime_factors(n: int) -> list:
+    """The distinct primes of an integer n >= 1, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _totient(d: int, primes) -> int:
+    """Euler's totient of d, whose prime factors all lie in primes."""
+    result = d
+    for p in primes:
+        if d % p == 0:
+            result -= result // p
+    return result
+
+
 def euler_phi(d: int) -> int:
     """Euler's totient, by trial-division factorisation."""
     _check_positive_int(d, "d")
-    result = d
-    rest = d
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            while rest % p == 0:
-                rest //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if rest > 1:
-        result -= result // rest
-    return result
+    return _totient(d, _prime_factors(d))
 
 
 @dataclass(frozen=True)
@@ -115,12 +145,14 @@ class PhiCheck:
 def phi_inequality(l: int, k1: int, k2: int, k3: int) -> PhiCheck:
     """Evaluate 1/phi(d1) + 1/phi(d2) + 1/phi(d3) > 1 with
     d_i = l / gcd(k_i, l), decided on integers: with p_i = phi(d_i) it
-    reads p2 p3 + p1 p3 + p1 p2 > p1 p2 p3."""
+    reads p2 p3 + p1 p3 + p1 p2 > p1 p2 p3.  Each d_i divides l, so l is
+    factored once."""
     _check_positive_int(l, "l")
     if not all(_is_integer(k) for k in (k1, k2, k3)):
         raise ValueError("exponents must be integers")
     d = tuple(l // math.gcd(k % l, l) for k in (k1, k2, k3))
-    p1, p2, p3 = map(euler_phi, d)
+    primes = _prime_factors(l)
+    p1, p2, p3 = (_totient(di, primes) for di in d)
     return PhiCheck(d=d, holds=p2 * p3 + p1 * p3 + p1 * p2 > p1 * p2 * p3)
 
 
@@ -291,45 +323,70 @@ def _canonical_triples(tl: np.ndarray, tk: np.ndarray) -> tuple[np.ndarray, np.n
     return p, k2, (-tk[p] - k2) % tl[p]
 
 
+def _build_block(l_lo: int, l_hi: int) -> tuple:
+    """The block of orders l_lo..l_hi: its integer enumeration and its
+    float stage, which depend on neither (m, n) nor max_l.
+
+    Returns (tl, tk, p, k2, k3, rows, x, y): the (l, k) table of
+    _order_exponents and the rows of _canonical_triples, then the rows whose
+    trace tau is regular elliptic (discriminant below -EPS_DISCRIMINANT,
+    ascending, int32) and the real and imaginary parts of tau on them.
+    """
+    tl, tk = _order_exponents(l_lo, l_hi)
+    p, k2, k3 = _canonical_triples(tl, tk)
+    # each root of unity of the block's orders once, at its (l, k) table
+    # index; 1j * (2 pi / l) rounds as Python's 2j * math.pi / l does, while
+    # numpy's complex division 2j * np.pi / l can differ in the last bit
+    roots = np.exp(1j * (2.0 * math.pi / tl) * tk)
+    # (l, k) of a row's order sits at table index base + k
+    base = p - tk[p]
+    tau = roots[p] + roots[base + k2] + roots[base + k3]
+    rows = np.flatnonzero(discriminant(tau) < -EPS_DISCRIMINANT)
+    # x and y view the elliptic rows' traces only; the gather indexes with
+    # the intp rows, as an int32 index array takes numpy's slower path
+    tau = tau[rows]
+    return tl, tk, p, k2, k3, rows.astype(np.int32), tau.real, tau.imag
+
+
 # the last order of the first block at the default _BLOCK_ROWS, fixed at
-# import so that the shared table does not follow a later change of it
+# import so that the shared block does not follow a later change of it
 _SHARED_ORDERS = next(_order_blocks(MAX_ORDER_BOUND))[1]
 
 
 @functools.cache
 def _shared_block() -> tuple:
-    """The integer enumeration of orders 1.._SHARED_ORDERS, built once per
-    process on first use: (tl, tk, p, k2, k3) of _order_exponents and
-    _canonical_triples, as read-only arrays.  It depends on no argument,
-    and its rows are in (l, k1, k2) order, so any first block that ends
-    at or before _SHARED_ORDERS is a prefix of it."""
-    arrays = _order_exponents(1, _SHARED_ORDERS)
-    arrays += _canonical_triples(*arrays)
+    """_build_block(1, _SHARED_ORDERS), built once per process on first use
+    and kept as read-only arrays.  It depends on no argument, and its rows
+    are in (l, k1, k2) order, so any first block that ends at or before
+    _SHARED_ORDERS is a prefix of it."""
+    arrays = _build_block(1, _SHARED_ORDERS)
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
-def _block_enumeration(l_lo: int, l_hi: int) -> tuple:
-    """(tl, tk, p, k2, k3) of the block of orders l_lo..l_hi, as
-    _order_exponents and _canonical_triples give them.  A block of orders
-    1..L with L <= _SHARED_ORDERS reads a prefix of the shared block: the
-    first L (L + 1) / 2 entries of its (l, k) table and the rows whose
-    table index lies below that; any other block is built here."""
+def _block(l_lo: int, l_hi: int) -> tuple:
+    """(tl, tk, p, k2, k3, rows, x, y) of the block of orders l_lo..l_hi,
+    as _build_block gives them.  A block of orders 1..L with
+    L <= _SHARED_ORDERS reads a prefix of the shared block: the first
+    L (L + 1) / 2 entries of its (l, k) table, the rows whose table index
+    lies below that and the elliptic rows among them; any other block is
+    built here."""
     if l_lo != 1 or l_hi > _SHARED_ORDERS:
-        tl, tk = _order_exponents(l_lo, l_hi)
-        return (tl, tk, *_canonical_triples(tl, tk))
-    tl, tk, p, k2, k3 = _shared_block()
+        return _build_block(l_lo, l_hi)
+    tl, tk, p, k2, k3, rows, x, y = _shared_block()
     size = l_hi * (l_hi + 1) // 2
-    rows = int(np.searchsorted(p, size))
-    return tl[:size], tk[:size], p[:rows], k2[:rows], k3[:rows]
+    n = int(np.searchsorted(p, size))
+    e = int(np.searchsorted(rows, n))
+    return tl[:size], tk[:size], p[:n], k2[:n], k3[:n], rows[:e], x[:e], y[:e]
 
 
 def enumerate_candidates(max_l: int):
     """All canonical candidates with l <= max_l, in (l, k) order."""
+    _check_max_l(max_l)
     out = []
     for block in _order_blocks(max_l):
-        tl, tk, p, k2, k3 = _block_enumeration(*block)
+        tl, tk, p, k2, k3 = _block(*block)[:5]
         out += map(CandidateTrace, tl[p].tolist(), zip(tk[p].tolist(), k2.tolist(), k3.tolist()))
     return out
 
@@ -410,10 +467,11 @@ def _units(N: int) -> np.ndarray:
 
 def _corner_residues(m, n):
     """The part of the conjugate scan that depends on (m, n) only, over the
-    units r mod M: (M, the largest rightmost point, the residues attaining
-    it within 1e-12, whether every conjugated circle lies strictly left of
-    -1, decided on integers).  None when M exceeds DEFAULT_CONDUCTOR_CAP,
-    since every conductor lcm(l, M) then does too; nothing is built."""
+    units r mod M: (M, their number phi(M), the largest rightmost point, the
+    residues attaining it within 1e-12, whether every conjugated circle lies
+    strictly left of -1, decided on integers).  None when M exceeds
+    DEFAULT_CONDUCTOR_CAP, since every conductor lcm(l, M) then does too;
+    nothing is built."""
     M = _corner_modulus(m, n)
     if M > DEFAULT_CONDUCTOR_CAP:
         return None
@@ -429,25 +487,27 @@ def _corner_residues(m, n):
         on_line = ((r * (m - n)) % (m * n) == 0) | ((r * (m + n)) % (m * n) == 0)
     rightmost = _trace_circle_rightmost(s1, s2)
     worst = float(rightmost.max())
-    return M, worst, r[rightmost >= worst - 1e-12], not on_line.any()
+    return M, r.size, worst, r[rightmost >= worst - 1e-12], not on_line.any()
 
 
 def _lift_scan(l: int, residues) -> ConjugateScan | None:
     """The conjugate scan at order l from _corner_residues: the conductor
     N = lcm(l, M), phi(N) and the smallest unit in [1, N] over a maximising
     residue; None when the residues are None or N exceeds
-    DEFAULT_CONDUCTOR_CAP."""
+    DEFAULT_CONDUCTOR_CAP.  phi(N) = phi(l) phi(M) / phi(gcd(l, M)), with
+    phi(M) from the residues and the rest from the primes of l."""
     if residues is None:
         return None
-    M, worst, ties, strictly_below = residues
+    M, phi_m, worst, ties, strictly_below = residues
     N = math.lcm(l, M)
     if N > DEFAULT_CONDUCTOR_CAP:
         return None
+    primes = _prime_factors(l)
     # lift the maximising residues to [1, N] in ascending order
     lifts = (ties + M * np.arange(N // M)[:, None]).ravel()
     return ConjugateScan(
         conductor=N,
-        n_conjugates=euler_phi(N),
+        n_conjugates=_totient(l, primes) * phi_m // _totient(math.gcd(l, M), primes),
         max_rightmost=worst,
         all_strictly_below=strictly_below,
         worst_k=int(lifts[np.gcd(lifts, N) == 1][0]),
@@ -507,12 +567,7 @@ def refute_finite_order(m, n: int, max_l: int = 60) -> RefutationReport:
             "equal corner orders are outside this engine's scope "
             "(covered by prior published results); m must differ from n"
         )
-    if not _is_integer(max_l):
-        raise ValueError("max_l must be an integer")
-    if max_l < 1:
-        raise ValueError("max_l must be at least 1")
-    if max_l > MAX_ORDER_BOUND:
-        raise ValueError(f"max_l is capped at {MAX_ORDER_BOUND}")
+    _check_max_l(max_l)
 
     c, radius = _trace_123_circle(m, n)
 
@@ -522,21 +577,13 @@ def refute_finite_order(m, n: int, max_l: int = 60) -> RefutationReport:
     elliptic = 0
     scans = {}
     for block in _order_blocks(max_l):
-        tl, tk, p, k2, k3 = _block_enumeration(*block)
+        tl, tk, p, k2, k3, rows, x, y = _block(*block)
         checked += p.size
-        # each root of unity of the block's orders once, at its (l, k) table
-        # index; 1j * (2 pi / l) rounds as Python's 2j * math.pi / l does,
-        # while numpy's complex division 2j * np.pi / l can differ in the
-        # last bit
-        roots = np.exp(1j * (2.0 * math.pi / tl) * tk)
-        # (l, k) of a row's order sits at table index base + k
-        base = p - tk[p]
-        tau = roots[p] + roots[base + k2] + roots[base + k3]
-        rows = np.flatnonzero(discriminant(tau) < -EPS_DISCRIMINANT)
         elliptic += rows.size
-        # np.hypot rounds as abs(complex) does; np.abs can differ in the last bit
-        z = tau[rows] - c
-        gap = np.abs(np.hypot(z.real, z.imag) - radius)
+        # c is real, so this is |tau - c| as a complex difference gives it;
+        # np.hypot rounds as abs(complex) does, np.abs can differ in the
+        # last bit
+        gap = np.abs(np.hypot(x - c, y) - radius)
         hits = np.flatnonzero(gap <= DEFAULT_NEAR_TOL)
         rows = rows[hits]
         ks = zip(tk[p[rows]].tolist(), k2[rows].tolist(), k3[rows].tolist())

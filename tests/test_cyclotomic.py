@@ -9,7 +9,7 @@ from chtriangle.cyclotomic import (
     _SHARED_ORDERS,
     CandidateTrace,
     CyclotomicInt,
-    _block_enumeration,
+    _block,
     _canonical_triples,
     _corner_residues,
     _lift_scan,
@@ -22,7 +22,13 @@ from chtriangle.cyclotomic import (
     refute_finite_order,
     trace_circle_rightmost,
 )
-from chtriangle.closed import _trace_123_circle, corner_cos, trace_word_123
+from chtriangle.closed import (
+    EPS_DISCRIMINANT,
+    _trace_123_circle,
+    corner_cos,
+    discriminant,
+    trace_word_123,
+)
 from helpers import (
     candidate_value,
     canonical_candidate,
@@ -90,6 +96,22 @@ def test_integer_inputs_refuse_bool(call, message):
         call()
 
 
+@pytest.mark.parametrize("max_l, message", [
+    (-5, "^max_l must be at least 1$"),
+    (0, "^max_l must be at least 1$"),
+    (True, "^max_l must be an integer$"),
+    (3.5, "^max_l must be an integer$"),
+    (6, "^max_l is capped at 5$"),
+])
+def test_enumeration_checks_max_l_as_the_engine_does(monkeypatch, max_l, message):
+    # enumerate_candidates(-5) used to give 8 candidates, (True) one and
+    # (3.5) a TypeError; a lowered cap keeps the over-the-cap case small
+    monkeypatch.setattr(cyclotomic, "MAX_ORDER_BOUND", 5)
+    for call in (enumerate_candidates, lambda L: refute_finite_order(8, 11, max_l=L)):
+        with pytest.raises(ValueError, match=message):
+            call(max_l)
+
+
 def test_totient_and_candidate_accept_numpy_integers():
     assert euler_phi(np.int64(12)) == 4
     assert phi_inequality(np.int32(12), np.int64(4), 4, 4) == phi_inequality(12, 4, 4, 4)
@@ -121,9 +143,19 @@ def test_phi_inequality_invariances():
         assert shifted.d == base.d
 
 
+def test_phi_inequality_equals_euler_phi_on_every_candidate():
+    # phi_inequality takes each phi(d_i) from the primes of l
+    for cand in enumerate_candidates(120):
+        l, k = cand.l, cand.k
+        check = phi_inequality(l, *k)
+        assert check.d == tuple(l // math.gcd(ki, l) for ki in k)
+        p1, p2, p3 = map(euler_phi, check.d)
+        assert check.holds == (p2 * p3 + p1 * p3 + p1 * p2 > p1 * p2 * p3), cand
+
+
 def test_refutation_phi_checks_equal_phi_inequality():
-    # the engine builds each near-miss PhiCheck through the unchecked
-    # helper behind phi_inequality, with no totient cache of its own
+    # the engine builds each near-miss PhiCheck with phi_inequality itself,
+    # with no totient cache of its own
     report = refute_finite_order(8, 11, max_l=120)
     assert report.near_misses and not report.survivors
     for nm in report.near_misses:
@@ -578,7 +610,7 @@ def test_worst_k_is_the_smallest_maximising_unit(l, m, n):
     values = conjugate_rightmost_oracle(l, m, n)
     worst = max(values.values())
     scan = _lift_scan(l, _corner_residues(m, n))
-    assert scan.n_conjugates == len(values)
+    assert scan.n_conjugates == len(values) == euler_phi(scan.conductor)
     assert scan.max_rightmost == pytest.approx(worst, abs=1e-12)
     assert scan.worst_k == min(k for k, v in values.items() if v >= worst - 1e-12)
 
@@ -612,9 +644,16 @@ SHARED_LS = (1, 2, 16, 36, 65, 66, 67, 120)
 
 
 def _per_call_block(l_lo, l_hi):
-    """A block's enumeration built afresh, with no shared table."""
+    """A block built afresh, with no shared arrays: its enumeration, then
+    each row's trace summed from exp(2 pi i k / l) of its own exponents,
+    with no roots table, and the elliptic rows with the parts of their
+    traces."""
     tl, tk = _order_exponents(l_lo, l_hi)
-    return (tl, tk, *_canonical_triples(tl, tk))
+    p, k2, k3 = _canonical_triples(tl, tk)
+    step = 2.0 * math.pi / tl[p]
+    tau = np.exp(1j * step * tk[p]) + np.exp(1j * step * k2) + np.exp(1j * step * k3)
+    rows = np.flatnonzero(discriminant(tau) < -EPS_DISCRIMINANT).astype(np.int32)
+    return tl, tk, p, k2, k3, rows, tau[rows].real, tau[rows].imag
 
 
 @pytest.fixture(scope="module")
@@ -624,7 +663,7 @@ def per_call_reports():
     cases = [(m, n, L) for L in SHARED_LS for m, n in REFUTE_PAIRS]
     cases += [(8, 11, 200), (INF, 7, 200)]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cyclotomic, "_block_enumeration", _per_call_block)
+        patch.setattr(cyclotomic, "_block", _per_call_block)
         return {case: refute_finite_order(*case) for case in cases}
 
 
@@ -642,14 +681,15 @@ def test_block_enumeration_equals_a_per_call_build(monkeypatch, rows):
     shared = _shared_block()
     for L in SHARED_LS:
         for block in _order_blocks(L):
-            got = _block_enumeration(*block)
+            got = _block(*block)
             for a, b in zip(got, _per_call_block(*block), strict=True):
                 assert a.dtype == b.dtype
                 np.testing.assert_array_equal(a, b, err_msg=str(block))
             # a first block within the table reads a prefix of it, any other
-            # block is built per call
+            # block is built per call; the first orders have no elliptic row
             reads_table = block[0] == 1 and block[1] <= _SHARED_ORDERS
-            assert all(np.may_share_memory(a, b) == reads_table for a, b in zip(got, shared)), block
+            assert all(np.may_share_memory(a, b) == reads_table
+                       for a, b in zip(got, shared) if a.size), block
 
 
 @pytest.mark.parametrize("rows", [1, 1 << 16])
@@ -661,13 +701,24 @@ def test_shared_block_extent_ignores_the_block_size_at_first_build(monkeypatch, 
     monkeypatch.undo()
     assert _SHARED_ORDERS == 66 and next(_order_blocks(120)) == (1, _SHARED_ORDERS)
     for a, b in zip(_shared_block(), _per_call_block(1, _SHARED_ORDERS), strict=True):
+        assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
 
 
 def test_shared_block_is_read_only():
-    for a in (*_shared_block(), *_block_enumeration(1, 10)):
+    for a in (*_shared_block(), *_block(1, 10)):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
+
+
+def test_a_built_shared_block_leaves_no_discriminant_to_evaluate(monkeypatch):
+    want = refute_finite_order(8, 11, max_l=36)
+
+    def refuse(z):
+        raise AssertionError("discriminant evaluated per call")
+
+    monkeypatch.setattr(cyclotomic, "discriminant", refuse)
+    assert refute_finite_order(8, 11, max_l=36) == want
 
 
 def test_report_does_not_depend_on_block_size(monkeypatch, per_call_reports):
@@ -709,6 +760,7 @@ def test_near_miss_scans_equal_the_oracle(m, n, max_l):
         want = conjugate_scan_oracle(l, m, n, cyclotomic.DEFAULT_CONDUCTOR_CAP)
         assert miss.conjugates == want, (m, n, l)
         assert _lift_scan(l, _corner_residues(m, n)) == want, (m, n, l)
+        assert want.n_conjugates == euler_phi(want.conductor), (m, n, l)
 
 
 def test_near_miss_scans_equal_the_oracle_on_conductor_overflow(monkeypatch):
@@ -721,6 +773,8 @@ def test_near_miss_scans_equal_the_oracle_on_conductor_overflow(monkeypatch):
     for miss in report.near_misses:
         l = miss.candidate.l
         assert miss.conjugates == conjugate_scan_oracle(l, 8, 11, 2000), l
+        if miss.conjugates:
+            assert miss.conjugates.n_conjugates == euler_phi(miss.conjugates.conductor), l
         assert miss.note == ("" if miss.conjugates else "unchecked (N overflow)")
 
 

@@ -60,7 +60,9 @@ def test_matrix_commands_load_numpy():
 
 def test_the_shared_first_block_is_built_at_the_first_galois_call():
     # import and the commands that never refute leave it unbuilt, so
-    # set-up, tables and scans pay nothing for it
+    # set-up, tables and scans pay nothing for it; two galois calls then
+    # evaluate the first block's discriminant once, at the first call, and
+    # that of each later block of the second call once
     out = run_fresh("""
         import contextlib, io, sys
         from chtriangle import cli
@@ -69,13 +71,23 @@ def test_the_shared_first_block_is_built_at_the_first_galois_call():
         assert "chtriangle.cyclotomic" not in sys.modules
         from chtriangle import cyclotomic
         assert cyclotomic._shared_block.cache_info().currsize == 0
+        sizes = []
+        discriminant = cyclotomic.discriminant
+
+        def recorded(z):
+            sizes.append(z.size)
+            return discriminant(z)
+
+        cyclotomic.discriminant = recorded
         with contextlib.redirect_stdout(io.StringIO()):
             for max_l in (10, 120):
                 assert cli.main(["galois", "--m", "8", "--n", "11", "--max-l", str(max_l)]) == 0
         info = cyclotomic._shared_block.cache_info()
-        print(info.misses, info.hits)
+        first = cyclotomic._shared_block()[2].size
+        blocks = len(list(cyclotomic._order_blocks(120)))
+        print(info.misses, info.hits, sizes[0] == first, sizes.count(first), len(sizes) == blocks)
     """)
-    assert out == "1 1\n"
+    assert out == "1 1 True 1 True\n"
 
 
 def test_classify_stays_the_function_after_its_module_loads():
