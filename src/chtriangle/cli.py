@@ -6,7 +6,9 @@ digits, dashes for empty cells) or as JSON with --format json.  Output is
 assembled in full and written once.  Exit code 0 on success, 2 on usage
 errors and domain refusals.  The modules that need numpy are imported
 inside the classify and galois handlers, so tables and scan run without
-numpy.
+numpy.  main parses a command's arguments once, with that command's
+parser; help, version and usage errors come from the top-level parser,
+unchanged.
 
 The JSON layout is fixed: two-space indent, one member or element per
 line, non-ASCII characters as \\u escapes, keys in record order, dataclass
@@ -68,6 +70,8 @@ def parse_angle(text: str) -> float:
         k = float(m.group(1))
         if k == 0.0:
             raise UsageError(f"invalid angle {text!r}: zero denominator")
+        if k == math.inf:  # pi/inf would read as theta = 0
+            raise UsageError(f"invalid angle {text!r}: denominator too large for a float")
         return math.pi / k
     m = re.fullmatch(r"acos\((.+)\)", s)
     if m:
@@ -373,12 +377,33 @@ _HANDLERS = {
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser main uses, built once per process; parsing leaves it
-    unchanged, as no argument has a mutable default."""
+    and its command parsers unchanged, as no argument has a mutable
+    default.  main parses a command's arguments once, with that command's
+    parser; help, version and usage errors come from this parser, unchanged."""
     return build_parser()
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """The namespace _parser().parse_args(argv) returns, with the same
+    output and exit on help, version and usage errors.  When argv starts
+    with a command, that command's parser reads argv[1:] once; an empty
+    argv, an option or unknown name in front, and arguments the command
+    leaves unrecognized go to the top-level parser, which writes its own
+    help, version and error text."""
+    parser = _parser()
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    # the top-level parser refuses a "--=..." string as ambiguous between
+    # --help and --version before the command's parser sees it
+    if argv and argv[0] in commands and not any(s.startswith("--=") for s in argv):
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         record, columns, rows = _HANDLERS[args.command](args)
     except (UsageError, ValueError) as exc:

@@ -2,11 +2,13 @@ import argparse
 import inspect
 import json
 import math
+import re
+import sys
 
 import pytest
 
 from chtriangle import cli
-from chtriangle.cli import build_parser, main, parse_angle, parse_order
+from chtriangle.cli import UsageError, build_parser, main, parse_angle, parse_order
 from chtriangle.criteria import order_k_locus
 from chtriangle.cyclotomic import refute_finite_order
 
@@ -87,6 +89,9 @@ def test_classify_command_rejects_zero_angle_denominator(capsys, theta):
     assert err.count("\n") == 1 and "zero denominator" in err
 
 
+PI_OVER_HUGE = "pi/1" + "0" * 400
+
+
 @pytest.mark.parametrize("argv, message", [
     (["classify", "--m", "inf", "--n", "inf", "--theta", "0.5", "--word", "123"],
      "n must be finite; pass the single finite order as --n with --m inf"),
@@ -94,7 +99,10 @@ def test_classify_command_rejects_zero_angle_denominator(capsys, theta):
      "n must be finite; pass --m inf for the family with one finite corner"),
     (["classify", "--m", "8", "--n", "11", "--theta", "acos(x)", "--word", "123"],
      "invalid angle 'acos(x)'"),
-], ids=["classify-n-inf", "scan-n-inf", "acos-not-a-number"])
+    # pi/<k> with k above the largest float used to read as theta = pi/inf = 0
+    (["classify", "--m", "8", "--n", "11", "--theta", PI_OVER_HUGE, "--word", "123"],
+     f"invalid angle {PI_OVER_HUGE!r}: denominator too large for a float"),
+], ids=["classify-n-inf", "scan-n-inf", "acos-not-a-number", "pi-over-k-past-float-range"])
 def test_commands_refuse_bad_flags_with_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -338,7 +346,8 @@ def _all_actions(parser):
 
 
 def test_parser_defaults_are_immutable():
-    # main reuses one parser, which is safe only without mutable defaults
+    # main reuses one top-level parser and the four command parsers under
+    # it, which is safe only without mutable defaults
     for action in _all_actions(build_parser()):
         assert action.default is None or isinstance(
             action.default, (str, int, float, bool, tuple)
@@ -358,3 +367,65 @@ def test_main_calls_do_not_share_parsed_state(capsys):
     header, rows = csv_rows(out)
     assert header[0] == "kind"
     assert rows[-1][:2] == ["summary", "60"]
+
+
+def _reference_main(argv):
+    """main as it was before commands were parsed by their own parser:
+    the top-level parser reads all of argv, then the command's handler runs."""
+    args = build_parser().parse_args(argv)
+    try:
+        record, columns, rows = cli._HANDLERS[args.command](args)
+    except (UsageError, ValueError) as exc:
+        print(f"chtriangle {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+    sys.stdout.write(cli._emit(record, columns, rows, args.format))
+    return 0
+
+
+def _outcome(capsys, run, argv):
+    """(exit code or SystemExit code, stdout, stderr) of run(argv), with
+    galois's timing dropped from stdout."""
+    try:
+        code = run(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out, err = capsys.readouterr()
+    return code, re.sub(r'(elapsed=|"elapsed_seconds": )\S+', r"\1", out), err
+
+
+GALOIS_SMALL = ["galois", "--m", "8", "--n", "11"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--version"], ["--vers"], ["--version", "tables", "1"],
+    ["galois"], ["galois", "-h"], ["tables", "1", "-h"],
+    [*GALOIS_SMALL, "--max", "5"],
+    ["galois", "--m=8", "--n=11", "--max-l=5", "--format=json"],
+    [*GALOIS_SMALL, "--bogus"], [*GALOIS_SMALL, "extra"], ["gal", "--m", "8"],
+    ["--", "tables", "1"], ["tables", "1", "--", "x"], ["tables", "9"],
+    ["tables", "1", "--version"],
+    ["scan", "--test", "re", "--m", "8", "--n", "11", "--form", "json"],
+    ["tables", "--format", "json", "2"],
+    ["scan", "--test", "bogus", "--m", "8", "--n", "5"],
+    ["classify", "--m", "8", "--n", "11", "--theta", "-0.3", "--word", "123"],
+    # the top-level parser finds "--=x" ambiguous before the command's parser runs
+    [*GALOIS_SMALL, "--=x"],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_main_answers_as_the_top_level_parse(capsys, argv):
+    assert _outcome(capsys, main, argv) == _outcome(capsys, _reference_main, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--m", "inf", "--n", "4", "--theta", "pi/4", "--word", "123"],
+    SCAN_RE_8_11,
+    ["tables", "1", "--format", "json"],
+    GALOIS_8_11,
+], ids=lambda argv: argv[0])
+def test_main_parses_a_valid_command_once(capsys, monkeypatch, argv):
+    # a valid command is parsed by its own parser only, never again by the top level
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a valid command")
+
+    monkeypatch.setattr(cli._parser(), "parse_known_args", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out and err == ""

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -663,7 +664,9 @@ def per_call_reports():
     cases = [(m, n, L) for L in SHARED_LS for m, n in REFUTE_PAIRS]
     cases += [(8, 11, 200), (INF, 7, 200)]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cyclotomic, "_block", _per_call_block)
+        # a block depends on neither (m, n) nor max_l: each is built once
+        # for all cases, still afresh and apart from the shared block
+        patch.setattr(cyclotomic, "_block", functools.cache(_per_call_block))
         return {case: refute_finite_order(*case) for case in cases}
 
 
