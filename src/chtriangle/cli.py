@@ -159,12 +159,21 @@ def _write(value, pad: str, put) -> None:
         put("\n" + pad + brackets[1] if sep is comma else brackets)
 
 
+def _field_keys(cls) -> tuple:
+    """((field name, its JSON key + ": "), ...) of a dataclass type, in
+    field order; filed in _FIELD_KEYS at its first use."""
+    keys = _FIELD_KEYS.get(cls)
+    if keys is None:
+        fields = dataclasses.fields(cls)
+        keys = _FIELD_KEYS[cls] = tuple((f.name, _json_str(f.name) + ": ") for f in fields)
+    return keys
+
+
 def _exact(value):
     """A dataclass instance, with its type's field keys filed, or an enum
     member's value; else TypeError."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = dataclasses.fields(value)
-        _FIELD_KEYS[type(value)] = tuple((f.name, _json_str(f.name) + ": ") for f in fields)
+        _field_keys(type(value))
         return value
     if isinstance(value, enum.Enum):
         return value.value
@@ -271,7 +280,7 @@ def _cmd_galois(args) -> tuple[dict, list, Iterator[list]]:
     report = refute_finite_order(m, n, max_l=args.max_l)
     elapsed = time.perf_counter() - start
     # the report's own values: _emit writes them as JSON in one walk, CSV not at all
-    results = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    results = {name: getattr(report, name) for name, _ in _field_keys(type(report))}
     results["overflowed"] = report.overflowed
     record = _record(
         "galois",

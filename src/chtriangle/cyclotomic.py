@@ -34,8 +34,11 @@ block's is built once per process, at the first call that reads it, and
 kept as read-only arrays: its (l, k) table and 14,181 canonical rows
 (245 KB), and its 12,853 elliptic rows with the real and imaginary parts
 of their traces (257 KB).  EPS_DISCRIMINANT is read then, once.  The
-rows run in (l, k1, k2) order, so a max_l below 66 reads a prefix of
-them.  Blocks from order 67 on are built per call.
+rows run in (l, k1, k2) order, so a max_l up to 66 reads a prefix of
+them.  The prefix lengths, the numbers of rows and of elliptic rows of
+orders up to L for each L = 1..66, are tabulated once, with the block,
+so a call slices without a search.  Blocks from order 67 on are built
+per call.
 
 The conjugate scan is closed form.  The Galois map omega_N -> omega_N^k
 sends 2 cos(pi/n) to 2 cos(k pi/n) and fixes the integer 2 of an
@@ -51,15 +54,19 @@ k(m + n), and |cos k pi/n| = 1 exactly when n divides k.
 
 The enumeration and the filters grow as max_l^3, and the near-miss
 diagnostics add a part that grows with the near-misses.  Their totients
-come from the primes of l: phi_inequality factors l once, as each d_i
-divides l, and _lift_scan takes phi(lcm(l, M)) as
-phi(l) phi(M) / phi(gcd(l, M)), with phi(M) the number of unit residues.
+come from the primes of l, found once per near-miss order and kept with
+its scan: each d_i of the Euler-phi bound divides l, and _lift_scan takes
+phi(lcm(l, M)) as phi(l) phi(M) / phi(gcd(l, M)), with phi(M) the number
+of unit residues.  Its smallest maximising unit is the first of the
+lifts t + jM of the maximising residues t, in ascending order, that is
+coprime to the conductor.  A block with no row within DEFAULT_NEAR_TOL
+of the circle gathers nothing.
 On one core of a 2-vCPU Xeon virtual machine, refute_finite_order(8, 11)
-takes (median of 7 fresh processes) 0.016 s of CPU at max_l = 120, 0.25 s
-at 300, 1.8 s at 600 and 5.5 s at 900.  Building the blocks from order 67
-on per call costs what it did before the first block's float stage was
-shared: in the same set of launches, with the float stage per call, it
-took 0.020, 0.24, 1.7 and 5.4 s.
+takes (median of 7 fresh processes, the shared block's build included)
+0.018 s of CPU at max_l = 120, 0.18 s at 300, 0.82 s at 600 and 2.8 s
+at 900.  In the same set of launches, with the bounds searched per call,
+the lifts as one array and l factored per near-miss, it took 0.024,
+0.21, 0.95 and 3.0 s.
 """
 
 import functools
@@ -150,8 +157,13 @@ def phi_inequality(l: int, k1: int, k2: int, k3: int) -> PhiCheck:
     _check_positive_int(l, "l")
     if not all(_is_integer(k) for k in (k1, k2, k3)):
         raise ValueError("exponents must be integers")
-    d = tuple(l // math.gcd(k % l, l) for k in (k1, k2, k3))
-    primes = _prime_factors(l)
+    return _phi_check(l, (k1, k2, k3), _prime_factors(l))
+
+
+def _phi_check(l: int, k: tuple, primes) -> PhiCheck:
+    """phi_inequality(l, *k) for checked arguments, with primes the
+    distinct primes of l."""
+    d = tuple(l // math.gcd(ki % l, l) for ki in k)
     p1, p2, p3 = (_totient(di, primes) for di in d)
     return PhiCheck(d=d, holds=p2 * p3 + p1 * p3 + p1 * p2 > p1 * p2 * p3)
 
@@ -365,19 +377,27 @@ def _shared_block() -> tuple:
     return arrays
 
 
+@functools.cache
+def _shared_bounds() -> tuple:
+    """(n_L, e_L) for L = 0.._SHARED_ORDERS, built once per process from
+    the shared block: n_L is its number of rows of orders up to L, e_L the
+    number of elliptic rows among them."""
+    _, _, p, _, _, rows, _, _ = _shared_block()
+    n = np.searchsorted(p, [L * (L + 1) // 2 for L in range(_SHARED_ORDERS + 1)])
+    return tuple(zip(n.tolist(), np.searchsorted(rows, n).tolist()))
+
+
 def _block(l_lo: int, l_hi: int) -> tuple:
     """(tl, tk, p, k2, k3, rows, x, y) of the block of orders l_lo..l_hi,
     as _build_block gives them.  A block of orders 1..L with
     L <= _SHARED_ORDERS reads a prefix of the shared block: the first
-    L (L + 1) / 2 entries of its (l, k) table, the rows whose table index
-    lies below that and the elliptic rows among them; any other block is
-    built here."""
+    L (L + 1) / 2 entries of its (l, k) table and the first n_L rows and
+    e_L elliptic rows of _shared_bounds; any other block is built here."""
     if l_lo != 1 or l_hi > _SHARED_ORDERS:
         return _build_block(l_lo, l_hi)
     tl, tk, p, k2, k3, rows, x, y = _shared_block()
     size = l_hi * (l_hi + 1) // 2
-    n = int(np.searchsorted(p, size))
-    e = int(np.searchsorted(rows, n))
+    n, e = _shared_bounds()[l_hi]
     return tl[:size], tk[:size], p[:n], k2[:n], k3[:n], rows[:e], x[:e], y[:e]
 
 
@@ -487,30 +507,30 @@ def _corner_residues(m, n):
         on_line = ((r * (m - n)) % (m * n) == 0) | ((r * (m + n)) % (m * n) == 0)
     rightmost = _trace_circle_rightmost(s1, s2)
     worst = float(rightmost.max())
-    return M, r.size, worst, r[rightmost >= worst - 1e-12], not on_line.any()
+    return M, r.size, worst, r[rightmost >= worst - 1e-12].tolist(), not on_line.any()
 
 
-def _lift_scan(l: int, residues) -> ConjugateScan | None:
+def _lift_scan(l: int, residues, primes) -> ConjugateScan | None:
     """The conjugate scan at order l from _corner_residues: the conductor
     N = lcm(l, M), phi(N) and the smallest unit in [1, N] over a maximising
     residue; None when the residues are None or N exceeds
     DEFAULT_CONDUCTOR_CAP.  phi(N) = phi(l) phi(M) / phi(gcd(l, M)), with
-    phi(M) from the residues and the rest from the primes of l."""
+    phi(M) from the residues and the rest from primes, the distinct primes
+    of l."""
     if residues is None:
         return None
     M, phi_m, worst, ties, strictly_below = residues
     N = math.lcm(l, M)
     if N > DEFAULT_CONDUCTOR_CAP:
         return None
-    primes = _prime_factors(l)
-    # lift the maximising residues to [1, N] in ascending order
-    lifts = (ties + M * np.arange(N // M)[:, None]).ravel()
     return ConjugateScan(
         conductor=N,
         n_conjugates=_totient(l, primes) * phi_m // _totient(math.gcd(l, M), primes),
         max_rightmost=worst,
         all_strictly_below=strictly_below,
-        worst_k=int(lifts[np.gcd(lifts, N) == 1][0]),
+        # the lifts t + jM of the maximising residues, in ascending order;
+        # as the units mod N map onto the units mod M, one is a unit
+        worst_k=next(t + j for j in range(0, N, M) for t in ties if math.gcd(t + j, N) == 1),
     )
 
 
@@ -585,6 +605,8 @@ def refute_finite_order(m, n: int, max_l: int = 60) -> RefutationReport:
         # last bit
         gap = np.abs(np.hypot(x - c, y) - radius)
         hits = np.flatnonzero(gap <= DEFAULT_NEAR_TOL)
+        if not hits.size:
+            continue
         rows = rows[hits]
         ks = zip(tk[p[rows]].tolist(), k2[rows].tolist(), k3[rows].tolist())
         for l, k, g in zip(tl[p[rows]].tolist(), ks, gap[hits].tolist()):
@@ -594,18 +616,19 @@ def refute_finite_order(m, n: int, max_l: int = 60) -> RefutationReport:
                 continue
             # the scan depends on l only through the conductor: one per l,
             # over residues mod M computed once per call, at its first
-            # near-miss
+            # near-miss, and kept with the primes of l
             if l not in scans:
                 if not scans:
                     residues = _corner_residues(m, n)
-                scans[l] = _lift_scan(l, residues)
-            scan = scans[l]
+                primes = _prime_factors(l)
+                scans[l] = primes, _lift_scan(l, residues, primes)
+            primes, scan = scans[l]
             near.append(
                 NearMissDiagnostic(
                     candidate=cand,
                     circle_gap=g,
                     conjugates=scan,
-                    phi=phi_inequality(l, *k),
+                    phi=_phi_check(l, k, primes),
                     note="" if scan is not None else "unchecked (N overflow)",
                 )
             )

@@ -198,6 +198,16 @@ def conjugate_scan_oracle(l: int, m, n, conductor_cap: int) -> ConjugateScan | N
     )
 
 
+def worst_k_oracle(l: int, residues) -> int:
+    """The smallest unit in [1, lcm(l, M)] over the maximising residues t of
+    cyclotomic._corner_residues, from an array of every lift t + jM at
+    once, ascending: the engine's former numpy lift."""
+    M, _, _, ties, _ = residues
+    N = math.lcm(l, M)
+    lifts = (np.asarray(ties) + M * np.arange(N // M)[:, None]).ravel()
+    return int(lifts[np.gcd(lifts, N) == 1][0])
+
+
 def survivor_diagnostic_oracle(cand, gap, m, n, conductor_cap) -> SurvivorDiagnostic:
     phi = phi_inequality(cand.l, *cand.k)
     N = conductor_oracle(cand.l, m, n)

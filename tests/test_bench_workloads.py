@@ -2,13 +2,16 @@
 against their recorded reference answers (``bench/reference/*.json.gz``)
 as a benchmark run checks them: every op answers, and no answer has a
 problem.  `refute` compares the elliptic candidate counts exactly, so a
-change to the regular-elliptic band shows here.  This test only imports
-from ``bench/`` and changes nothing there."""
+change to the regular-elliptic band shows here.  A pin keeps the
+`refute` orders within the engine's shared first block.  These tests
+only import from ``bench/`` and change nothing there."""
 
 import importlib
 from pathlib import Path
 
 import pytest
+
+from chtriangle import cyclotomic
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SEED = 1
@@ -32,3 +35,12 @@ def test_workload_answers_match_reference(monkeypatch, workload, n_ops):
     assert len(ops) == n_ops
     assert failed == []
     assert problems == []
+
+
+def test_refute_orders_stay_in_the_shared_first_block(monkeypatch):
+    # every refute op then reads the shared first block and its bounds; a
+    # change of the block's extent that moves the workload off that path
+    # fails here
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    assert max(workloads.REFUTE_L) <= cyclotomic._SHARED_ORDERS

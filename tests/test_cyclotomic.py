@@ -16,6 +16,7 @@ from chtriangle.cyclotomic import (
     _lift_scan,
     _order_blocks,
     _order_exponents,
+    _prime_factors,
     _shared_block,
     enumerate_candidates,
     euler_phi,
@@ -39,9 +40,15 @@ from helpers import (
     enumerate_candidates_oracle,
     make_rng,
     refute_finite_order_oracle,
+    worst_k_oracle,
 )
 
 INF = math.inf
+
+
+def _scan(l, m, n):
+    """The engine's conjugate scan of (m, n) at order l."""
+    return _lift_scan(l, _corner_residues(m, n), _prime_factors(l))
 
 
 def _phi_bruteforce(d):
@@ -152,15 +159,6 @@ def test_phi_inequality_equals_euler_phi_on_every_candidate():
         assert check.d == tuple(l // math.gcd(ki, l) for ki in k)
         p1, p2, p3 = map(euler_phi, check.d)
         assert check.holds == (p2 * p3 + p1 * p3 + p1 * p2 > p1 * p2 * p3), cand
-
-
-def test_refutation_phi_checks_equal_phi_inequality():
-    # the engine builds each near-miss PhiCheck with phi_inequality itself,
-    # with no totient cache of its own
-    report = refute_finite_order(8, 11, max_l=120)
-    assert report.near_misses and not report.survivors
-    for nm in report.near_misses:
-        assert nm.phi == phi_inequality(nm.candidate.l, *nm.candidate.k)
 
 
 def test_cyclotomic_construction_and_repr():
@@ -336,13 +334,13 @@ def test_trace_circle_rightmost_rejects_values_that_are_not_cosines(s1, s2):
 
 
 def test_conjugate_scan_uses_the_unchecked_rightmost_point(monkeypatch):
-    want = _lift_scan(1, _corner_residues(8, 11))
+    want = _scan(1, 8, 11)
 
     def refuse(s1, s2):
         raise AssertionError("checked rightmost point called")
 
     monkeypatch.setattr(cyclotomic, "trace_circle_rightmost", refuse)
-    assert _lift_scan(1, _corner_residues(8, 11)) == want
+    assert _scan(1, 8, 11) == want
 
 
 def test_canonical_candidate_reduction():
@@ -610,7 +608,7 @@ def test_decision_path_does_not_use_cyclotomic_int(monkeypatch):
 def test_worst_k_is_the_smallest_maximising_unit(l, m, n):
     values = conjugate_rightmost_oracle(l, m, n)
     worst = max(values.values())
-    scan = _lift_scan(l, _corner_residues(m, n))
+    scan = _scan(l, m, n)
     assert scan.n_conjugates == len(values) == euler_phi(scan.conductor)
     assert scan.max_rightmost == pytest.approx(worst, abs=1e-12)
     assert scan.worst_k == min(k for k, v in values.items() if v >= worst - 1e-12)
@@ -624,7 +622,7 @@ def test_exact_strictly_below_agrees_with_float_margin():
         for n in range(3, 41):
             if m == n:
                 continue
-            scan = _lift_scan(1, _corner_residues(m, n))
+            scan = _scan(1, m, n)
             assert scan.all_strictly_below is True and scan.max_rightmost < -1.0, (m, n)
 
 
@@ -675,6 +673,41 @@ def test_shared_block_reports_equal_per_call_builds(per_call_reports):
         assert refute_finite_order(*case) == want, case
 
 
+def test_refutation_phi_checks_equal_phi_inequality(per_call_reports):
+    # the engine factors l once per near-miss order and builds each
+    # PhiCheck with the helper phi_inequality calls; every refute pair at
+    # 120 reads the fixture, whose reports equal the shared block's (above)
+    reports = [refute_finite_order(8, 11, max_l=600)]
+    reports += [report for (m, n, L), report in per_call_reports.items() if L == 120]
+    assert len(reports) == 1 + len(REFUTE_PAIRS)
+    checked = 0
+    for report in reports:
+        assert not report.survivors
+        for nm in report.near_misses:
+            assert nm.phi == phi_inequality(nm.candidate.l, *nm.candidate.k), nm.candidate
+            checked += 1
+    assert checked > len(reports[0].near_misses) > 0
+
+
+def test_worst_k_equals_the_numpy_lift_on_every_refute_pair():
+    # the ascending gcd search over the lifts t + jM of the maximising
+    # residues t against the former array of every lift.  At (3, 5) and
+    # l = 7 the smallest residue, 7, shares a factor with l; at (3, 9) and
+    # l = 77 every residue does, and the answer is a second lift
+    assert _corner_residues(3, 5)[3][0] == 7 and _scan(7, 3, 5).worst_k == 13
+    assert _corner_residues(3, 9)[3] == [7, 11] and _scan(77, 3, 9).worst_k == 25
+    assert worst_k_oracle(7, _corner_residues(3, 5)) == 13
+    assert worst_k_oracle(77, _corner_residues(3, 9)) == 25
+    checked = 0
+    for m, n in REFUTE_PAIRS:
+        residues = _corner_residues(m, n)
+        for l in range(1, 121):
+            scan = _lift_scan(l, residues, _prime_factors(l))
+            assert scan.worst_k == worst_k_oracle(l, residues), (m, n, l)
+            checked += 1
+    assert checked == 120 * len(REFUTE_PAIRS)
+
+
 @pytest.mark.parametrize("rows", [cyclotomic._BLOCK_ROWS, 1, 1 << 16])
 def test_block_enumeration_equals_a_per_call_build(monkeypatch, rows):
     monkeypatch.setattr(cyclotomic, "_BLOCK_ROWS", rows)
@@ -682,7 +715,8 @@ def test_block_enumeration_equals_a_per_call_build(monkeypatch, rows):
         # this first block runs past the shared table's orders
         assert next(_order_blocks(120)) == (1, 105)
     shared = _shared_block()
-    for L in SHARED_LS:
+    # every order of the shared block's bounds table, and one past it
+    for L in sorted({*range(1, _SHARED_ORDERS + 2), *SHARED_LS}):
         for block in _order_blocks(L):
             got = _block(*block)
             for a, b in zip(got, _per_call_block(*block), strict=True):
@@ -762,7 +796,7 @@ def test_near_miss_scans_equal_the_oracle(m, n, max_l):
         l = miss.candidate.l
         want = conjugate_scan_oracle(l, m, n, cyclotomic.DEFAULT_CONDUCTOR_CAP)
         assert miss.conjugates == want, (m, n, l)
-        assert _lift_scan(l, _corner_residues(m, n)) == want, (m, n, l)
+        assert _scan(l, m, n) == want, (m, n, l)
         assert want.n_conjugates == euler_phi(want.conductor), (m, n, l)
 
 
@@ -800,7 +834,7 @@ def test_corner_modulus_over_the_cap_builds_no_residues(monkeypatch):
         assert miss.conjugates is None
         assert miss.note == "unchecked (N overflow)"
     assert report.overflowed == report.survivors + report.near_misses
-    assert _lift_scan(23, _corner_residues(m, n)) is None
+    assert _scan(23, m, n) is None
     assert all(N <= cyclotomic.DEFAULT_CONDUCTOR_CAP for N in sizes)
 
 
