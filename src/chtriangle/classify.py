@@ -11,6 +11,7 @@ eigenstructure of M.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,20 @@ CLUSTER_TOL = 1e-4
 
 _IDENTITY = np.eye(3)
 _IDENTITY.flags.writeable = False
+
+
+def _spectral_norm(M) -> float:
+    """Largest singular value of an SU(2,1) matrix, in closed form.
+
+    Its singular values are (s, 1, 1/s), so the squared Frobenius norm
+    is s^2 + 1 + s^-2, and with t = (|M|_F^2 - 1) / 2 the root
+    s^2 = t + sqrt(t^2 - 1) follows.  Rounding can leave t^2 - 1 just
+    below 0, which is clamped.  A form defect e of M moves t by O(e), so
+    near s = 1 the square root moves s by up to sqrt(e); for s above
+    1.01 it agrees with an SVD's to about 1e-13 relative.
+    """
+    t = 0.5 * (float(np.vdot(M, M).real) - 1.0)
+    return math.sqrt(t + math.sqrt(max(t * t - 1.0, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -57,6 +72,15 @@ def _second_invariant(a) -> complex:
         + a[0][0] * a[2][2] - a[0][2] * a[2][0]
         + a[1][1] * a[2][2] - a[1][2] * a[2][1]
     )
+
+
+def _scalar_defect(a, lam) -> float:
+    """Largest entry modulus of a - lam I, for a matrix given as nested
+    lists."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    return max(abs(a00 - lam), abs(a01), abs(a02),
+               abs(a10), abs(a11 - lam), abs(a12),
+               abs(a20), abs(a21), abs(a22 - lam))
 
 
 def _repeated_eigenvalue(c2, c1, eigenvalues):
@@ -93,7 +117,7 @@ def classify(M) -> Classification:
 
     # projectively the identity: M = lambda I with lambda^3 = det = 1
     lam = tau / 3.0
-    if np.abs(M - lam * _IDENTITY).max() <= 1e-10 * max(1.0, abs(lam)):
+    if _scalar_defect(entries, lam) <= 1e-10 * max(1.0, abs(lam)):
         return Classification(IsometryClass.IDENTITY, tau, (lam, lam, lam), f)
 
     if f < -EPS_DISCRIMINANT:
@@ -107,9 +131,9 @@ def classify(M) -> Classification:
     # trusted here.
     lam0 = _repeated_eigenvalue(tau, c1, eigs)
     d = M - lam0 * _IDENTITY
-    # the spectral norm is needed only on this path: the largest singular
-    # value, the same bits as norm(M, 2), which takes the amax of this SVD
-    scale = float(np.linalg.svd(M, compute_uv=False)[0])
+    # the spectral norm is needed only on this path; it only scales the
+    # tolerances below, so the closed form stands in for an SVD
+    scale = _spectral_norm(M)
 
     diam = max(abs(eigs[i] - eigs[j]) for i in range(3) for j in range(i + 1, 3))
     if diam <= CLUSTER_TOL * max(1.0, scale):

@@ -19,7 +19,6 @@ import numpy as np
 
 from .linalg import (
     INFINITY,
-    Q_INFINITY_LIFT,
     form_inverse,
     is_unitary_for_form,
     psi,
@@ -82,19 +81,24 @@ def _form_preserving(M, name: str) -> np.ndarray:
     return np.asarray(M, dtype=complex)
 
 
+def _image_of_lift(M: np.ndarray, point) -> np.ndarray:
+    """M applied to the lift of a boundary point.  The lift of infinity
+    is (0, -1, 1), so its image is a difference of two columns."""
+    if point is INFINITY:
+        return M[:, 2] - M[:, 1]
+    return M @ psi((point.xi, point.v, 0.0))
+
+
 def _act(M: np.ndarray, point):
     """boundary_action on a complex array already checked to preserve the
     form."""
-    if point is INFINITY:
-        lift = Q_INFINITY_LIFT
-    else:
-        lift = psi((point.xi, point.v, 0.0))
-    w = M @ lift
-    denom = w[1] + w[2]
-    if abs(denom) <= INFINITY_TOL * np.abs(w).max():
+    w = _image_of_lift(M, point)
+    w0, w1, w2 = w.tolist()
+    denom = w1 + w2
+    if abs(denom) <= INFINITY_TOL * max(abs(w0), abs(w1), abs(w2)):
         return INFINITY
-    w = w / denom
-    return HeisenbergPoint(complex(w[0]), float((w[1] - w[2]).imag))
+    z0, z1, z2 = (w / denom).tolist()
+    return HeisenbergPoint(z0, (z1 - z2).imag)
 
 
 def boundary_action(M, point):
@@ -150,11 +154,12 @@ def translation_of(M) -> HeisenbergPoint:
     return _translation(_form_preserving(M, "boundary_action"))
 
 
-def _isometric_sphere(h: np.ndarray) -> IsometricSphere:
-    """isometric_sphere on a checked complex array; h^-1 gets its own
-    check, as the defect of J h* J need not be that of h."""
+def _isometric_sphere(h: np.ndarray, forward) -> IsometricSphere:
+    """isometric_sphere on a checked complex array whose image of
+    infinity is forward; h^-1 gets its own check, as the defect of J h* J
+    need not be that of h."""
     denom = abs(h[1, 1] - h[1, 2] + h[2, 1] - h[2, 2])
-    if _act(h, INFINITY) is INFINITY or denom <= 1e-14 * np.abs(h).max():
+    if forward is INFINITY or denom <= 1e-14 * np.abs(h).max():
         raise ValueError("isometric sphere undefined: the map fixes infinity")
     center = _act(_form_preserving(form_inverse(h), "boundary_action"), INFINITY)
     return IsometricSphere(center=center, radius=math.sqrt(2.0 / denom))
@@ -166,7 +171,8 @@ def isometric_sphere(h) -> IsometricSphere:
     The centre is h^-1(infinity); the radius is
     sqrt(2 / |a22 - a23 + a32 - a33|).
     """
-    return _isometric_sphere(_form_preserving(h, "isometric_sphere"))
+    h = _form_preserving(h, "isometric_sphere")
+    return _isometric_sphere(h, _act(h, INFINITY))
 
 
 def shimizu_violation(g, h) -> bool:
@@ -184,8 +190,8 @@ def shimizu_violation(g, h) -> bool:
     g = _form_preserving(g, "boundary_action")
     t = _translation(g)
     h = _form_preserving(h, "isometric_sphere")
-    sphere = _isometric_sphere(h)
     forward = _act(h, INFINITY)
+    sphere = _isometric_sphere(h, forward)
     # the sphere's centre is h^-1(inf)
     backward = sphere.center
 

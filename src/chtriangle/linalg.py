@@ -25,6 +25,9 @@ import numpy as np
 
 FORM_SIGNS = np.array([1.0, 1.0, -1.0])
 FORM_MATRIX = np.diag(FORM_SIGNS).astype(complex)
+# J_ii J_jj: J X J scales entry (i, j) of X by this
+_FORM_SIGN_PRODUCTS = np.outer(FORM_SIGNS, FORM_SIGNS)
+_FORM_SIGN_PRODUCTS.flags.writeable = False
 _MINUS_IDENTITY = -np.eye(3, dtype=complex)
 _MINUS_IDENTITY.flags.writeable = False
 
@@ -122,10 +125,12 @@ def involution_from_polar(p) -> np.ndarray:
     # an entry whose square is past the float range
     if not cmath.isfinite(scale):
         raise ValueError("polar vector must be finite")
-    pp = hermitian_form(p, p).real
+    # J conj(p) gives both <p,p> and the outer product p (J conj(p))^T
+    jp = FORM_SIGNS * np.conj(p)
+    pp = float(np.sum(p * jp).real)
     if not pp > NULL_BAND * scale:
         raise ValueError("polar vector must be positive")
-    mat = _MINUS_IDENTITY + (2.0 / pp) * np.outer(p, FORM_SIGNS * np.conj(p))
+    mat = _MINUS_IDENTITY + (2.0 / pp) * np.outer(p, jp)
     return normalize_to_su(mat)
 
 
@@ -149,11 +154,21 @@ def is_unitary_for_form(M) -> bool:
     M = np.asarray(M, dtype=complex)
     if M.shape != (3, 3):
         return False
-    defect = M.conj().T @ FORM_MATRIX @ M - FORM_MATRIX
-    return bool(np.abs(defect).max() <= UNITARITY_TOL)
+    return _form_defect(M) <= UNITARITY_TOL
+
+
+def _form_defect(M: np.ndarray) -> float:
+    """Largest entry modulus of M* J M - J for a 3x3 complex array; M* J
+    is a column scaling, so this takes one matrix product."""
+    return float(np.abs((M.conj().T * FORM_SIGNS) @ M - FORM_MATRIX).max())
 
 
 def form_inverse(M) -> np.ndarray:
-    """Inverse of a form-unitary matrix, computed exactly as J M* J."""
+    """Inverse of a form-unitary matrix, J M* J, computed exactly as M*
+    with entry (i, j) times the sign product J_ii J_jj.
+
+    It is value-equal to the matrix product J @ M* @ J; the sign of an
+    exact zero may differ.
+    """
     M = np.asarray(M, dtype=complex)
-    return FORM_MATRIX @ M.conj().T @ FORM_MATRIX
+    return M.conj().T * _FORM_SIGN_PRODUCTS

@@ -23,6 +23,8 @@ DEGENERACY_TOL = 1e-14
 
 _IDENTITY = np.eye(3, dtype=complex)
 _IDENTITY.flags.writeable = False
+# the involution index of each letter of a word
+_LETTER_INDEX = {"1": 0, "2": 1, "3": 2}
 
 
 @dataclass(frozen=True)
@@ -63,15 +65,17 @@ class TriangleGroup:
 
     def word(self, letters: str) -> np.ndarray:
         """Product of involutions named by a word over {1, 2, 3},
-        e.g. "123" or "3132"."""
-        if not letters or any(c not in "123" for c in letters):
+        e.g. "123" or "3132".  Anything but a nonempty str is refused."""
+        # strip leaves a nonempty string exactly when a letter is not 1, 2, 3
+        if not isinstance(letters, str) or not letters or letters.strip("123"):
             raise ValueError("word must be a nonempty string over {1,2,3}")
         # the product starts from the identity: a BLAS product I @ A can
         # differ from A in the sign of zero entries, and words keep the
         # bits they always had
         out = _IDENTITY
+        involutions = self.involutions
         for c in letters:
-            out = out @ self.involutions[int(c) - 1]
+            out = out @ involutions[_LETTER_INDEX[c]]
         return out
 
 

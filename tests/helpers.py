@@ -52,14 +52,14 @@ from chtriangle.heisenberg import (
     heis_mul,
 )
 from chtriangle.linalg import (
+    FORM_MATRIX,
     FORM_SIGNS,
     INFINITY,
     NULL_BAND,
     Q_INFINITY_LIFT,
-    form_inverse,
+    UNITARITY_TOL,
     hermitian_form,
     involution_from_polar,
-    is_unitary_for_form,
     normalize_to_su,
     psi,
 )
@@ -327,12 +327,27 @@ def scan_intervals_oracle(test: str, m, n, grid: int = 100_000, tol: float = 1e-
 
 # Reference for the per-point path: the constructions and checks as they
 # were before each public call checked each matrix once, the theta-free sides
-# were shared and classify lost its unused SVD.  They re-check a matrix
-# on every boundary action, rebuild every involution and take the trace
-# and second invariant from numpy scalars.  classify_oracle reads the
-# library's discriminant; discriminant_oracle is the former formula on
-# np.abs and z**3, which the library's one real-arithmetic body meets
-# within discriminant_bound.
+# were shared, classify lost its unused SVD and the form products became
+# scalings.  They re-check a matrix on every boundary action, rebuild every
+# involution, take the trace and second invariant from numpy scalars, the
+# spectral norm from an SVD and the form products J M* J and M* J M as
+# matrix products.  classify_oracle reads the library's discriminant;
+# discriminant_oracle is the former formula on np.abs and z**3, which the
+# library's one real-arithmetic body meets within discriminant_bound.
+
+
+def form_defect_oracle(M) -> float:
+    M = np.asarray(M, dtype=complex)
+    return float(np.abs(M.conj().T @ FORM_MATRIX @ M - FORM_MATRIX).max())
+
+
+def is_unitary_for_form_oracle(M) -> bool:
+    M = np.asarray(M, dtype=complex)
+    return M.shape == (3, 3) and form_defect_oracle(M) <= UNITARITY_TOL
+
+
+def form_inverse_oracle(M) -> np.ndarray:
+    return FORM_MATRIX @ np.asarray(M, dtype=complex).conj().T @ FORM_MATRIX
 
 
 def vector_type_oracle(z) -> str:
@@ -388,7 +403,7 @@ def discriminant_bound(z) -> float:
 
 def classify_oracle(M, eps_f: float = EPS_DISCRIMINANT) -> Classification:
     M = np.asarray(M, dtype=complex)
-    if not is_unitary_for_form(M):
+    if not is_unitary_for_form_oracle(M):
         raise ValueError("classify needs a matrix preserving the form")
     M = normalize_to_su(M)
 
@@ -437,7 +452,7 @@ def classify_oracle(M, eps_f: float = EPS_DISCRIMINANT) -> Classification:
 
 
 def boundary_action_oracle(M, point):
-    if not is_unitary_for_form(M):
+    if not is_unitary_for_form_oracle(M):
         raise ValueError("boundary_action needs a matrix preserving the form")
     if point is INFINITY:
         lift = Q_INFINITY_LIFT
@@ -472,12 +487,12 @@ def translation_of_oracle(M, tol: float = 1e-8) -> HeisenbergPoint:
 
 def isometric_sphere_oracle(h) -> IsometricSphere:
     h = np.asarray(h, dtype=complex)
-    if not is_unitary_for_form(h):
+    if not is_unitary_for_form_oracle(h):
         raise ValueError("isometric_sphere needs a matrix preserving the form")
     denom = abs(h[1, 1] - h[1, 2] + h[2, 1] - h[2, 2])
     if fixes_infinity_oracle(h) or denom <= 1e-14 * np.abs(h).max():
         raise ValueError("isometric sphere undefined: the map fixes infinity")
-    center = boundary_action_oracle(form_inverse(h), INFINITY)
+    center = boundary_action_oracle(form_inverse_oracle(h), INFINITY)
     return IsometricSphere(center=center, radius=math.sqrt(2.0 / denom))
 
 
@@ -485,7 +500,7 @@ def shimizu_violation_oracle(g, h, slack: float = SHIMIZU_SLACK) -> bool:
     t = translation_of_oracle(g)
     sphere = isometric_sphere_oracle(h)
     forward = boundary_action_oracle(h, INFINITY)
-    backward = boundary_action_oracle(form_inverse(h), INFINITY)
+    backward = boundary_action_oracle(form_inverse_oracle(h), INFINITY)
 
     def displacement(point):
         return cygan_distance(boundary_action_oracle(g, point), point)

@@ -3,8 +3,10 @@ against the reference implementations in helpers.py: matrices must be
 byte-equal, verdicts and refusals equal."""
 
 import cmath
+import functools
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chtriangle import heisenberg
-from chtriangle.classify import classify, discriminant
+from chtriangle.classify import (
+    EPS_DISCRIMINANT,
+    IsometryClass,
+    _spectral_norm,
+    classify,
+    discriminant,
+)
 from chtriangle.heisenberg import (
     ORIGIN,
     boundary_action,
@@ -21,7 +29,14 @@ from chtriangle.heisenberg import (
     shimizu_violation,
     translation_of,
 )
-from chtriangle.linalg import INFINITY, form_inverse
+from chtriangle.linalg import (
+    INFINITY,
+    Q_INFINITY_LIFT,
+    _form_defect,
+    form_inverse,
+    is_unitary_for_form,
+    normalize_to_su,
+)
 from chtriangle.triangles import build_mn_inf, build_n_inf_inf
 from helpers import (
     boundary_action_oracle,
@@ -29,6 +44,8 @@ from helpers import (
     discriminant_bound,
     discriminant_oracle,
     fixes_infinity_oracle,
+    form_defect_oracle,
+    form_inverse_oracle,
     involution_from_polar_oracle,
     isometric_sphere_oracle,
     make_rng,
@@ -131,6 +148,119 @@ def test_shimizu_and_isometric_sphere_match_oracle():
             assert (boundary_action(g, INFINITY) is INFINITY) == fixes_infinity_oracle(g)
             for point in (INFINITY, ORIGIN):
                 assert outcome(boundary_action, h, point) == outcome(boundary_action_oracle, h, point)
+
+
+@functools.cache
+def value_sample():
+    """Over 20k matrices: random_form_unitary, the words of sample_points
+    (seeds 1 to 4, with the fixed words below) and each word conjugated
+    by a Heisenberg translation with |xi| <= 6 and |v| <= 36, the one of
+    its configuration or a seeded one.  Conjugates need not preserve the
+    form to UNITARITY_TOL."""
+    rng = make_rng(17)
+    mats = [random_form_unitary(rng) for _ in range(6000)]
+    draw = random.Random("value-sample")
+    for seed in range(1, 5):
+        for group, words, conj in sample_points(seed):
+            if conj is None:
+                xi = cmath.rect(MAX_XI * math.sqrt(draw.random()), draw.uniform(0.0, 2.0 * math.pi))
+                conj = heisenberg_translation(xi, draw.uniform(-MAX_XI**2, MAX_XI**2))
+            for w in words + ["1", "2", "3", "23", "123", "3132"]:
+                M = group.word(w)
+                mats += [M, conjugated(conj, M)]
+    return tuple(mats)
+
+
+def test_form_products_are_value_equal_to_matrix_products():
+    # the form defect, J M* J and the image of the lift of infinity are
+    # scalings and column differences, not matrix products.  Their values
+    # are those of the products; the sign of an exact zero may differ, so
+    # the arrays are compared with np.array_equal, not tobytes
+    mats = value_sample()
+    assert len(mats) >= 20_000
+    for M in mats:
+        assert _form_defect(M) == form_defect_oracle(M)
+        assert np.array_equal(form_inverse(M), form_inverse_oracle(M))
+        assert np.array_equal(heisenberg._image_of_lift(M, INFINITY), M @ Q_INFINITY_LIFT)
+
+
+def test_closed_form_spectral_norm_and_classify_tags():
+    checked = 0
+    for M in value_sample():
+        got = outcome(classify, M)
+        assert got == outcome(classify_oracle, M)
+        if isinstance(got, tuple):
+            continue
+        N = normalize_to_su(M)
+        want = np.linalg.norm(N, 2)
+        assert abs(_spectral_norm(N) - want) <= 1e-7 * want
+        checked += 1
+    assert checked >= 20_000
+
+
+def test_closed_form_spectral_norm_near_one():
+    # at a spectral norm of 1 the closed form moves by the square root of
+    # the form defect, so it can miss an SVD by more than 1e-7 relative.
+    # Perturbed diagonal unitaries show it: within sqrt(defect + 4 eps)
+    # (0.81 of that at most here), and over 1e-7 for the larger defects
+    rng = make_rng(3)
+    worst = 0.0
+    for _ in range(200):
+        a, b = rng.uniform(0.0, 2.0 * math.pi, 2)
+        D = np.diag(np.exp(1j * np.array([a, b, -a - b])))
+        eta = 10.0 ** rng.uniform(-16.0, -11.0)
+        M = D + eta * (rng.randn(3, 3) + 1j * rng.randn(3, 3))
+        want = np.linalg.norm(M, 2)
+        err = abs(_spectral_norm(M) - want)
+        assert err <= math.sqrt(form_defect_oracle(M) + 4.0 * sys.float_info.epsilon)
+        worst = max(worst, err / want)
+    assert worst > 1e-7
+
+
+def count_svd_calls(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_classify_takes_at_most_one_svd_on_the_band(monkeypatch):
+    mats = [M for M in value_sample()[::7] if is_unitary_for_form(M)]
+    calls = count_svd_calls(monkeypatch)
+    seen = {False: 0, True: 0}
+    for M in mats:
+        calls.clear()
+        c = classify(M)
+        band = abs(c.discriminant) <= EPS_DISCRIMINANT
+        assert len(calls) <= (1 if band else 0), c
+        seen[band] += 1
+    # word "1" is boundary elliptic: its rank is an SVD's
+    calls.clear()
+    assert classify(build_n_inf_inf(7, 0.4).word("1")).tag is IsometryClass.BOUNDARY_ELLIPTIC
+    assert len(calls) == 1
+    assert seen[False] > 0 and seen[True] > 0
+
+
+def test_shimizu_violation_maps_infinity_through_h_once(monkeypatch):
+    group = build_n_inf_inf(7, 0.4)
+    g = group.word("23")
+    act = heisenberg._act
+    for w in ("1", "12", "123"):
+        h = group.word(w)
+        calls = []
+
+        def counting(M, point):
+            calls.append(M is h and point is INFINITY)
+            return act(M, point)
+
+        monkeypatch.setattr(heisenberg, "_act", counting)
+        assert shimizu_violation(g, h) == shimizu_violation_oracle(g, h)
+        assert sum(calls) == 1, w
 
 
 def count_checks(monkeypatch):

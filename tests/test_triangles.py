@@ -164,10 +164,10 @@ def test_angular_invariant_recovers_theta():
 
 def test_word_evaluation_validates_input():
     group = build_mn_inf(5, 4, 0.9)
-    with pytest.raises(ValueError):
-        group.word("")
-    with pytest.raises(ValueError):
-        group.word("124")
+    # only a nonempty str is a word: no list, tuple or bytes of letters
+    for letters in ("", "124", "1 2", ["1", "2"], ("1",), [1], b"12", 12, None):
+        with pytest.raises(ValueError, match="nonempty string"):
+            group.word(letters)
 
 
 def test_two_vertical_sides_compose_to_translation():
