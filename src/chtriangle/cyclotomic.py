@@ -16,29 +16,39 @@ cyclotomic diagnostics.
 
 The engine works on blocks of consecutive orders l, each holding about
 2^14 exponent triples: orders 1..66 form one block, and from 223 on each
-order is a block of its own.  A block builds one (l, k) table.  It gives
-the canonical triples in closed form (for each (l, k1), k2 runs over two
+order is a block of its own.  A block ends at the last order that keeps
+its estimated rows within that size, found by bisection in a table of
+cumulative estimates.  A block builds one (l, k) table.  It gives the
+canonical triples in closed form (for each (l, k1), k2 runs over two
 ranges, the exponent sums l and 2l) and the block's roots of unity, from
-which the traces are gathered.  The discriminant filter keeps the regular
-elliptic rows, the circle filter runs once over those, and only
-survivors and near-misses become CandidateTrace objects.  Reports do not
-depend on the block size.  The block's triples are the one canonical
-form of a candidate, and its table of roots of unity the one candidate
-value; CyclotomicInt, a sum of roots of unity evaluated as a float,
-serves the test oracles, not the engine.
+which the traces are gathered.  The discriminant filter counts the
+regular elliptic rows.  The circle filter runs only on those a circle
+can reach: the rightmost point of every trace circle is
+c + R = -4 (s1 - s2)^2 - 1 <= -1, so a trace within DEFAULT_NEAR_TOL of
+one has Re tau <= -1 + DEFAULT_NEAR_TOL, and the block keeps the rows up
+to that bound plus a rounding margin of 1e-9, its circle rows.  At
+order 600 that is 9,613 of 38,311 elliptic rows.  Only survivors and
+near-misses become CandidateTrace objects.  Reports do not depend on the
+block size.  The block's triples are the one canonical form of a
+candidate, and its table of roots of unity the one candidate value;
+CyclotomicInt, a sum of roots of unity evaluated as a float, serves the
+test oracles, not the engine.
 
 Of a block, only the circle gap and the diagnostics depend on (m, n).
-The rest, the integer enumeration and the float stage (the traces and
-the elliptic filter), depends on neither (m, n) nor max_l, so the first
-block's is built once per process, at the first call that reads it, and
-kept as read-only arrays: its (l, k) table and 14,181 canonical rows
-(245 KB), and its 12,853 elliptic rows with the real and imaginary parts
-of their traces (257 KB).  EPS_DISCRIMINANT is read then, once.  The
-rows run in (l, k1, k2) order, so a max_l up to 66 reads a prefix of
-them.  The prefix lengths, the numbers of rows and of elliptic rows of
-orders up to L for each L = 1..66, are tabulated once, with the block,
-so a call slices without a search.  Blocks from order 67 on are built
-per call.
+The rest, the integer enumeration and the float stage (the traces, the
+elliptic count and the circle rows), depends on neither (m, n) nor
+max_l, so the first block's is built once per process, at the first
+call that reads it, and kept as read-only arrays: its (l, k) table and
+14,181 canonical rows (245 KB), its numbers of elliptic rows per order
+(12,853 in all), and its 3,218 circle rows with the real and imaginary
+parts of their traces (64 KB).  EPS_DISCRIMINANT and DEFAULT_NEAR_TOL
+are read then, once; a later, larger DEFAULT_NEAR_TOL is served by
+blocks built per call.  The rows run in (l, k1, k2) order, so a max_l up
+to 66 reads a prefix of them.  The prefix lengths, the numbers of rows
+and of circle rows of orders up to L for each L = 1..66, are tabulated
+once, with the block, so a call slices without a search: refute's
+max_l = 16..36 runs the circle gap on 42 to 508 rows, of 165 to 2,027
+elliptic ones.  Blocks from order 67 on are built per call.
 
 The conjugate scan is closed form.  The Galois map omega_N -> omega_N^k
 sends 2 cos(pi/n) to 2 cos(k pi/n) and fixes the integer 2 of an
@@ -47,10 +57,15 @@ M = lcm(2m, 2n) (M = 2n when m is infinite).  As M divides the conductor
 N, the units mod N map onto the units mod M, and the phi(N) conjugates
 reduce to the phi(M) unit residues mod M.  That residue part depends on
 (m, n) only: it is computed once per call, at the first near-miss, and
-each near-miss order lifts it to its conductor.  Whether every
-conjugated circle lies strictly left of -1 is decided on integers:
-|cos k pi/n| = |cos k pi/m| exactly when mn divides k(m - n) or
-k(m + n), and |cos k pi/n| = 1 exactly when n divides k.
+each near-miss order lifts it to its conductor.  The units come from a
+sieve over the primes of M, and their cosines from one table of
+cos(j pi/n), j = 0..2n - 1, indexed by r mod 2n (and one for m).
+Whether every conjugated circle lies strictly left of -1 is one integer
+test on (m, n): every prime of mn divides M, so a unit r mod M is prime
+to mn, and |cos r pi/n| = |cos r pi/m|, which holds exactly when mn
+divides r(m - n) or r(m + n), would need mn to divide m - n or m + n;
+|cos r pi/n| = 1 at an infinite m would need n to divide 1.  For
+m != n, both orders at least 3, neither happens.
 
 The enumeration and the filters grow as max_l^3, and the near-miss
 diagnostics add a part that grows with the near-misses.  Their totients
@@ -63,13 +78,15 @@ coprime to the conductor.  A block with no row within DEFAULT_NEAR_TOL
 of the circle gathers nothing.
 On one core of a 2-vCPU Xeon virtual machine, refute_finite_order(8, 11)
 takes (median of 7 fresh processes, the shared block's build included)
-0.018 s of CPU at max_l = 120, 0.18 s at 300, 0.82 s at 600 and 2.8 s
-at 900.  In the same set of launches, with the bounds searched per call,
-the lifts as one array and l factored per near-miss, it took 0.024,
-0.21, 0.95 and 3.0 s.
+0.015 s of CPU at max_l = 120, 0.20 s at 300, 0.94 s at 600 and 2.8 s
+at 900.  In the same set of launches, with every elliptic row on the
+circle test and the units from one gcd each, it took 0.015, 0.19, 1.03
+and 2.8 s: at these orders the per-call blocks dominate.
 """
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -284,20 +301,23 @@ class CandidateTrace:
 # block of its own
 _BLOCK_ROWS = 1 << 14
 
+# _ROW_ESTIMATES[L] estimates the number of canonical rows of orders up to
+# L: l^2/6 + 1 is about the number of exponent triples of order l
+_ROW_ESTIMATES = list(itertools.accumulate(
+    (l * l // 6 + 1 for l in range(1, MAX_ORDER_BOUND + 1)), initial=0))
+
 
 def _order_blocks(max_l: int):
     """Consecutive orders 1..max_l cut into blocks (l_lo, l_hi) of about
     _BLOCK_ROWS canonical rows each; an order with more rows is a block
-    of its own."""
-    l_lo, rows = 1, 0
-    for l in range(1, max_l + 1):
-        # l^2/6 + 1 is about the number of exponent triples of order l
-        est = l * l // 6 + 1
-        if rows and rows + est > _BLOCK_ROWS:
-            yield l_lo, l - 1
-            l_lo, rows = l, 0
-        rows += est
-    yield l_lo, max_l
+    of its own.  Each block ends at the last order whose estimate keeps
+    the block within _BLOCK_ROWS, found by bisection in _ROW_ESTIMATES."""
+    l_lo = 1
+    while l_lo <= max_l:
+        budget = _ROW_ESTIMATES[l_lo - 1] + _BLOCK_ROWS
+        l_hi = min(max(bisect.bisect_right(_ROW_ESTIMATES, budget, l_lo) - 1, l_lo), max_l)
+        yield l_lo, l_hi
+        l_lo = l_hi + 1
 
 
 def _order_exponents(l_lo: int, l_hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -335,14 +355,27 @@ def _canonical_triples(tl: np.ndarray, tk: np.ndarray) -> tuple[np.ndarray, np.n
     return p, k2, (-tk[p] - k2) % tl[p]
 
 
-def _build_block(l_lo: int, l_hi: int) -> tuple:
+# the rightmost point c + R = -4 (s1 - s2)^2 - 1 of every trace circle is
+# at most -1, so a trace within DEFAULT_NEAR_TOL of a circle has real part
+# at most -1 + DEFAULT_NEAR_TOL; the margin covers the rounding of c, R,
+# x - c and hypot, which stays below 1e-13
+_LEFT_MARGIN = 1e-9
+# the shared block's bound, fixed at import so that the shared block does
+# not follow a later change of DEFAULT_NEAR_TOL; a larger tolerance than
+# this one is served by per-call blocks
+_LEFT_BOUND = -1.0 + DEFAULT_NEAR_TOL + _LEFT_MARGIN
+
+
+def _build_block(l_lo: int, l_hi: int, left: float) -> tuple:
     """The block of orders l_lo..l_hi: its integer enumeration and its
     float stage, which depend on neither (m, n) nor max_l.
 
-    Returns (tl, tk, p, k2, k3, rows, x, y): the (l, k) table of
-    _order_exponents and the rows of _canonical_triples, then the rows whose
-    trace tau is regular elliptic (discriminant below -EPS_DISCRIMINANT,
-    ascending, int32) and the real and imaginary parts of tau on them.
+    Returns (tl, tk, p, k2, k3, elliptic, rows, x, y): the (l, k) table of
+    _order_exponents and the rows of _canonical_triples; elliptic[i], the
+    number of rows of orders l_lo..l_lo + i whose trace tau is regular
+    elliptic (discriminant below -EPS_DISCRIMINANT); then the circle rows,
+    the elliptic rows with Re tau <= left (ascending, int32), and the real
+    and imaginary parts of tau on them.
     """
     tl, tk = _order_exponents(l_lo, l_hi)
     p, k2, k3 = _canonical_triples(tl, tk)
@@ -353,11 +386,15 @@ def _build_block(l_lo: int, l_hi: int) -> tuple:
     # (l, k) of a row's order sits at table index base + k
     base = p - tk[p]
     tau = roots[p] + roots[base + k2] + roots[base + k3]
-    rows = np.flatnonzero(discriminant(tau) < -EPS_DISCRIMINANT)
-    # x and y view the elliptic rows' traces only; the gather indexes with
+    is_elliptic = discriminant(tau) < -EPS_DISCRIMINANT
+    # the rows of orders up to l end where p reaches the table's end of l
+    ends = np.searchsorted(p, np.cumsum(np.arange(l_lo, l_hi + 1)))
+    elliptic = np.searchsorted(np.flatnonzero(is_elliptic), ends)
+    rows = np.flatnonzero(is_elliptic & (tau.real <= left))
+    # x and y view the circle rows' traces only; the gather indexes with
     # the intp rows, as an int32 index array takes numpy's slower path
     tau = tau[rows]
-    return tl, tk, p, k2, k3, rows.astype(np.int32), tau.real, tau.imag
+    return tl, tk, p, k2, k3, elliptic, rows.astype(np.int32), tau.real, tau.imag
 
 
 # the last order of the first block at the default _BLOCK_ROWS, fixed at
@@ -367,11 +404,11 @@ _SHARED_ORDERS = next(_order_blocks(MAX_ORDER_BOUND))[1]
 
 @functools.cache
 def _shared_block() -> tuple:
-    """_build_block(1, _SHARED_ORDERS), built once per process on first use
-    and kept as read-only arrays.  It depends on no argument, and its rows
-    are in (l, k1, k2) order, so any first block that ends at or before
-    _SHARED_ORDERS is a prefix of it."""
-    arrays = _build_block(1, _SHARED_ORDERS)
+    """_build_block(1, _SHARED_ORDERS, _LEFT_BOUND), built once per process
+    on first use and kept as read-only arrays.  It depends on no argument,
+    and its rows are in (l, k1, k2) order, so any first block that ends at
+    or before _SHARED_ORDERS is a prefix of it."""
+    arrays = _build_block(1, _SHARED_ORDERS, _LEFT_BOUND)
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -379,26 +416,30 @@ def _shared_block() -> tuple:
 
 @functools.cache
 def _shared_bounds() -> tuple:
-    """(n_L, e_L) for L = 0.._SHARED_ORDERS, built once per process from
-    the shared block: n_L is its number of rows of orders up to L, e_L the
-    number of elliptic rows among them."""
-    _, _, p, _, _, rows, _, _ = _shared_block()
+    """(n_L, f_L) for L = 0.._SHARED_ORDERS, built once per process from
+    the shared block: n_L is its number of rows of orders up to L, f_L the
+    number of circle rows among them.  The numbers of elliptic rows are
+    the block's own counts."""
+    _, _, p, _, _, _, rows, _, _ = _shared_block()
     n = np.searchsorted(p, [L * (L + 1) // 2 for L in range(_SHARED_ORDERS + 1)])
     return tuple(zip(n.tolist(), np.searchsorted(rows, n).tolist()))
 
 
 def _block(l_lo: int, l_hi: int) -> tuple:
-    """(tl, tk, p, k2, k3, rows, x, y) of the block of orders l_lo..l_hi,
-    as _build_block gives them.  A block of orders 1..L with
-    L <= _SHARED_ORDERS reads a prefix of the shared block: the first
-    L (L + 1) / 2 entries of its (l, k) table and the first n_L rows and
-    e_L elliptic rows of _shared_bounds; any other block is built here."""
-    if l_lo != 1 or l_hi > _SHARED_ORDERS:
-        return _build_block(l_lo, l_hi)
-    tl, tk, p, k2, k3, rows, x, y = _shared_block()
+    """(tl, tk, p, k2, k3, elliptic, rows, x, y) of the block of orders
+    l_lo..l_hi, as _build_block gives them for the bound that
+    DEFAULT_NEAR_TOL sets.  A block of orders 1..L with L <= _SHARED_ORDERS
+    reads a prefix of the shared block, when its bound covers that one: the
+    first L (L + 1) / 2 entries of its (l, k) table, the first L counts and
+    the first n_L rows and f_L circle rows of _shared_bounds; any other
+    block is built here."""
+    left = -1.0 + DEFAULT_NEAR_TOL + _LEFT_MARGIN
+    if l_lo != 1 or l_hi > _SHARED_ORDERS or left > _LEFT_BOUND:
+        return _build_block(l_lo, l_hi, left)
+    tl, tk, p, k2, k3, elliptic, rows, x, y = _shared_block()
     size = l_hi * (l_hi + 1) // 2
-    n, e = _shared_bounds()[l_hi]
-    return tl[:size], tk[:size], p[:n], k2[:n], k3[:n], rows[:e], x[:e], y[:e]
+    n, f = _shared_bounds()[l_hi]
+    return tl[:size], tk[:size], p[:n], k2[:n], k3[:n], elliptic[:l_hi], rows[:f], x[:f], y[:f]
 
 
 def enumerate_candidates(max_l: int):
@@ -480,9 +521,13 @@ def _corner_modulus(m, n) -> int:
 
 
 def _units(N: int) -> np.ndarray:
-    """The units k in [1, N] mod N, ascending."""
-    k = np.arange(1, N + 1)
-    return k[np.gcd(k, N) == 1]
+    """The units k in [1, N] mod N, ascending: a sieve over the primes of
+    N."""
+    unit = np.ones(N + 1, dtype=bool)
+    unit[0] = False
+    for q in _prime_factors(N):
+        unit[::q] = False
+    return np.flatnonzero(unit)
 
 
 def _corner_residues(m, n):
@@ -491,23 +536,29 @@ def _corner_residues(m, n):
     residues attaining it within 1e-12, whether every conjugated circle lies
     strictly left of -1, decided on integers).  None when M exceeds
     DEFAULT_CONDUCTOR_CAP, since every conductor lcm(l, M) then does too;
-    nothing is built."""
+    nothing is built.
+
+    The conjugated cosines are read from a table of cos(j pi/n),
+    j = 0..2n - 1, at j = r mod 2n (and the same for m).  A unit r mod M is
+    prime to mn, so |cos r pi/n| = |cos r pi/m| would need mn to divide
+    m - n or m + n, and |cos r pi/n| = 1 at an infinite m would need n to
+    divide 1."""
     M = _corner_modulus(m, n)
     if M > DEFAULT_CONDUCTOR_CAP:
         return None
     n = int(n)
     r = _units(M)
-    s1 = np.cos(np.pi * (r % (2 * n)) / n)
+    s1 = np.cos(np.pi * np.arange(2 * n) / n)[r % (2 * n)]
     if is_infinite(m):
         s2 = 1.0
-        on_line = r % n == 0
+        strictly_below = n > 1
     else:
         m = int(m)
-        s2 = np.cos(np.pi * (r % (2 * m)) / m)
-        on_line = ((r * (m - n)) % (m * n) == 0) | ((r * (m + n)) % (m * n) == 0)
+        s2 = np.cos(np.pi * np.arange(2 * m) / m)[r % (2 * m)]
+        strictly_below = (m - n) % (m * n) != 0 and (m + n) % (m * n) != 0
     rightmost = _trace_circle_rightmost(s1, s2)
     worst = float(rightmost.max())
-    return M, r.size, worst, r[rightmost >= worst - 1e-12].tolist(), not on_line.any()
+    return M, r.size, worst, r[rightmost >= worst - 1e-12].tolist(), strictly_below
 
 
 def _lift_scan(l: int, residues, primes) -> ConjugateScan | None:
@@ -597,9 +648,9 @@ def refute_finite_order(m, n: int, max_l: int = 60) -> RefutationReport:
     elliptic = 0
     scans = {}
     for block in _order_blocks(max_l):
-        tl, tk, p, k2, k3, rows, x, y = _block(*block)
+        tl, tk, p, k2, k3, counts, rows, x, y = _block(*block)
         checked += p.size
-        elliptic += rows.size
+        elliptic += int(counts[-1])
         # c is real, so this is |tau - c| as a complex difference gives it;
         # np.hypot rounds as abs(complex) does, np.abs can differ in the
         # last bit

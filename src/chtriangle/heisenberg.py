@@ -89,10 +89,10 @@ def _image_of_lift(M: np.ndarray, point) -> np.ndarray:
     return M @ psi((point.xi, point.v, 0.0))
 
 
-def _act(M: np.ndarray, point):
+def _act(M: np.ndarray, point, lift=None):
     """boundary_action on a complex array already checked to preserve the
-    form."""
-    w = _image_of_lift(M, point)
+    form; lift, when given, is psi's lift of point."""
+    w = _image_of_lift(M, point) if lift is None else M @ lift
     w0, w1, w2 = w.tolist()
     denom = w1 + w2
     if abs(denom) <= INFINITY_TOL * max(abs(w0), abs(w1), abs(w2)):
@@ -129,14 +129,29 @@ def heisenberg_translation(xi, v) -> np.ndarray:
     )
 
 
+def _constant_lift(point) -> np.ndarray:
+    """psi's lift of a constant point, taken once and kept read-only."""
+    lift = psi(point)
+    lift.flags.writeable = False
+    return lift
+
+
+# the origin and the probes of translation_of, with their lifts
+_ORIGIN_LIFT = _constant_lift(ORIGIN)
+_PROBES = tuple(
+    (probe, _constant_lift(probe))
+    for probe in (HeisenbergPoint(1.0 + 0j, 0.0), HeisenbergPoint(1j, 2.0))
+)
+
+
 def _translation(M: np.ndarray) -> HeisenbergPoint:
     """translation_of on a checked complex array."""
     if _act(M, INFINITY) is not INFINITY:
         raise ValueError("not a Heisenberg translation: infinity moves")
-    t = _act(M, ORIGIN)
+    t = _act(M, ORIGIN, _ORIGIN_LIFT)
     bound = TRANSLATION_TOL * (1.0 + abs(t.xi) ** 2 + abs(t.v))
-    for probe in (HeisenbergPoint(1.0 + 0j, 0.0), HeisenbergPoint(1j, 2.0)):
-        got = _act(M, probe)
+    for probe, lift in _PROBES:
+        got = _act(M, probe, lift)
         want = heis_mul(t, probe)
         if got is INFINITY:
             raise ValueError("not a Heisenberg translation")

@@ -208,6 +208,51 @@ def worst_k_oracle(l: int, residues) -> int:
     return int(lifts[np.gcd(lifts, N) == 1][0])
 
 
+def units_oracle(N: int) -> np.ndarray:
+    """The units k in [1, N] mod N, one gcd per k: the engine's former
+    _units."""
+    k = np.arange(1, N + 1)
+    return k[np.gcd(k, N) == 1]
+
+
+def corner_residues_oracle(m, n):
+    """cyclotomic._corner_residues as the engine formerly computed it:
+    the units from units_oracle, one cosine per unit, and the strictly-below
+    flag from two modular arrays over the units."""
+    M = 2 * int(n) if is_infinite(m) else math.lcm(2 * int(m), 2 * int(n))
+    if M > DEFAULT_CONDUCTOR_CAP:
+        return None
+    n = int(n)
+    r = units_oracle(M)
+    s1 = np.cos(np.pi * (r % (2 * n)) / n)
+    if is_infinite(m):
+        s2 = 1.0
+        on_line = r % n == 0
+    else:
+        m = int(m)
+        s2 = np.cos(np.pi * (r % (2 * m)) / m)
+        on_line = ((r * (m - n)) % (m * n) == 0) | ((r * (m + n)) % (m * n) == 0)
+    rightmost = -4.0 * (abs(s1) - abs(s2)) ** 2 - 1.0
+    worst = float(rightmost.max())
+    return M, r.size, worst, r[rightmost >= worst - 1e-12].tolist(), not on_line.any()
+
+
+def order_blocks_oracle(max_l: int, block_rows: int):
+    """The engine's former _order_blocks loop: orders 1..max_l cut into
+    blocks of at most block_rows estimated rows, l^2/6 + 1 per order l,
+    an order with more rows a block of its own."""
+    blocks = []
+    l_lo, rows = 1, 0
+    for l in range(1, max_l + 1):
+        est = l * l // 6 + 1
+        if rows and rows + est > block_rows:
+            blocks.append((l_lo, l - 1))
+            l_lo, rows = l, 0
+        rows += est
+    blocks.append((l_lo, max_l))
+    return blocks
+
+
 def survivor_diagnostic_oracle(cand, gap, m, n, conductor_cap) -> SurvivorDiagnostic:
     phi = phi_inequality(cand.l, *cand.k)
     N = conductor_oracle(cand.l, m, n)

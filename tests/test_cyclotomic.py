@@ -37,9 +37,12 @@ from helpers import (
     canonical_triples_oracle,
     conjugate_rightmost_oracle,
     conjugate_scan_oracle,
+    corner_residues_oracle,
     enumerate_candidates_oracle,
     make_rng,
+    order_blocks_oracle,
     refute_finite_order_oracle,
+    units_oracle,
     worst_k_oracle,
 )
 
@@ -617,13 +620,35 @@ def test_worst_k_is_the_smallest_maximising_unit(l, m, n):
 def test_exact_strictly_below_agrees_with_float_margin():
     # for m != n no unit r mod M has |cos(r pi/n)| = |cos(r pi/m)|, or
     # |cos(r pi/n)| = 1 at m = inf: every conjugated circle lies strictly
-    # left of -1, decided on integers and by the float margin alike
-    for m in [*range(3, 41), INF]:
-        for n in range(3, 41):
+    # left of -1, decided on integers and by the float margin alike.  The
+    # residue scan, with its sieved units, its cosine tables and its one
+    # integer test on (m, n), equals the former per-unit one exactly
+    checked = 0
+    for m in [*range(3, 61), INF]:
+        for n in range(3, 61):
             if m == n:
                 continue
+            residues = _corner_residues(m, n)
+            assert residues == corner_residues_oracle(m, n), (m, n)
+            assert residues[4] is True and residues[2] < -1.0, (m, n)
             scan = _scan(1, m, n)
             assert scan.all_strictly_below is True and scan.max_rightmost < -1.0, (m, n)
+            checked += 1
+    assert checked == 58 * 58
+
+
+def test_units_equal_the_gcd_oracle():
+    assert cyclotomic._units(1).tolist() == [1]
+    for N in range(1, 5001):
+        got, want = cyclotomic._units(N), units_oracle(N)
+        assert got.dtype == want.dtype and np.array_equal(got, want), N
+
+
+@pytest.mark.parametrize("rows", [cyclotomic._BLOCK_ROWS, 1, 1 << 16])
+def test_order_blocks_equal_the_former_loop(monkeypatch, rows):
+    monkeypatch.setattr(cyclotomic, "_BLOCK_ROWS", rows)
+    for max_l in [*range(1, 400), *range(400, 2001, 37), 2000]:
+        assert list(_order_blocks(max_l)) == order_blocks_oracle(max_l, rows), max_l
 
 
 def test_refutation_at_max_l_200():
@@ -645,14 +670,25 @@ SHARED_LS = (1, 2, 16, 36, 65, 66, 67, 120)
 def _per_call_block(l_lo, l_hi):
     """A block built afresh, with no shared arrays: its enumeration, then
     each row's trace summed from exp(2 pi i k / l) of its own exponents,
-    with no roots table, and the elliptic rows with the parts of their
-    traces."""
+    with no roots table, the elliptic counts per order from a histogram,
+    and every elliptic row as a circle row, with the parts of its trace:
+    no row is left out for lying right of the circles."""
     tl, tk = _order_exponents(l_lo, l_hi)
     p, k2, k3 = _canonical_triples(tl, tk)
     step = 2.0 * math.pi / tl[p]
     tau = np.exp(1j * step * tk[p]) + np.exp(1j * step * k2) + np.exp(1j * step * k3)
-    rows = np.flatnonzero(discriminant(tau) < -EPS_DISCRIMINANT).astype(np.int32)
-    return tl, tk, p, k2, k3, rows, tau[rows].real, tau[rows].imag
+    rows = np.flatnonzero(discriminant(tau) < -EPS_DISCRIMINANT)
+    elliptic = np.cumsum(np.bincount(tl[p[rows]] - l_lo, minlength=l_hi - l_lo + 1))
+    rows = rows.astype(np.int32)
+    return tl, tk, p, k2, k3, elliptic, rows, tau[rows].real, tau[rows].imag
+
+
+def _left_of(block, bound=cyclotomic._LEFT_BOUND):
+    """A block of _per_call_block with its circle rows cut to those with
+    Re tau <= bound, as the engine keeps them."""
+    *head, rows, x, y = block
+    keep = x <= bound
+    return (*head, rows[keep], x[keep], y[keep])
 
 
 @pytest.fixture(scope="module")
@@ -719,7 +755,7 @@ def test_block_enumeration_equals_a_per_call_build(monkeypatch, rows):
     for L in sorted({*range(1, _SHARED_ORDERS + 2), *SHARED_LS}):
         for block in _order_blocks(L):
             got = _block(*block)
-            for a, b in zip(got, _per_call_block(*block), strict=True):
+            for a, b in zip(got, _left_of(_per_call_block(*block)), strict=True):
                 assert a.dtype == b.dtype
                 np.testing.assert_array_equal(a, b, err_msg=str(block))
             # a first block within the table reads a prefix of it, any other
@@ -737,9 +773,39 @@ def test_shared_block_extent_ignores_the_block_size_at_first_build(monkeypatch, 
     assert _shared_block.cache_info().misses == 1
     monkeypatch.undo()
     assert _SHARED_ORDERS == 66 and next(_order_blocks(120)) == (1, _SHARED_ORDERS)
-    for a, b in zip(_shared_block(), _per_call_block(1, _SHARED_ORDERS), strict=True):
+    for a, b in zip(_shared_block(), _left_of(_per_call_block(1, _SHARED_ORDERS)), strict=True):
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
+
+
+def test_circle_rows_are_the_elliptic_rows_a_circle_can_reach():
+    # every trace circle ends at c + R <= -1 on the right: of the shared
+    # block's 12,853 elliptic rows 3218 lie left of -1 + DEFAULT_NEAR_TOL
+    tl, tk, p, k2, k3, elliptic, rows, x, y = _shared_block()
+    assert (p.size, int(elliptic[-1]), rows.size) == (14181, 12853, 3218)
+    assert [cyclotomic._shared_bounds()[L] for L in (16, 36, 66)] == [
+        (245, 42), (2423, 508), (14181, 3218)]
+    assert [int(elliptic[L - 1]) for L in (16, 36)] == [165, 2027]
+    assert x.max() <= cyclotomic._LEFT_BOUND == -1.0 + cyclotomic.DEFAULT_NEAR_TOL + 1e-9
+    for m, n in REFUTE_PAIRS:
+        c, radius = _trace_123_circle(m, n)
+        assert c + radius <= -1.0, (m, n)
+
+
+def test_a_raised_near_tolerance_widens_the_circle_rows(monkeypatch):
+    # the shared block keeps the rows for the tolerance at import; a larger
+    # one is served by per-call blocks cut at its own bound, a smaller one
+    # by the shared block
+    shared = _shared_block()
+    monkeypatch.setattr(cyclotomic, "DEFAULT_NEAR_TOL", 0.05)
+    got = _block(1, 36)
+    assert not any(np.may_share_memory(a, b) for a, b in zip(got, shared))
+    want = _left_of(_per_call_block(1, 36), -1.0 + 0.05 + 1e-9)
+    assert got[6].size > cyclotomic._shared_bounds()[36][1]
+    for a, b in zip(got, want, strict=True):
+        np.testing.assert_array_equal(a, b)
+    monkeypatch.setattr(cyclotomic, "DEFAULT_NEAR_TOL", 1e-4)
+    assert all(np.may_share_memory(a, b) for a, b in zip(_block(1, 36), shared))
 
 
 def test_shared_block_is_read_only():

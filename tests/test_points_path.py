@@ -254,13 +254,37 @@ def test_shimizu_violation_maps_infinity_through_h_once(monkeypatch):
         h = group.word(w)
         calls = []
 
-        def counting(M, point):
+        def counting(M, point, *lift):
             calls.append(M is h and point is INFINITY)
-            return act(M, point)
+            return act(M, point, *lift)
 
         monkeypatch.setattr(heisenberg, "_act", counting)
         assert shimizu_violation(g, h) == shimizu_violation_oracle(g, h)
         assert sum(calls) == 1, w
+
+
+def test_constant_points_are_lifted_once_at_import(monkeypatch):
+    # the origin and the two probes of translation_of keep psi's lifts,
+    # so a Shimizu test lifts only the two points it maps through g
+    group = build_n_inf_inf(7, 0.4)
+    g = group.word("23")
+    calls = []
+    lift = heisenberg.psi
+
+    def counting(point):
+        calls.append(point)
+        return lift(point)
+
+    monkeypatch.setattr(heisenberg, "psi", counting)
+    assert translation_of(g) == translation_of_oracle(g)
+    assert calls == []
+    for w in ("1", "12", "123"):
+        h = group.word(w)
+        calls.clear()
+        assert shimizu_violation(g, h) == shimizu_violation_oracle(g, h)
+        assert len(calls) == 2, w
+    lifts = [heisenberg._ORIGIN_LIFT, *(b for _, b in heisenberg._PROBES)]
+    assert not any(a.flags.writeable for a in lifts)
 
 
 def count_checks(monkeypatch):
