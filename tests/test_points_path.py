@@ -247,12 +247,17 @@ def test_classify_takes_at_most_one_svd_on_the_band(monkeypatch):
 
 
 def test_shimizu_violation_maps_infinity_through_h_once(monkeypatch):
+    # and lifts by psi only the two points it maps through g: the origin
+    # and the probes of translation_of keep their lifts, taken at import
     group = build_n_inf_inf(7, 0.4)
     g = group.word("23")
-    act = heisenberg._act
+    act, psi = heisenberg._act, heisenberg.psi
+    lifted = []
+    monkeypatch.setattr(heisenberg, "psi", lambda point: lifted.append(point) or psi(point))
     for w in ("1", "12", "123"):
         h = group.word(w)
         calls = []
+        lifted.clear()
 
         def counting(M, point, *lift):
             calls.append(M is h and point is INFINITY)
@@ -261,30 +266,9 @@ def test_shimizu_violation_maps_infinity_through_h_once(monkeypatch):
         monkeypatch.setattr(heisenberg, "_act", counting)
         assert shimizu_violation(g, h) == shimizu_violation_oracle(g, h)
         assert sum(calls) == 1, w
-
-
-def test_constant_points_are_lifted_once_at_import(monkeypatch):
-    # the origin and the two probes of translation_of keep psi's lifts,
-    # so a Shimizu test lifts only the two points it maps through g
-    group = build_n_inf_inf(7, 0.4)
-    g = group.word("23")
-    calls = []
-    lift = heisenberg.psi
-
-    def counting(point):
-        calls.append(point)
-        return lift(point)
-
-    monkeypatch.setattr(heisenberg, "psi", counting)
-    assert translation_of(g) == translation_of_oracle(g)
-    assert calls == []
-    for w in ("1", "12", "123"):
-        h = group.word(w)
-        calls.clear()
-        assert shimizu_violation(g, h) == shimizu_violation_oracle(g, h)
-        assert len(calls) == 2, w
-    lifts = [heisenberg._ORIGIN_LIFT, *(b for _, b in heisenberg._PROBES)]
-    assert not any(a.flags.writeable for a in lifts)
+        assert len(lifted) == 2, w
+    lifts = [heisenberg._ORIGIN_LIFT, *(lift for _, lift in heisenberg._PROBES)]
+    assert not any(lift.flags.writeable for lift in lifts)
 
 
 def count_checks(monkeypatch):
