@@ -3,10 +3,12 @@
 A triangle of complex geodesics with corner angles (pi/m, pi/n, 0) is
 pinned down, up to conjugation, by its angular invariant theta, the
 argument of <p3,p2><p1,p3><p2,p1> for the polar vectors p1, p2, p3 of
-its sides.  The two builders here produce the standard normalised
+its sides.  `build_mn_inf` produces the standard normalised
 configuration: three polar vectors, the triangle vertices, and the three
-side involutions that generate the group.  Infinite corner orders are
-passed as math.inf.
+side involutions that generate the group.  The slots are the builder's
+(m, n); an infinite corner order is passed as math.inf and sits in the
+slot it is passed in, so (n, inf, inf) is `build_mn_inf(n, math.inf,
+theta)`, which `build_n_inf_inf(n, theta)` builds.
 """
 
 import cmath
@@ -29,7 +31,9 @@ _LETTER_INDEX = {"1": 0, "2": 1, "3": 2}
 
 @dataclass(frozen=True)
 class TriangleType:
-    """Shape parameters (m, n, theta); the third corner is always ideal."""
+    """Shape parameters (m, n, theta) in the builder's slots; the third
+    corner is always ideal, and an infinite m or n makes its corner
+    ideal too."""
 
     m: float
     n: float
@@ -87,22 +91,24 @@ def _shared_involution(p) -> np.ndarray:
     return out
 
 
-# the first side (0, 1, 0) of both families and the second side (1, -1, 1)
-# of the (n, inf, inf) family do not depend on theta or the corner orders
+# the first side (0, 1, 0), and the second side (1, -1, 1) at an infinite
+# n slot, do not depend on theta or the corner orders
 _I1 = _shared_involution(cvector(0, 1, 0))
-_I2_N_INF_INF = _shared_involution(cvector(1, -1, 1))
+_I2_N_INF = _shared_involution(cvector(1, -1, 1))
 
 
 def build_mn_inf(m: int, n: int, theta: float) -> TriangleGroup:
-    """Triangle group with two finite corner angles pi/m and pi/n.
+    """Triangle group with corner angles pi/m, pi/n and 0.
 
     The first side is the unit-circle chain; the second and third are the
-    vertical chains through cos(pi/n) and e^(i theta) cos(pi/m).  The
-    configuration with those two chains equal (theta = 0, m = n) is
-    rejected as degenerate.
+    vertical chains through cos(pi/n) and e^(i theta) cos(pi/m).  One of
+    m, n may be math.inf: that corner is ideal too, in the slot the order
+    is passed in, and its cosine is 1.  Two infinite orders are refused,
+    and so is the configuration with the two vertical chains equal
+    (theta = 0 and equal corner cosines), as degenerate.
     """
-    if is_infinite(m) or is_infinite(n):
-        raise ValueError("both corner orders must be finite here")
+    if is_infinite(m) and is_infinite(n):
+        raise ValueError("at most one of the corner orders m, n may be infinite")
     ttype = TriangleType(m, n, theta)
     s1 = corner_cos(n)
     s2 = corner_cos(m)
@@ -116,35 +122,20 @@ def build_mn_inf(m: int, n: int, theta: float) -> TriangleGroup:
     u1 = cvector(0, 1, -1)
     u2 = cvector(z2, 0, 1)
     u3 = cvector(z1.conjugate(), 0, 1)
+    i2 = _I2_N_INF if is_infinite(n) else involution_from_polar(p2)
     return TriangleGroup(
         ttype=ttype,
         polars=(p1, p2, p3),
         vertices=(u1, u2, u3),
-        involutions=(_I1, involution_from_polar(p2), involution_from_polar(p3)),
+        involutions=(_I1, i2, involution_from_polar(p3)),
     )
 
 
 def build_n_inf_inf(n: int, theta: float) -> TriangleGroup:
-    """Triangle group with a single finite corner angle pi/n.
-
-    Normalisation with the second side the vertical chain through 1 and
-    the third the vertical chain through e^(i theta) cos(pi/n); the finite
-    corner sits between the third and first sides.
-    """
+    """The (n, inf, inf) group build_mn_inf(n, math.inf, theta): the finite
+    order n sits in the m slot."""
     if is_infinite(n):
         raise ValueError("the finite corner order n must be finite")
-    ttype = TriangleType(math.inf, n, theta)
-    s = corner_cos(n)
-    w = s * cmath.exp(-1j * theta)
-    p1 = cvector(0, 1, 0)
-    p2 = cvector(1, -1, 1)
-    p3 = cvector(1, -w, w)
-    u1 = cvector(0, 1, -1)
-    u2 = cvector(w.conjugate(), 0, 1)
-    u3 = cvector(1, 0, 1)
-    return TriangleGroup(
-        ttype=ttype,
-        polars=(p1, p2, p3),
-        vertices=(u1, u2, u3),
-        involutions=(_I1, _I2_N_INF_INF, involution_from_polar(p3)),
-    )
+    # checked here, so that a refusal names n and not the m slot
+    _check_order(n, "n")
+    return build_mn_inf(n, math.inf, theta)

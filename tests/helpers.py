@@ -58,11 +58,13 @@ from chtriangle.linalg import (
     NULL_BAND,
     Q_INFINITY_LIFT,
     UNITARITY_TOL,
+    cvector,
     hermitian_form,
     involution_from_polar,
     normalize_to_su,
     psi,
 )
+from chtriangle.triangles import TriangleGroup, TriangleType
 
 
 def make_rng(seed: int = 0) -> np.random.RandomState:
@@ -420,6 +422,27 @@ def angular_invariant_oracle(p1, p2, p3) -> float:
     of the pairwise Hermitian products of its polar vectors."""
     prod = hermitian_form(p3, p2) * hermitian_form(p1, p3) * hermitian_form(p2, p1)
     return math.atan2(prod.imag, prod.real)
+
+
+def build_n_inf_inf_oracle(n, theta) -> TriangleGroup:
+    """The (n, inf, inf) group in its own normalisation, the separate
+    builder that `build_mn_inf(n, math.inf, theta)` replaced: the second
+    side is the vertical chain through 1 and the third the vertical chain
+    through e^(i theta) cos(pi/n)."""
+    s = corner_cos(n)
+    w = s * cmath.exp(-1j * theta)
+    p1 = cvector(0, 1, 0)
+    p2 = cvector(1, -1, 1)
+    p3 = cvector(1, -w, w)
+    u1 = cvector(0, 1, -1)
+    u2 = cvector(w.conjugate(), 0, 1)
+    u3 = cvector(1, 0, 1)
+    return TriangleGroup(
+        ttype=TriangleType(math.inf, n, theta),
+        polars=(p1, p2, p3),
+        vertices=(u1, u2, u3),
+        involutions=tuple(involution_from_polar(p) for p in (p1, p2, p3)),
+    )
 
 
 def word_oracle(involutions, letters: str) -> np.ndarray:

@@ -35,7 +35,7 @@ from chtriangle.heisenberg import (
     translation_of,
 )
 from chtriangle.linalg import hermitian_form
-from chtriangle.triangles import build_mn_inf, build_n_inf_inf
+from chtriangle.triangles import build_mn_inf
 from helpers import make_rng
 
 INF = math.inf
@@ -242,7 +242,7 @@ def test_criterion_04_shimizu_threshold_matrix_certificate():
     # it fires from n = 31 on, so the printed threshold 61 cannot hold
     for n in range(3, 121):
         theta = math.acos(corner_cos(n))
-        group = build_n_inf_inf(n, theta)
+        group = build_mn_inf(n, math.inf, theta)
         matrix_fires = shimizu_violation(group.word("23"), group.involutions[0])
         assert matrix_fires == shimizu_condition(INF, n, theta), n
         assert matrix_fires == (n >= SHIMIZU_TANGENT_THRESHOLD), n
@@ -257,7 +257,7 @@ def test_criterion_04_shimizu_threshold_matrix_certificate():
 
 
 def test_criterion_05_exact_integer_group():
-    group = build_n_inf_inf(4, math.pi / 4)
+    group = build_mn_inf(4, math.inf, math.pi / 4)
     displayed = (
         np.diag([-1, 1, -1]).astype(complex),
         np.array([[1, -2, -2], [-2, 1, 2], [2, -2, -3]], dtype=complex),
@@ -296,7 +296,7 @@ def test_criterion_07_closed_forms_match_matrix_traces():
             continue
         group = build_mn_inf(m, n, theta)
         assert abs(trace_word_123(m, n, theta) - trace(group.word("123"))) <= 1e-10
-        ideal = build_n_inf_inf(n, theta)
+        ideal = build_mn_inf(n, math.inf, theta)
         assert abs(trace_word_123(INF, n, theta) - trace(ideal.word("123"))) <= 1e-10
         a = math.cos(theta)
         assert abs(trace_word_3132(n, a) - trace(ideal.word("3132"))) <= 1e-10

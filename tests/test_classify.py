@@ -16,7 +16,7 @@ from chtriangle.classify import (
     trace,
 )
 from chtriangle.linalg import normalize_to_su
-from chtriangle.triangles import build_mn_inf, build_n_inf_inf
+from chtriangle.triangles import build_mn_inf
 from helpers import make_rng, random_form_unitary
 
 
@@ -60,7 +60,7 @@ def test_classify_complex_reflection_is_boundary_elliptic():
 
 
 def test_classify_exact_integer_group_word_is_loxodromic():
-    group = build_n_inf_inf(4, math.pi / 4)
+    group = build_mn_inf(4, math.inf, math.pi / 4)
     result = classify(group.word("123"))
     assert result.tag is IsometryClass.LOXODROMIC
     assert str(result.tag) == "loxodromic"
@@ -70,7 +70,7 @@ def test_classify_exact_integer_group_word_is_loxodromic():
 def test_classify_unipotent_word_at_tangent_parameter():
     for n in (4, 5, 7, 9):
         theta = math.acos(math.cos(math.pi / n))
-        group = build_n_inf_inf(n, theta)
+        group = build_mn_inf(n, math.inf, theta)
         result = classify(group.word("3132"))
         assert result.tag is IsometryClass.UNIPOTENT_PARABOLIC, n
         assert result.trace == pytest.approx(3, abs=1e-10)
@@ -149,7 +149,7 @@ def test_classify_invariant_under_conjugation_and_unit_scaling():
     samples = [
         build_mn_inf(8, 5, 0.8).word("123"),
         build_mn_inf(4, 4, math.pi / 4).word("12"),
-        build_n_inf_inf(4, math.pi / 4).word("123"),
+        build_mn_inf(4, math.inf, math.pi / 4).word("123"),
         np.diag([-1, 1, -1]).astype(complex),
     ]
     w = cmath.exp(2j * math.pi / 3)

@@ -75,7 +75,7 @@ def test_shimizu_tangent_threshold_with_matrix_oracle():
     for n in range(3, 45):
         theta = math.acos(corner_cos(n))
         fires = shimizu_condition(INF, n, theta)
-        group = build_n_inf_inf(n, theta)
+        group = build_mn_inf(n, math.inf, theta)
         matrix_fires = shimizu_violation(group.word("23"), group.involutions[0])
         assert fires == matrix_fires, n
         if fires and first is None:
@@ -358,7 +358,7 @@ def test_word_3132_analysis_matches_matrix_classification():
         if min(abs(a - s), abs(a - upper)) < 1e-4:
             continue
         analysis = word_3132_analysis(n, a)
-        group = build_n_inf_inf(n, math.acos(a))
+        group = build_mn_inf(n, math.inf, math.acos(a))
         word = group.word("3132")
         assert analysis.trace == pytest.approx(trace_word_3132(n, a), abs=1e-12)
         assert classify(word).tag is analysis.tag, (n, a)

@@ -37,7 +37,7 @@ from chtriangle.linalg import (
     is_unitary_for_form,
     normalize_to_su,
 )
-from chtriangle.triangles import build_mn_inf, build_n_inf_inf
+from chtriangle.triangles import build_mn_inf
 from helpers import (
     boundary_action_oracle,
     classify_oracle,
@@ -75,7 +75,7 @@ def sample_points(seed: int, count: int = SAMPLE):
             except ValueError:
                 continue
         else:
-            group = build_n_inf_inf(n, theta)
+            group = build_mn_inf(n, math.inf, theta)
         words = ["".join(rng.choice("123") for _ in range(rng.randint(1, 8)))
                  for _ in range(rng.randint(1, 3))]
         conj = None
@@ -241,7 +241,7 @@ def test_classify_takes_at_most_one_svd_on_the_band(monkeypatch):
         seen[band] += 1
     # word "1" is boundary elliptic: its rank is an SVD's
     calls.clear()
-    assert classify(build_n_inf_inf(7, 0.4).word("1")).tag is IsometryClass.BOUNDARY_ELLIPTIC
+    assert classify(build_mn_inf(7, math.inf, 0.4).word("1")).tag is IsometryClass.BOUNDARY_ELLIPTIC
     assert len(calls) == 1
     assert seen[False] > 0 and seen[True] > 0
 
@@ -249,7 +249,7 @@ def test_classify_takes_at_most_one_svd_on_the_band(monkeypatch):
 def test_shimizu_violation_maps_infinity_through_h_once(monkeypatch):
     # and lifts by psi only the two points it maps through g: the origin
     # and the probes of translation_of keep their lifts, taken at import
-    group = build_n_inf_inf(7, 0.4)
+    group = build_mn_inf(7, math.inf, 0.4)
     g = group.word("23")
     act, psi = heisenberg._act, heisenberg.psi
     lifted = []
@@ -284,7 +284,7 @@ def count_checks(monkeypatch):
 
 
 def test_each_matrix_is_checked_once_per_public_call(monkeypatch):
-    group = build_n_inf_inf(7, 0.4)
+    group = build_mn_inf(7, math.inf, 0.4)
     g, h = group.word("23"), group.word("1")
     calls = count_checks(monkeypatch)
     for fn, args, checks in (
@@ -299,7 +299,7 @@ def test_each_matrix_is_checked_once_per_public_call(monkeypatch):
 
 
 def test_refusals_keep_their_messages():
-    group = build_n_inf_inf(7, 0.4)
+    group = build_mn_inf(7, math.inf, 0.4)
     g, h = group.word("23"), group.word("1")
     bad = np.diag([2.0, 1.0, 1.0])
     for fn, oracle, args in (
@@ -362,8 +362,8 @@ def test_discriminant_agrees_with_the_former_formula(z):
 
 
 def test_shared_involutions_are_read_only():
-    a, b = build_mn_inf(5, 7, 0.3), build_n_inf_inf(9, 1.1)
-    c = build_n_inf_inf(4, 2.0)
+    a, b = build_mn_inf(5, 7, 0.3), build_mn_inf(9, math.inf, 1.1)
+    c = build_mn_inf(4, math.inf, 2.0)
     assert a.involutions[0] is b.involutions[0] is c.involutions[0]
     assert b.involutions[1] is c.involutions[1]
     for M in (a.involutions[0], b.involutions[1]):
@@ -375,7 +375,7 @@ def test_shared_involutions_are_read_only():
 
 
 def test_word_returns_a_fresh_writable_array():
-    group = build_n_inf_inf(9, 1.1)
+    group = build_mn_inf(9, math.inf, 1.1)
     before = [M.copy() for M in group.involutions]
     for w in ("1", "2", "3", "12", "3132"):
         out = group.word(w)

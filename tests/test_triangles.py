@@ -1,15 +1,17 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 
 from chtriangle.classify import discriminant, trace
+from chtriangle.cli import main
 from chtriangle.closed import corner_cos, is_infinite, trace_word_123, trace_word_3132
 from chtriangle.heisenberg import HeisenbergPoint, boundary_action, heis_mul, translation_of
 from chtriangle.linalg import INFINITY, hermitian_form, is_unitary_for_form
 from chtriangle.triangles import TriangleType, build_mn_inf, build_n_inf_inf
-from helpers import angular_invariant_oracle, make_rng
+from helpers import angular_invariant_oracle, build_n_inf_inf_oracle, make_rng
 
 
 def displayed_involutions(m, n, theta):
@@ -57,8 +59,8 @@ def test_triangle_type_validation():
 def test_build_rejects_bad_orders():
     with pytest.raises(ValueError):
         build_mn_inf(2, 5, 0.5)
-    with pytest.raises(ValueError):
-        build_mn_inf(math.inf, 5, 0.5)
+    with pytest.raises(ValueError, match="^at most one of the corner orders m, n may be infinite$"):
+        build_mn_inf(math.inf, math.inf, 0.5)
     with pytest.raises(ValueError):
         build_n_inf_inf(2, 0.5)
     with pytest.raises(ValueError, match="^the finite corner order n must be finite$"):
@@ -74,6 +76,13 @@ def test_only_plus_inf_is_the_infinite_order():
 def test_build_rejects_coincident_sides():
     with pytest.raises(ValueError):
         build_mn_inf(4, 4, 0.0)
+    # a finite order whose corner cosine rounds to 1 meets the ideal
+    # corner's side at theta = 0
+    for call in (lambda: build_mn_inf(10**9, math.inf, 0.0),
+                 lambda: build_mn_inf(math.inf, 10**9, 0.0),
+                 lambda: build_n_inf_inf(10**9, 0.0)):
+        with pytest.raises(ValueError, match="^degenerate configuration: two sides coincide$"):
+            call()
 
 
 def test_builder_matches_displayed_matrices():
@@ -85,22 +94,61 @@ def test_builder_matches_displayed_matrices():
         group = build_mn_inf(m, n, theta)
         for got, want in zip(group.involutions, displayed_involutions(m, n, theta)):
             np.testing.assert_allclose(got, want, atol=1e-12)
-
-
-def test_one_finite_corner_builder_matches_displayed_matrices():
+    # the same display with an infinite order, in the slot it is passed in
     rng = make_rng(67)
     for _ in range(25):
-        n = int(rng.randint(3, 25))
+        k = int(rng.randint(3, 25))
         theta = float(rng.uniform(0.0, math.pi))
-        group = build_n_inf_inf(n, theta)
-        # same display with the finite corner cosine in the rotated slot
-        want = displayed_involutions(n, math.inf, theta)
-        for got, exp in zip(group.involutions, want):
-            np.testing.assert_allclose(got, exp, atol=1e-12)
+        for m, n in ((k, math.inf), (math.inf, k)):
+            group = build_mn_inf(m, n, theta)
+            for got, want in zip(group.involutions, displayed_involutions(m, n, theta)):
+                np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_ideal_corner_builds_equal_the_separate_normalisation():
+    # (n, inf, inf) was built by a builder of its own; build_mn_inf with
+    # n in the m slot gives its involutions and words bit for bit, and its
+    # polars and vertices up to the sign of an exact zero
+    for n in range(3, 40):
+        for k in range(37):
+            theta = k * math.pi / 36
+            group = build_mn_inf(n, math.inf, theta)
+            oracle = build_n_inf_inf_oracle(n, theta)
+            for got, want in zip(group.involutions, oracle.involutions):
+                assert got.tobytes() == want.tobytes()
+            for word in ("123", "3132", "1231", "23", "12312", "2131"):
+                assert group.word(word).tobytes() == oracle.word(word).tobytes()
+            for got, want in zip(group.polars + group.vertices, oracle.polars + oracle.vertices):
+                assert np.array_equal(got, want)
+
+
+def test_build_n_inf_inf_is_the_builder_with_n_in_the_m_slot():
+    for n, theta in ((3, 0.0), (4, math.pi / 4), (7, 0.4), (29, 3.0)):
+        got, want = build_n_inf_inf(n, theta), build_mn_inf(n, math.inf, theta)
+        assert got.ttype == want.ttype == TriangleType(n, math.inf, theta)
+        for a, b in zip(got.polars + got.vertices + got.involutions,
+                        want.polars + want.vertices + want.involutions):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_infinite_order_sits_in_the_slot_it_is_passed_in(capsys):
+    # with the finite order k in the m slot the word 3132 has the closed
+    # trace of the (n, inf, inf) family; with k in the n slot, sides 2 and
+    # 3 trade places and that trace is the word 1232's
+    for k in range(3, 31):
+        for theta in (0.05, 0.3, 1.0, math.pi / k, 2.0, 3.1):
+            want = trace_word_3132(k, math.cos(theta))
+            assert abs(trace(build_mn_inf(k, math.inf, theta).word("3132")) - want) <= 1e-12
+            assert abs(trace(build_mn_inf(math.inf, k, theta).word("1232")) - want) <= 1e-12
+    # classify --m inf --n k builds the slots (k, inf)
+    assert main(["classify", "--m", "inf", "--n", "4", "--theta", "0.3", "--word", "3132",
+                 "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)["results"]["trace"]
+    assert abs(complex(got["real"], got["imag"]) - trace_word_3132(4, math.cos(0.3))) <= 1e-12
 
 
 def test_exact_integer_matrices_at_n4():
-    group = build_n_inf_inf(4, math.pi / 4)
+    group = build_mn_inf(4, math.inf, math.pi / 4)
     i1, i2, i3 = group.involutions
     np.testing.assert_allclose(i1, np.diag([-1, 1, -1]), atol=1e-13)
     np.testing.assert_allclose(
@@ -133,7 +181,7 @@ def test_vertices_norms_and_incidence():
 
 
 def test_one_finite_corner_vertices():
-    group = build_n_inf_inf(6, 0.8)
+    group = build_mn_inf(6, math.inf, 0.8)
     u1, u2, u3 = group.vertices
     s = corner_cos(6)
     assert hermitian_form(u1, u1) == pytest.approx(0, abs=1e-12)
@@ -158,7 +206,7 @@ def test_angular_invariant_recovers_theta():
         if rng.rand() < 0.5:
             group = build_mn_inf(int(rng.randint(3, 30)), int(rng.randint(3, 30)), theta)
         else:
-            group = build_n_inf_inf(int(rng.randint(3, 30)), theta)
+            group = build_mn_inf(int(rng.randint(3, 30)), math.inf, theta)
         assert angular_invariant_oracle(*group.polars) == pytest.approx(theta, abs=1e-12)
 
 
@@ -237,7 +285,7 @@ def test_trace_closed_forms_match_matrix_products():
             closed = trace_word_123(m, n, theta)
         else:
             n = int(rng.randint(3, 30))
-            group = build_n_inf_inf(n, theta)
+            group = build_mn_inf(n, math.inf, theta)
             closed = trace_word_123(math.inf, n, theta)
             a = math.cos(theta)
             assert abs(trace_word_3132(n, a) - trace(group.word("3132"))) <= 1e-10
