@@ -94,6 +94,9 @@ def test_builder_matches_displayed_matrices():
         group = build_mn_inf(m, n, theta)
         for got, want in zip(group.involutions, displayed_involutions(m, n, theta)):
             np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_one_finite_corner_builder_matches_displayed_matrices():
     # the same display with an infinite order, in the slot it is passed in
     rng = make_rng(67)
     for _ in range(25):
