@@ -55,8 +55,12 @@ class Classification:
 
 
 def trace(M) -> complex:
-    """Sum of the diagonal entries."""
-    return _trace(np.asarray(M, dtype=complex).tolist())
+    """Sum of the diagonal entries of a 3x3 matrix; any other shape is
+    refused."""
+    M = np.asarray(M, dtype=complex)
+    if M.shape != (3, 3):
+        raise ValueError("trace needs a 3x3 matrix")
+    return _trace(M.tolist())
 
 
 def _trace(a) -> complex:

@@ -132,7 +132,11 @@ def trace_word_3132(n, a) -> float:
     """Closed form 3 + 16 s^2 - 16 s a for the word 3132 in the family
     with one finite corner order n, where s = cos(pi/n) and a = cos(theta).
     The order must be > 2 or infinite, NaN refused; it need not be an
-    integer."""
+    integer.
+
+    "3132" names the word in the slots of build_mn_inf(n, inf, theta).  In
+    the slots the criteria use, build_mn_inf(inf, n, theta), the same trace
+    is that of 1232; in both it is the trace of 2131."""
     _check_closed_form_order(n, "n")
     s = corner_cos(n)
     return 3.0 + 16.0 * s * s - 16.0 * s * a

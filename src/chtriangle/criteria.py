@@ -104,7 +104,11 @@ class WordClassification:
 
 @dataclass(frozen=True)
 class NondiscretenessReport:
-    """Aggregated verdict of all applicable certificates at one point."""
+    """Aggregated verdict of all applicable certificates at one point.
+
+    word_3132 classifies the closed trace of trace_word_3132, which in the
+    slots (inf, n) the report is taken in is the trace of the word 1232
+    (and of 2131)."""
 
     m: float
     n: float
@@ -320,7 +324,9 @@ def _check_finite_order(n):
 
 def word_3132_analysis(n, a) -> WordClassification:
     """Trace and isometry class of the word 3132 in the one-finite-corner
-    family, from the closed trace formula.
+    family, from the closed trace formula of trace_word_3132: the word
+    1232 (and 2131) of build_mn_inf(inf, n, theta), the slots the criteria
+    use.
 
     The word is regular elliptic exactly for a strictly between s and
     (1 + 4 s^2)/(4 s) with s = cos(pi/n); at the left endpoint it is
@@ -350,7 +356,8 @@ def order_k_locus(n: int, k: int) -> float:
     of rotation angle 2 pi/k, i.e. has trace 1 + 2 cos(2 pi/k).
 
     k is an integer >= 2 (bools refused) or infinity, where the word is
-    parabolic and a = cos(pi/n)."""
+    parabolic and a = cos(pi/n).  The word is that of trace_word_3132:
+    1232 (and 2131) of build_mn_inf(inf, n, theta)."""
     _check_finite_order(n)
     if not k >= 2:
         raise ValueError("k must be at least 2")
@@ -380,7 +387,9 @@ def word_order_cos_window(n: int):
     Scans all three criteria for the family with finite corner order n,
     takes the union component of the certified set that reaches a = 1, and
     maps its endpoints a through the trace t of the word 3132:
-    cos(2 pi/k) = (t(a) - 1)/2, the inverse of order_k_locus.
+    cos(2 pi/k) = (t(a) - 1)/2, the inverse of order_k_locus.  The word is
+    that of trace_word_3132: 1232 (and 2131) of build_mn_inf(inf, n, theta),
+    the slots of the scans.
     """
     _check_finite_order(n)
     pieces = []

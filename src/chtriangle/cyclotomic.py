@@ -27,28 +27,24 @@ can reach: the rightmost point of every trace circle is
 c + R = -4 (s1 - s2)^2 - 1 <= -1, so a trace within DEFAULT_NEAR_TOL of
 one has Re tau <= -1 + DEFAULT_NEAR_TOL, and the block keeps the rows up
 to that bound plus a rounding margin of 1e-9, its circle rows.  At
-order 600 that is 9,613 of 38,311 elliptic rows.  Only survivors and
-near-misses become CandidateTrace objects.  Reports do not depend on the
-block size.  The block's triples are the one canonical form of a
-candidate, and its table of roots of unity the one candidate value;
-CyclotomicInt, a sum of roots of unity evaluated as a float, serves the
-test oracles, not the engine.
+order 600 that is 9,613 of 38,311 elliptic rows.  A block holds only
+what the engine reads: per order, the numbers of canonical, regular
+elliptic and circle rows up to it; the circle rows' (l, k1, k2, k3); and
+their traces.  Only survivors and near-misses become CandidateTrace
+objects.  Reports do not depend on the block size.  The block's triples
+are the one canonical form of a candidate, and its table of roots of
+unity the one candidate value; CyclotomicInt, a sum of roots of unity
+evaluated as a float, serves the test oracles, not the engine.
 
 Of a block, only the circle gap and the diagnostics depend on (m, n).
-The rest, the integer enumeration and the float stage (the traces, the
-elliptic count and the circle rows), depends on neither (m, n) nor
-max_l, so the first block's is built once per process, at the first
-call that reads it, and kept as read-only arrays: its (l, k) table and
-14,181 canonical rows (245 KB), its numbers of elliptic rows per order
-(12,853 in all), and its 3,218 circle rows with the real and imaginary
-parts of their traces (64 KB).  EPS_DISCRIMINANT and DEFAULT_NEAR_TOL
-are read then, once; a later, larger DEFAULT_NEAR_TOL is served by
-blocks built per call.  The rows run in (l, k1, k2) order, so a max_l up
-to 66 reads a prefix of them.  The prefix lengths, the numbers of rows
-and of circle rows of orders up to L for each L = 1..66, are tabulated
-once, with the block, so a call slices without a search: refute's
-max_l = 16..36 runs the circle gap on 42 to 508 rows, of 165 to 2,027
-elliptic ones.  Blocks from order 67 on are built per call.
+The block itself depends on neither (m, n) nor max_l, so the first one
+is built once per process and circle bound, at the first call that
+reads it, and kept as read-only arrays: 66 counts and 3,218 circle rows
+with their traces, 105 KB.  The rows run in (l, k1, k2) order, so a
+max_l of L <= 66 reads the first L counts and the circle rows they
+count: refute's max_l = 16..36 runs the circle gap on 42 to 508 rows.  A
+changed DEFAULT_NEAR_TOL gets a shared block of its own.  Blocks from
+order 67 on are built per call.
 
 The conjugate scan is closed form.  The Galois map omega_N -> omega_N^k
 sends 2 cos(pi/n) to 2 cos(k pi/n) and fixes the integer 2 of an
@@ -78,10 +74,8 @@ coprime to the conductor.  A block with no row within DEFAULT_NEAR_TOL
 of the circle gathers nothing.
 On one core of a 2-vCPU Xeon virtual machine, refute_finite_order(8, 11)
 takes (median of 7 fresh processes, the shared block's build included)
-0.015 s of CPU at max_l = 120, 0.20 s at 300, 0.94 s at 600 and 2.8 s
-at 900.  In the same set of launches, with every elliptic row on the
-circle test and the units from one gcd each, it took 0.015, 0.19, 1.03
-and 2.8 s: at these orders the per-call blocks dominate.
+0.017 s of CPU at max_l = 120, 0.19 s at 300, 0.94 s at 600 and 2.7 s
+at 900.
 """
 
 import bisect
@@ -360,22 +354,17 @@ def _canonical_triples(tl: np.ndarray, tk: np.ndarray) -> tuple[np.ndarray, np.n
 # at most -1 + DEFAULT_NEAR_TOL; the margin covers the rounding of c, R,
 # x - c and hypot, which stays below 1e-13
 _LEFT_MARGIN = 1e-9
-# the shared block's bound, fixed at import so that the shared block does
-# not follow a later change of DEFAULT_NEAR_TOL; a larger tolerance than
-# this one is served by per-call blocks
-_LEFT_BOUND = -1.0 + DEFAULT_NEAR_TOL + _LEFT_MARGIN
 
 
 def _build_block(l_lo: int, l_hi: int, left: float) -> tuple:
-    """The block of orders l_lo..l_hi: its integer enumeration and its
-    float stage, which depend on neither (m, n) nor max_l.
+    """The block of orders l_lo..l_hi, which depends on neither (m, n) nor
+    max_l, at the circle bound left.
 
-    Returns (tl, tk, p, k2, k3, elliptic, rows, x, y): the (l, k) table of
-    _order_exponents and the rows of _canonical_triples; elliptic[i], the
-    number of rows of orders l_lo..l_lo + i whose trace tau is regular
-    elliptic (discriminant below -EPS_DISCRIMINANT); then the circle rows,
-    the elliptic rows with Re tau <= left (ascending, int32), and the real
-    and imaginary parts of tau on them.
+    Returns (counts, rows, tau).  counts[i] holds the numbers of canonical
+    rows, of regular elliptic rows (discriminant below -EPS_DISCRIMINANT)
+    and of circle rows of the orders l_lo..l_lo + i.  The circle rows are
+    the elliptic rows with Re tau <= left: rows holds their (l, k1, k2, k3)
+    as int32, in (l, k1, k2) order, and tau their traces.
     """
     tl, tk = _order_exponents(l_lo, l_hi)
     p, k2, k3 = _canonical_triples(tl, tk)
@@ -387,14 +376,15 @@ def _build_block(l_lo: int, l_hi: int, left: float) -> tuple:
     base = p - tk[p]
     tau = roots[p] + roots[base + k2] + roots[base + k3]
     is_elliptic = discriminant(tau) < -EPS_DISCRIMINANT
+    circle = np.flatnonzero(is_elliptic & (tau.real <= left))
     # the rows of orders up to l end where p reaches the table's end of l
     ends = np.searchsorted(p, np.cumsum(np.arange(l_lo, l_hi + 1)))
-    elliptic = np.searchsorted(np.flatnonzero(is_elliptic), ends)
-    rows = np.flatnonzero(is_elliptic & (tau.real <= left))
-    # x and y view the circle rows' traces only; the gather indexes with
-    # the intp rows, as an int32 index array takes numpy's slower path
-    tau = tau[rows]
-    return tl, tk, p, k2, k3, elliptic, rows.astype(np.int32), tau.real, tau.imag
+    counts = np.stack((ends, np.searchsorted(np.flatnonzero(is_elliptic), ends),
+                       np.searchsorted(circle, ends)), axis=1)
+    # the gathers index with the intp circle, as an int32 index array takes
+    # numpy's slower path
+    q = p[circle]
+    return counts, np.stack((tl[q], tk[q], k2[circle], k3[circle]), axis=1), tau[circle]
 
 
 # the last order of the first block at the default _BLOCK_ROWS, fixed at
@@ -403,43 +393,30 @@ _SHARED_ORDERS = next(_order_blocks(MAX_ORDER_BOUND))[1]
 
 
 @functools.cache
-def _shared_block() -> tuple:
-    """_build_block(1, _SHARED_ORDERS, _LEFT_BOUND), built once per process
-    on first use and kept as read-only arrays.  It depends on no argument,
-    and its rows are in (l, k1, k2) order, so any first block that ends at
-    or before _SHARED_ORDERS is a prefix of it."""
-    arrays = _build_block(1, _SHARED_ORDERS, _LEFT_BOUND)
+def _shared_block(left: float) -> tuple:
+    """_build_block(1, _SHARED_ORDERS, left), built once per process and
+    bound on first use and kept as read-only arrays.  Its rows are in
+    (l, k1, k2) order, so any first block that ends at or before
+    _SHARED_ORDERS is a prefix of it."""
+    arrays = _build_block(1, _SHARED_ORDERS, left)
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
-@functools.cache
-def _shared_bounds() -> tuple:
-    """(n_L, f_L) for L = 0.._SHARED_ORDERS, built once per process from
-    the shared block: n_L is its number of rows of orders up to L, f_L the
-    number of circle rows among them.  The numbers of elliptic rows are
-    the block's own counts."""
-    _, _, p, _, _, _, rows, _, _ = _shared_block()
-    n = np.searchsorted(p, [L * (L + 1) // 2 for L in range(_SHARED_ORDERS + 1)])
-    return tuple(zip(n.tolist(), np.searchsorted(rows, n).tolist()))
-
-
 def _block(l_lo: int, l_hi: int) -> tuple:
-    """(tl, tk, p, k2, k3, elliptic, rows, x, y) of the block of orders
-    l_lo..l_hi, as _build_block gives them for the bound that
-    DEFAULT_NEAR_TOL sets.  A block of orders 1..L with L <= _SHARED_ORDERS
-    reads a prefix of the shared block, when its bound covers that one: the
-    first L (L + 1) / 2 entries of its (l, k) table, the first L counts and
-    the first n_L rows and f_L circle rows of _shared_bounds; any other
+    """(counts, rows, tau) of the block of orders l_lo..l_hi, as
+    _build_block gives them for the bound that DEFAULT_NEAR_TOL sets.  A
+    block of orders 1..L with L <= _SHARED_ORDERS reads a prefix of the
+    shared block at that bound: its first L counts and its first f circle
+    rows and traces, f the last of those counts' circle numbers; any other
     block is built here."""
     left = -1.0 + DEFAULT_NEAR_TOL + _LEFT_MARGIN
-    if l_lo != 1 or l_hi > _SHARED_ORDERS or left > _LEFT_BOUND:
+    if l_lo != 1 or l_hi > _SHARED_ORDERS:
         return _build_block(l_lo, l_hi, left)
-    tl, tk, p, k2, k3, elliptic, rows, x, y = _shared_block()
-    size = l_hi * (l_hi + 1) // 2
-    n, f = _shared_bounds()[l_hi]
-    return tl[:size], tk[:size], p[:n], k2[:n], k3[:n], elliptic[:l_hi], rows[:f], x[:f], y[:f]
+    counts, rows, tau = _shared_block(left)
+    f = counts[l_hi - 1, 2]
+    return counts[:l_hi], rows[:f], tau[:f]
 
 
 def enumerate_candidates(max_l: int):
@@ -447,7 +424,8 @@ def enumerate_candidates(max_l: int):
     _check_max_l(max_l)
     out = []
     for block in _order_blocks(max_l):
-        tl, tk, p, k2, k3 = _block(*block)[:5]
+        tl, tk = _order_exponents(*block)
+        p, k2, k3 = _canonical_triples(tl, tk)
         out += map(CandidateTrace, tl[p].tolist(), zip(tk[p].tolist(), k2.tolist(), k3.tolist()))
     return out
 
@@ -648,20 +626,18 @@ def refute_finite_order(m, n: int, max_l: int = 60) -> RefutationReport:
     elliptic = 0
     scans = {}
     for block in _order_blocks(max_l):
-        tl, tk, p, k2, k3, counts, rows, x, y = _block(*block)
-        checked += p.size
-        elliptic += int(counts[-1])
+        counts, rows, tau = _block(*block)
+        checked += int(counts[-1, 0])
+        elliptic += int(counts[-1, 1])
         # c is real, so this is |tau - c| as a complex difference gives it;
         # np.hypot rounds as abs(complex) does, np.abs can differ in the
         # last bit
-        gap = np.abs(np.hypot(x - c, y) - radius)
+        gap = np.abs(np.hypot(tau.real - c, tau.imag) - radius)
         hits = np.flatnonzero(gap <= DEFAULT_NEAR_TOL)
         if not hits.size:
             continue
-        rows = rows[hits]
-        ks = zip(tk[p[rows]].tolist(), k2[rows].tolist(), k3[rows].tolist())
-        for l, k, g in zip(tl[p[rows]].tolist(), ks, gap[hits].tolist()):
-            cand = CandidateTrace(l=l, k=k)
+        for (l, *k), g in zip(rows[hits].tolist(), gap[hits].tolist()):
+            cand = CandidateTrace(l=l, k=tuple(k))
             if g <= DEFAULT_CIRCLE_TOL:
                 survivors.append(_survivor_diagnostic(cand, g, m, n))
                 continue
@@ -679,7 +655,7 @@ def refute_finite_order(m, n: int, max_l: int = 60) -> RefutationReport:
                     candidate=cand,
                     circle_gap=g,
                     conjugates=scan,
-                    phi=_phi_check(l, k, primes),
+                    phi=_phi_check(l, cand.k, primes),
                     note="" if scan is not None else "unchecked (N overflow)",
                 )
             )

@@ -38,7 +38,7 @@ def test_workload_answers_match_reference(monkeypatch, workload, n_ops):
 
 
 def test_refute_orders_stay_in_the_shared_first_block(monkeypatch):
-    # every refute op then reads the shared first block and its bounds; a
+    # every refute op then reads a prefix of the shared first block; a
     # change of the block's extent that moves the workload off that path
     # fails here
     monkeypatch.syspath_prepend(str(BENCH))

@@ -36,6 +36,15 @@ def test_trace_values():
     assert trace(np.diag([-1, 1, -1])) == -1
 
 
+@pytest.mark.parametrize("M", [np.eye(4), np.eye(2), 1.0, np.ones(3), np.ones((1, 3, 3))],
+                         ids=["4x4", "2x2", "scalar", "vector", "stacked"])
+def test_trace_refuses_any_shape_but_3x3(M):
+    # read unchecked, a 4x4 matrix gives the sum of its first three diagonal
+    # entries and a 2x2 one an IndexError
+    with pytest.raises(ValueError, match="3x3"):
+        trace(M)
+
+
 def test_trace_of_elliptic_rotation_word():
     for n in range(3, 13):
         group = build_mn_inf(8, n, 1.0)

@@ -670,25 +670,44 @@ SHARED_LS = (1, 2, 16, 36, 65, 66, 67, 120)
 def _per_call_block(l_lo, l_hi):
     """A block built afresh, with no shared arrays: its enumeration, then
     each row's trace summed from exp(2 pi i k / l) of its own exponents,
-    with no roots table, the elliptic counts per order from a histogram,
-    and every elliptic row as a circle row, with the parts of its trace:
-    no row is left out for lying right of the circles."""
+    with no roots table, the counts per order from histograms, and every
+    elliptic row as a circle row, with its trace: no row is left out for
+    lying right of the circles."""
     tl, tk = _order_exponents(l_lo, l_hi)
     p, k2, k3 = _canonical_triples(tl, tk)
-    step = 2.0 * math.pi / tl[p]
-    tau = np.exp(1j * step * tk[p]) + np.exp(1j * step * k2) + np.exp(1j * step * k3)
-    rows = np.flatnonzero(discriminant(tau) < -EPS_DISCRIMINANT)
-    elliptic = np.cumsum(np.bincount(tl[p[rows]] - l_lo, minlength=l_hi - l_lo + 1))
-    rows = rows.astype(np.int32)
-    return tl, tk, p, k2, k3, elliptic, rows, tau[rows].real, tau[rows].imag
+    l, k1 = tl[p], tk[p]
+    step = 2.0 * math.pi / l
+    tau = np.exp(1j * step * k1) + np.exp(1j * step * k2) + np.exp(1j * step * k3)
+    elliptic = np.flatnonzero(discriminant(tau) < -EPS_DISCRIMINANT)
+    rows = np.stack((l, k1, k2, k3), axis=1)[elliptic]
+
+    def upto(orders):
+        return np.cumsum(np.bincount(orders - l_lo, minlength=l_hi - l_lo + 1))
+
+    counts = np.stack((upto(l), upto(rows[:, 0]), upto(rows[:, 0])), axis=1)
+    return counts, rows, tau[elliptic]
 
 
-def _left_of(block, bound=cyclotomic._LEFT_BOUND):
+def _bound():
+    """The engine's circle bound at the current DEFAULT_NEAR_TOL."""
+    return -1.0 + cyclotomic.DEFAULT_NEAR_TOL + 1e-9
+
+
+def _shared():
+    """The shared block at the current DEFAULT_NEAR_TOL."""
+    return _shared_block(_bound())
+
+
+def _left_of(block, bound=None):
     """A block of _per_call_block with its circle rows cut to those with
-    Re tau <= bound, as the engine keeps them."""
-    *head, rows, x, y = block
-    keep = x <= bound
-    return (*head, rows[keep], x[keep], y[keep])
+    Re tau <= bound (by default _bound()), as the engine keeps them, and
+    its circle counts recounted."""
+    counts, rows, tau = block
+    keep = tau.real <= (_bound() if bound is None else bound)
+    counts = counts.copy()
+    # the elliptic rows of orders up to l are the first counts[., 1] of them
+    counts[:, 2] = np.concatenate(([0], np.cumsum(keep)))[counts[:, 1]]
+    return counts, rows[keep], tau[keep]
 
 
 @pytest.fixture(scope="module")
@@ -748,20 +767,21 @@ def test_worst_k_equals_the_numpy_lift_on_every_refute_pair():
 def test_block_enumeration_equals_a_per_call_build(monkeypatch, rows):
     monkeypatch.setattr(cyclotomic, "_BLOCK_ROWS", rows)
     if rows == 1 << 16:
-        # this first block runs past the shared table's orders
+        # this first block runs past the shared block's orders
         assert next(_order_blocks(120)) == (1, 105)
-    shared = _shared_block()
-    # every order of the shared block's bounds table, and one past it
+    shared = _shared()
+    # every prefix of the shared block, and one order past it
     for L in sorted({*range(1, _SHARED_ORDERS + 2), *SHARED_LS}):
         for block in _order_blocks(L):
             got = _block(*block)
             for a, b in zip(got, _left_of(_per_call_block(*block)), strict=True):
                 assert a.dtype == b.dtype
                 np.testing.assert_array_equal(a, b, err_msg=str(block))
-            # a first block within the table reads a prefix of it, any other
-            # block is built per call; the first orders have no elliptic row
-            reads_table = block[0] == 1 and block[1] <= _SHARED_ORDERS
-            assert all(np.may_share_memory(a, b) == reads_table
+            # a first block within the shared orders reads a prefix of it,
+            # any other block is built per call; the first orders have no
+            # circle row
+            reads_shared = block[0] == 1 and block[1] <= _SHARED_ORDERS
+            assert all(np.may_share_memory(a, b) == reads_shared
                        for a, b in zip(got, shared) if a.size), block
 
 
@@ -773,43 +793,44 @@ def test_shared_block_extent_ignores_the_block_size_at_first_build(monkeypatch, 
     assert _shared_block.cache_info().misses == 1
     monkeypatch.undo()
     assert _SHARED_ORDERS == 66 and next(_order_blocks(120)) == (1, _SHARED_ORDERS)
-    for a, b in zip(_shared_block(), _left_of(_per_call_block(1, _SHARED_ORDERS)), strict=True):
+    for a, b in zip(_shared(), _left_of(_per_call_block(1, _SHARED_ORDERS)), strict=True):
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
 
 
 def test_circle_rows_are_the_elliptic_rows_a_circle_can_reach():
     # every trace circle ends at c + R <= -1 on the right: of the shared
-    # block's 12,853 elliptic rows 3218 lie left of -1 + DEFAULT_NEAR_TOL
-    tl, tk, p, k2, k3, elliptic, rows, x, y = _shared_block()
-    assert (p.size, int(elliptic[-1]), rows.size) == (14181, 12853, 3218)
-    assert [cyclotomic._shared_bounds()[L] for L in (16, 36, 66)] == [
-        (245, 42), (2423, 508), (14181, 3218)]
-    assert [int(elliptic[L - 1]) for L in (16, 36)] == [165, 2027]
-    assert x.max() <= cyclotomic._LEFT_BOUND == -1.0 + cyclotomic.DEFAULT_NEAR_TOL + 1e-9
+    # block's 14,181 rows, 12,853 are elliptic, and 3218 of those lie left
+    # of -1 + DEFAULT_NEAR_TOL
+    counts, rows, tau = _shared()
+    assert counts.shape == (_SHARED_ORDERS, 3) and rows.shape == (3218, 4)
+    assert [counts[L - 1].tolist() for L in (16, 36, 66)] == [
+        [245, 165, 42], [2423, 2027, 508], [14181, 12853, 3218]]
+    assert tau.real.max() <= cyclotomic.DEFAULT_NEAR_TOL - 1.0 + 1e-9
+    assert (discriminant(tau) < -EPS_DISCRIMINANT).all()
     for m, n in REFUTE_PAIRS:
         c, radius = _trace_123_circle(m, n)
         assert c + radius <= -1.0, (m, n)
 
 
 def test_a_raised_near_tolerance_widens_the_circle_rows(monkeypatch):
-    # the shared block keeps the rows for the tolerance at import; a larger
-    # one is served by per-call blocks cut at its own bound, a smaller one
-    # by the shared block
-    shared = _shared_block()
-    monkeypatch.setattr(cyclotomic, "DEFAULT_NEAR_TOL", 0.05)
-    got = _block(1, 36)
-    assert not any(np.may_share_memory(a, b) for a, b in zip(got, shared))
-    want = _left_of(_per_call_block(1, 36), -1.0 + 0.05 + 1e-9)
-    assert got[6].size > cyclotomic._shared_bounds()[36][1]
-    for a, b in zip(got, want, strict=True):
-        np.testing.assert_array_equal(a, b)
-    monkeypatch.setattr(cyclotomic, "DEFAULT_NEAR_TOL", 1e-4)
-    assert all(np.may_share_memory(a, b) for a, b in zip(_block(1, 36), shared))
+    # the shared block is kept per circle bound: a changed tolerance gets
+    # its own, cut at its own bound, wider for a larger tolerance and
+    # narrower for a smaller one
+    default = _shared()
+    f = default[0][35, 2]
+    for tol in (0.05, 1e-4):
+        monkeypatch.setattr(cyclotomic, "DEFAULT_NEAR_TOL", tol)
+        got = _block(1, 36)
+        assert not any(np.may_share_memory(a, b) for a, b in zip(got, default))
+        assert all(np.may_share_memory(a, b) for a, b in zip(got, _shared()))
+        for a, b in zip(got, _left_of(_per_call_block(1, 36)), strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert (got[1].shape[0] > f) == (tol > 1e-3)
 
 
 def test_shared_block_is_read_only():
-    for a in (*_shared_block(), *_block(1, 10)):
+    for a in (*_shared(), *_block(1, 10)):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
 

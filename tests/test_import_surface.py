@@ -63,7 +63,7 @@ def test_the_shared_first_block_is_built_at_the_first_galois_call():
     # set-up, tables and scans pay nothing for it; two galois calls then
     # evaluate the first block's discriminant once, at the first call, and
     # that of each later block of the second call once; the block is read
-    # once per call, and once more at the first call to build its bounds
+    # once per call
     out = run_fresh("""
         import contextlib, io, sys
         from chtriangle import cli
@@ -84,11 +84,12 @@ def test_the_shared_first_block_is_built_at_the_first_galois_call():
             for max_l in (10, 120):
                 assert cli.main(["galois", "--m", "8", "--n", "11", "--max-l", str(max_l)]) == 0
         info = cyclotomic._shared_block.cache_info()
-        first = cyclotomic._shared_block()[2].size
+        counts = cyclotomic._shared_block(-1.0 + cyclotomic.DEFAULT_NEAR_TOL + 1e-9)[0]
+        first = int(counts[-1, 0])
         blocks = len(list(cyclotomic._order_blocks(120)))
         print(info.misses, info.hits, sizes[0] == first, sizes.count(first), len(sizes) == blocks)
     """)
-    assert out == "1 2 True 1 True\n"
+    assert out == "1 1 True 1 True\n"
 
 
 def test_classify_stays_the_function_after_its_module_loads():

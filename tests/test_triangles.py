@@ -137,12 +137,15 @@ def test_build_n_inf_inf_is_the_builder_with_n_in_the_m_slot():
 def test_infinite_order_sits_in_the_slot_it_is_passed_in(capsys):
     # with the finite order k in the m slot the word 3132 has the closed
     # trace of the (n, inf, inf) family; with k in the n slot, sides 2 and
-    # 3 trade places and that trace is the word 1232's
+    # 3 trade places and that trace is the word 1232's; the word 2131 has
+    # it in both
     for k in range(3, 31):
         for theta in (0.05, 0.3, 1.0, math.pi / k, 2.0, 3.1):
             want = trace_word_3132(k, math.cos(theta))
             assert abs(trace(build_mn_inf(k, math.inf, theta).word("3132")) - want) <= 1e-12
             assert abs(trace(build_mn_inf(math.inf, k, theta).word("1232")) - want) <= 1e-12
+            for group in (build_mn_inf(k, math.inf, theta), build_mn_inf(math.inf, k, theta)):
+                assert abs(trace(group.word("2131")) - want) <= 1e-12
     # classify --m inf --n k builds the slots (k, inf)
     assert main(["classify", "--m", "inf", "--n", "4", "--theta", "0.3", "--word", "3132",
                  "--format", "json"]) == 0
