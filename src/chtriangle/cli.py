@@ -142,7 +142,12 @@ def _write(value, pad: str, put) -> None:
         elif cls is list or cls is tuple:
             for v in value:
                 put(sep)
-                _write(v, inner, put)
+                if type(v) in _FIELD_KEYS:
+                    # a record entry is joined into one string first, so a
+                    # long list of entries holds one string per entry
+                    put(_json(v, inner))
+                else:
+                    _write(v, inner, put)
                 sep = comma
         elif cls is dict or cls is complex:
             if cls is complex:

@@ -13,10 +13,17 @@ orders (m, n) and an ideal third corner:
 Each criterion has a continuous defining function of a that is negative
 exactly where the criterion fires, so interval endpoints are honest roots,
 found in closed form as the real roots of a polynomial of degree <= 3 in a.
+Each (test, m, n) has one closed form: the corner cosines and the
+constants derived from them are taken once, with one evaluator f(a) of a
+float a.  The public value functions, a scan's breakpoints and its
+midpoint signs all read it.  The roots of the re cubic take at most
+three Newton steps through f, stopping when a step leaves a unchanged.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .closed import (
     EPS_DISCRIMINANT,
@@ -123,14 +130,55 @@ class NondiscretenessReport:
     verdict: str
 
 
+class _ClosedForm(NamedTuple):
+    """A criterion's defining function f(a) of a float a at one (m, n),
+    and the constants its breakpoints read."""
+
+    test: str
+    value: Callable[[float], float]
+    constants: tuple
+
+
+def _closed_form(test, m, n) -> _ClosedForm:
+    """The one closed form of test at corner orders (m, n), s1 = cos(pi/n)
+    and s2 = cos(pi/m): re keeps the trace circle's c and R, jorgensen the
+    base s1^2 + 2 s2^2, the slope 4 s1 s2 and the half-width sin(pi/n)/2,
+    shimizu alpha = s1^2 + s2^2 and beta = 2 s1 s2."""
+    if test == "re":
+        c, radius = _trace_123_circle(m, n)
+
+        def value(a):
+            return discriminant(c + radius * (a + 1j * math.sqrt(max(1.0 - a * a, 0.0))))
+
+        return _ClosedForm(test, value, (c, radius))
+    s1 = corner_cos(n)
+    s2 = corner_cos(m)
+    if test == "jorgensen":
+        base = s1 * s1 + 2.0 * s2 * s2
+        slope = 4.0 * s1 * s2
+        half = 0.5 * corner_sin(n)
+
+        def value(a):
+            return abs(base - slope * a + 1.0) - half
+
+        return _ClosedForm(test, value, (base, slope, half))
+    alpha = s1 * s1 + s2 * s2
+    beta = 2.0 * s1 * s2
+
+    def value(a):
+        # beta sin(theta) is 2v to the bit: doubling is exact
+        u = alpha - beta * a
+        return math.hypot(u, beta * math.sqrt(max(1.0 - a * a, 0.0))) + 4.0 * u - 0.25
+
+    return _ClosedForm(test, value, (alpha, beta))
+
+
 def regular_elliptic_value(m, n, a) -> float:
     """Discriminant of the trace of the product of the three involutions,
     as a function of a = cos(theta).  Negative exactly where the product
     is regular elliptic.  a is one scalar, taken through float(a) and
     evaluated on Python floats and the scalar discriminant."""
-    c, radius = _trace_123_circle(m, n)
-    a = float(a)
-    return discriminant(c + radius * (a + 1j * math.sqrt(max(1.0 - a * a, 0.0))))
+    return _closed_form("re", m, n).value(float(a))
 
 
 def jorgensen_applies(n) -> bool:
@@ -140,17 +188,15 @@ def jorgensen_applies(n) -> bool:
 
 
 def jorgensen_value(m, n, a) -> float:
-    """Defining function of the Jorgensen criterion: |.| - sin(pi/n)/2.
+    """Defining function of the Jorgensen criterion:
+    |s1^2 + 2 s2^2 - 4 s1 s2 a + 1| - sin(pi/n)/2.
 
     Requires a finite elliptic order n >= 7 (see jorgensen_applies).  a is
     one scalar, taken through float(a) and evaluated on Python floats.
     """
     if not jorgensen_applies(n):
         raise ValueError("jorgensen criterion needs finite n >= 7")
-    a = float(a)
-    s1 = corner_cos(n)
-    s2 = corner_cos(m)
-    return abs(s1 * s1 + 2.0 * s2 * s2 - 4.0 * s1 * s2 * a + 1.0) - 0.5 * corner_sin(n)
+    return _closed_form("jorgensen", m, n).value(float(a))
 
 
 def shimizu_value(m, n, a) -> float:
@@ -159,12 +205,7 @@ def shimizu_value(m, n, a) -> float:
 
     a is one scalar, taken through float(a) and evaluated on Python
     floats; |u - 2iv| is math.hypot(u, 2v)."""
-    s1 = corner_cos(n)
-    s2 = corner_cos(m)
-    a = float(a)
-    u = s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * a
-    v = s1 * s2 * math.sqrt(max(1.0 - a * a, 0.0))
-    return math.hypot(u, 2.0 * v) + 4.0 * u - 0.25
+    return _closed_form("shimizu", m, n).value(float(a))
 
 
 def regular_elliptic_criterion(m, n, theta) -> CriterionEvaluation:
@@ -193,30 +234,20 @@ def shimizu_condition(m, n, theta) -> bool:
     return shimizu_value(m, n, math.cos(theta)) < 0.0
 
 
-_VALUE_FUNCTIONS = {
-    "re": regular_elliptic_value,
-    "jorgensen": jorgensen_value,
-    "shimizu": shimizu_value,
-}
-
-
-def _breakpoints(test, m, n):
+def _breakpoints(form: _ClosedForm):
     """Breakpoint candidates: every real root of a polynomial in a that
-    vanishes wherever the test's defining function does, and maybe more."""
-    s1 = corner_cos(n)
-    s2 = corner_cos(m)
-    if test == "jorgensen":
-        # |L(a)| = sin(pi/n)/2 with L(a) = s1^2 + 2 s2^2 + 1 - 4 s1 s2 a
-        center = s1 * s1 + 2.0 * s2 * s2 + 1.0
-        half = 0.5 * corner_sin(n)
-        return [(center - half) / (4.0 * s1 * s2), (center + half) / (4.0 * s1 * s2)]
-    if test == "shimizu":
+    vanishes wherever the closed form's defining function does, and maybe
+    more."""
+    if form.test == "jorgensen":
+        # |L(a)| = half with L(a) = base + 1 - slope a
+        base, slope, half = form.constants
+        return [(base + 1.0 - half) / slope, (base + 1.0 + half) / slope]
+    if form.test == "shimizu":
         # u^2 + 4 v^2 - (1/4 - 4u)^2 with u = alpha - beta a, 4 v^2 = beta^2 (1 - a^2);
         # q1 > 0 for orders >= 3, so this form of the root formula does not
         # cancel; a complex pair (discriminant read as 0) gives its real part
         # and one more point, extra breakpoints that split a piece of one sign
-        alpha = s1 * s1 + s2 * s2
-        beta = 2.0 * s1 * s2
+        alpha, beta = form.constants
         q2 = -16.0 * beta * beta
         q1 = beta * (30.0 * alpha - 2.0)
         q0 = beta * beta - 15.0 * alpha * alpha + 2.0 * alpha - 0.0625
@@ -224,21 +255,27 @@ def _breakpoints(test, m, n):
         return [q / q2, q0 / q]
     # f = |tau|^4 - 8 Re tau^3 + 18 |tau|^2 - 27 with |tau|^2 = c^2 + R^2 + 2cRa
     # and Re tau^3 = c^3 + 3c^2 R a + 3c R^2 (2a^2 - 1) + R^3 (4a^3 - 3a)
-    c, r = _trace_123_circle(m, n)
+    c, r = form.constants
+    value = form.value
     p3 = -32.0 * r**3
     p2 = 4.0 * r * r * c * (c - 12.0)
     p1 = 4.0 * r * (c * (c - 3.0) ** 2 + r * r * (c + 6.0))
     p0 = (c * c + r * r) ** 2 - 8.0 * c**3 + 24.0 * c * r * r + 18.0 * (c * c + r * r) - 27.0
     roots = []
     for z in cubic_roots(-p2 / p3, p1 / p3, -p0 / p3):
-        # Newton steps from the real part, a complex root's too: the monomial
-        # coefficients cancel near a = 1, leaving roots off by up to 2e-10 at m = inf
+        # up to three Newton steps from the real part, a complex root's too:
+        # the monomial coefficients cancel near a = 1, leaving roots off by
+        # up to 2e-10 at m = inf.  A step depends on a alone, so once a step
+        # leaves a unchanged (== also takes -0.0 to 0.0, which then stays)
+        # the remaining steps would too, and the polish stops there
         a = min(1.0, max(-1.0, z.real))
         for _ in range(3):
             slope = (3.0 * p3 * a + 2.0 * p2) * a + p1
             if slope == 0.0:
                 break
-            a = min(1.0, max(-1.0, a - regular_elliptic_value(m, n, a) / slope))
+            a, last = min(1.0, max(-1.0, a - value(a) / slope)), a
+            if a == last:
+                break
         roots.append(a)
     return roots
 
@@ -272,14 +309,14 @@ def scan_intervals(test: str, m, n) -> ScanResult:
     if test == "jorgensen" and not jorgensen_applies(n):
         return ScanResult(test=test, m=m, n=n, intervals=(), tol=MERGE_TOL)
 
+    form = _closed_form(test, m, n)
     points = [-1.0]
-    for root in sorted(_breakpoints(test, m, n)):
+    for root in sorted(_breakpoints(form)):
         if points[-1] + MERGE_TOL <= root <= 1.0 - MERGE_TOL:
             points.append(root)
     points.append(1.0)
-    value = _VALUE_FUNCTIONS[test]
-    pieces = [(lo, hi) for lo, hi in zip(points, points[1:])
-              if value(m, n, 0.5 * (lo + hi)) < 0.0]
+    value = form.value
+    pieces = [(lo, hi) for lo, hi in zip(points, points[1:]) if value(0.5 * (lo + hi)) < 0.0]
     return ScanResult(test=test, m=m, n=n, intervals=tuple(_merge_intervals(pieces)), tol=MERGE_TOL)
 
 

@@ -138,10 +138,12 @@ def normalize_to_su(M) -> np.ndarray:
     """Scale a form-unitary matrix so that det = 1.
 
     Divides by the cube root of the determinant whose argument lies in
-    (-pi/3, pi/3], i.e. the principal root.  A zero or non-finite
-    determinant is refused.
+    (-pi/3, pi/3], i.e. the principal root.  Anything but a 3x3 matrix,
+    and a zero or non-finite determinant, is refused.
     """
     M = np.asarray(M, dtype=complex)
+    if M.shape != (3, 3):
+        raise ValueError("normalize_to_su needs a 3x3 matrix")
     d = complex(np.linalg.det(M))
     if d == 0 or not cmath.isfinite(d):
         raise ValueError("matrix must have a finite nonzero determinant")
@@ -168,7 +170,9 @@ def form_inverse(M) -> np.ndarray:
     with entry (i, j) times the sign product J_ii J_jj.
 
     It is value-equal to the matrix product J @ M* @ J; the sign of an
-    exact zero may differ.
+    exact zero may differ.  Anything but a 3x3 matrix is refused.
     """
     M = np.asarray(M, dtype=complex)
+    if M.shape != (3, 3):
+        raise ValueError("form_inverse needs a 3x3 matrix")
     return M.conj().T * _FORM_SIGN_PRODUCTS

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 
+from chtriangle import criteria
 from chtriangle.classify import (
     CLUSTER_TOL,
     EPS_DISCRIMINANT,
@@ -25,7 +26,6 @@ from chtriangle.criteria import (
     MERGE_TOL,
     SCAN_TESTS,
     ScanResult,
-    _breakpoints,
     _merge_intervals,
     jorgensen_applies,
 )
@@ -639,15 +639,36 @@ VALUE_ORACLES = {
 }
 
 
+def re_breakpoints_oracle(m, n):
+    """The re breakpoints as criteria._breakpoints took them before the
+    polish stopped at its fixed point: three full Newton steps from the
+    real part of each cubic root, each through the 0-d array evaluation."""
+    c, r = _trace_123_circle(m, n)
+    p3 = -32.0 * r**3
+    p2 = 4.0 * r * r * c * (c - 12.0)
+    p1 = 4.0 * r * (c * (c - 3.0) ** 2 + r * r * (c + 6.0))
+    p0 = (c * c + r * r) ** 2 - 8.0 * c**3 + 24.0 * c * r * r + 18.0 * (c * c + r * r) - 27.0
+    roots = []
+    for z in cubic_roots(-p2 / p3, p1 / p3, -p0 / p3):
+        a = min(1.0, max(-1.0, z.real))
+        for _ in range(3):
+            slope = (3.0 * p3 * a + 2.0 * p2) * a + p1
+            if slope == 0.0:
+                break
+            a = min(1.0, max(-1.0, a - regular_elliptic_value_oracle(m, n, a) / slope))
+        roots.append(a)
+    return roots
+
+
 def scan_intervals_array_oracle(test: str, m, n) -> ScanResult:
     """scan_intervals with every midpoint sign read from one 1-d array of
     midpoints through VALUE_ORACLES.  The breakpoints come from
-    criteria._breakpoints, whose Newton steps call
-    criteria.regular_elliptic_value."""
+    criteria._breakpoints of criteria._closed_form, whose Newton steps
+    call the closed form's value."""
     if test == "jorgensen" and not jorgensen_applies(n):
         return ScanResult(test=test, m=m, n=n, intervals=(), tol=MERGE_TOL)
     points = [-1.0]
-    for root in sorted(_breakpoints(test, m, n)):
+    for root in sorted(criteria._breakpoints(criteria._closed_form(test, m, n))):
         if points[-1] + MERGE_TOL <= root <= 1.0 - MERGE_TOL:
             points.append(root)
     points.append(1.0)

@@ -227,7 +227,7 @@ def test_extra_breakpoints_never_change_a_scan(test, m, n, extra):
     # stays byte-equal while it keeps clear of the merge distance of every
     # true breakpoint and of -1 and 1
     breakpoints = criteria._breakpoints
-    true = breakpoints(test, m, n) + [-1.0, 1.0]
+    true = breakpoints(criteria._closed_form(test, m, n)) + [-1.0, 1.0]
     extra = [x for x in extra if all(abs(x - b) > 2 * criteria.MERGE_TOL for b in true)]
     want = scan_intervals(test, m, n)
     with pytest.MonkeyPatch.context() as patch:

@@ -250,3 +250,17 @@ def test_form_inverse_is_inverse():
         m = involution_from_polar(random_positive_vector(rng))
         np.testing.assert_allclose(form_inverse(m) @ m, np.eye(3), atol=1e-10)
     np.testing.assert_allclose(FORM_MATRIX, np.diag([1, 1, -1]).astype(complex))
+
+
+@pytest.mark.parametrize(
+    "shape", [(4, 4), (2, 2), (3,), (3, 4), (1, 3, 3), ()], ids=lambda shape: str(shape).replace(" ", ""),
+)
+def test_matrix_functions_refuse_anything_but_a_3x3_matrix(shape):
+    M = np.ones(shape) if shape != (4, 4) else np.eye(4)
+    with pytest.raises(ValueError, match="^normalize_to_su needs a 3x3 matrix$"):
+        normalize_to_su(M)
+    with pytest.raises(ValueError, match="^form_inverse needs a 3x3 matrix$"):
+        form_inverse(M)
+    # a nested list takes the same refusal as an array
+    with pytest.raises(ValueError, match="^form_inverse needs a 3x3 matrix$"):
+        form_inverse(np.asarray(M).tolist())

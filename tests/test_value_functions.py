@@ -5,6 +5,7 @@ math.hypot, agree with it within a stated bound), and the scans built on
 it must equal scans that read every midpoint sign from a 1-d array and
 agree with the point criteria."""
 
+import functools
 import math
 import sys
 
@@ -19,15 +20,18 @@ from chtriangle.criteria import (
     TABLE_ROWS,
     jorgensen_applies,
     jorgensen_condition,
+    jorgensen_value,
     regular_elliptic_criterion,
+    regular_elliptic_value,
     reproduce_table,
     scan_intervals,
     shimizu_condition,
+    shimizu_value,
 )
 from helpers import (
     VALUE_ORACLES,
     make_rng,
-    regular_elliptic_value_oracle,
+    re_breakpoints_oracle,
     scan_intervals_array_oracle,
     shimizu_breakpoints_oracle,
     shimizu_value_oracle,
@@ -42,6 +46,12 @@ SURVEY_SPACE = [
     for m in tuple(range(3, 21)) + (INF,)
     for n in range(3, 201)
 ]
+
+VALUE_FUNCTIONS = {
+    "re": regular_elliptic_value,
+    "jorgensen": jorgensen_value,
+    "shimizu": shimizu_value,
+}
 
 POINT_CRITERIA = {
     "re": lambda m, n, theta: regular_elliptic_criterion(m, n, theta).fires,
@@ -79,7 +89,7 @@ def matches_oracle(test, got, want) -> bool:
 def test_scalar_value_is_bit_equal_to_the_0d_array_path(test, m, n, a):
     if test == "jorgensen" and not jorgensen_applies(n):
         return
-    value = criteria._VALUE_FUNCTIONS[test]
+    value = VALUE_FUNCTIONS[test]
     want = VALUE_ORACLES[test](m, n, a)
     got = value(m, n, a)
     assert type(got) is float
@@ -100,7 +110,12 @@ def test_every_survey_scan_equals_the_array_path_oracle(monkeypatch):
     got_tables = [reproduce_table(which) for which in TABLE_ROWS]
     # the oracle polishes roots with the 0-d evaluation and reads the
     # midpoint signs from one 1-d array
-    monkeypatch.setattr(criteria, "regular_elliptic_value", regular_elliptic_value_oracle)
+    closed_form = criteria._closed_form
+    monkeypatch.setattr(
+        criteria, "_closed_form",
+        lambda test, m, n: closed_form(test, m, n)._replace(
+            value=functools.partial(VALUE_ORACLES[test], m, n)),
+    )
     want_scans = [scan_intervals_array_oracle(*key) for key in SURVEY_SPACE]
     monkeypatch.setattr(criteria, "scan_intervals", scan_intervals_array_oracle)
     want_tables = [reproduce_table(which) for which in TABLE_ROWS]
@@ -115,14 +130,21 @@ def test_every_survey_shimizu_scan_equals_the_complex_sqrt_scan(monkeypatch):
     # no real root: the quadratic's discriminant is negative, so the former
     # scan had no breakpoint and the present one two extra ones
     no_root = sum(not shimizu_breakpoints_oracle(m, n) for _, m, n in keys)
-    # the former scan: complex-sqrt breakpoints, np.abs midpoint signs
+    # the former scan: complex-sqrt breakpoints, np.abs midpoint signs; the
+    # oracle's closed form carries the orders as its constants
+    closed_form = criteria._closed_form
     breakpoints = criteria._breakpoints
     monkeypatch.setattr(
-        criteria, "_breakpoints",
-        lambda test, m, n: shimizu_breakpoints_oracle(m, n) if test == "shimizu"
-        else breakpoints(test, m, n),
+        criteria, "_closed_form",
+        lambda test, m, n: closed_form(test, m, n)._replace(
+            value=functools.partial(shimizu_value_oracle, m, n), constants=(m, n))
+        if test == "shimizu" else closed_form(test, m, n),
     )
-    monkeypatch.setitem(criteria._VALUE_FUNCTIONS, "shimizu", shimizu_value_oracle)
+    monkeypatch.setattr(
+        criteria, "_breakpoints",
+        lambda form: shimizu_breakpoints_oracle(*form.constants) if form.test == "shimizu"
+        else breakpoints(form),
+    )
     want = [scan_intervals(*key) for key in keys]
     assert len(keys) == 3_762
     assert no_root == 211
@@ -137,7 +159,7 @@ def test_scans_agree_with_the_point_criteria():
         if test == "jorgensen" and not jorgensen_applies(n):
             continue
         scan = scan_intervals(test, m, n)
-        value = criteria._VALUE_FUNCTIONS[test]
+        value = VALUE_FUNCTIONS[test]
         # random points, and points just inside and outside every endpoint
         samples = list(rng.uniform(-1.0, 1.0, size=8))
         for lo, hi in scan.intervals:
@@ -177,13 +199,41 @@ def test_re_point_criterion_firing_implies_the_scan_contains_a():
 @pytest.mark.parametrize("test", SCAN_TESTS)
 def test_scan_midpoints_take_the_float_path(monkeypatch, test):
     seen = []
-    value = criteria._VALUE_FUNCTIONS[test]
+    polished = []
+    closed_form = criteria._closed_form
+    breakpoints = criteria._breakpoints
 
-    def spy(m, n, a):
-        seen.append(type(a))
-        return value(m, n, a)
+    def spied_form(*key):
+        form = closed_form(*key)
 
-    monkeypatch.setitem(criteria._VALUE_FUNCTIONS, test, spy)
+        def spy(a):
+            seen.append(type(a))
+            return form.value(a)
+
+        return form._replace(value=spy)
+
+    def midpoints_only(form):
+        # the re polish evaluates the closed form too; only the midpoints
+        # are counted below
+        roots = breakpoints(form)
+        polished.extend(seen)
+        seen.clear()
+        return roots
+
+    monkeypatch.setattr(criteria, "_closed_form", spied_form)
+    monkeypatch.setattr(criteria, "_breakpoints", midpoints_only)
     scan_intervals(test, 8, 20)
     assert 1 <= len(seen) <= 4
     assert set(seen) == {float}
+    assert set(polished) <= {float}
+    assert bool(polished) == (test == "re")
+
+
+def test_re_breakpoints_equal_three_full_newton_steps():
+    # the polish stops once a step leaves a unchanged; on every survey key
+    # it must give the bits of three full steps through the 0-d evaluation
+    keys = [(m, n) for test, m, n in SURVEY_SPACE if test == "re"]
+    assert len(keys) == 3_762
+    for m, n in keys:
+        got = criteria._breakpoints(criteria._closed_form("re", m, n))
+        assert list(map(float.hex, got)) == list(map(float.hex, re_breakpoints_oracle(m, n))), (m, n)
