@@ -13,11 +13,11 @@ orders (m, n) and an ideal third corner:
 Each criterion has a continuous defining function of a that is negative
 exactly where the criterion fires, so interval endpoints are honest roots,
 found in closed form as the real roots of a polynomial of degree <= 3 in a.
-Each (test, m, n) has one closed form: the corner cosines and the
-constants derived from them are taken once, with one evaluator f(a) of a
-float a.  The public value functions, a scan's breakpoints and its
-midpoint signs all read it.  The roots of the re cubic take at most
-three Newton steps through f, stopping when a step leaves a unchanged.
+Each (test, m, n) has one closed form, one branch per criterion: an
+evaluator f(a) of a float a and its breakpoints, or None where the
+criterion does not apply.  Its constants are taken once, and every value,
+breakpoint and midpoint sign reads it.  The re cubic's roots take at most
+three Newton steps through the given evaluator, stopping at a fixed point.
 """
 
 import math
@@ -132,28 +132,56 @@ class NondiscretenessReport:
 
 class _ClosedForm(NamedTuple):
     """A criterion's defining function f(a) of a float a at one (m, n),
-    and the constants its breakpoints read."""
+    and breakpoints(value): every real root of a polynomial in a that
+    vanishes wherever f does, and maybe more, polished (re) with value."""
 
-    test: str
     value: Callable[[float], float]
-    constants: tuple
+    breakpoints: Callable[[Callable[[float], float]], list]
 
 
-def _closed_form(test, m, n) -> _ClosedForm:
-    """The one closed form of test at corner orders (m, n), s1 = cos(pi/n)
-    and s2 = cos(pi/m): re keeps the trace circle's c and R, jorgensen the
-    base s1^2 + 2 s2^2, the slope 4 s1 s2 and the half-width sin(pi/n)/2,
-    shimizu alpha = s1^2 + s2^2 and beta = 2 s1 s2."""
+def _closed_form(test, m, n) -> _ClosedForm | None:
+    """The one closed form of test at corner orders (m, n), None where the
+    criterion does not apply (Jorgensen at n infinite or below 7).  With
+    s1 = cos(pi/n) and s2 = cos(pi/m), re reads the trace circle's c and R,
+    jorgensen the base s1^2 + 2 s2^2, the slope 4 s1 s2 and the half-width
+    sin(pi/n)/2, shimizu alpha = s1^2 + s2^2 and beta = 2 s1 s2."""
     if test == "re":
-        c, radius = _trace_123_circle(m, n)
+        c, r = _trace_123_circle(m, n)
 
         def value(a):
-            return discriminant(c + radius * (a + 1j * math.sqrt(max(1.0 - a * a, 0.0))))
+            return discriminant(c + r * (a + 1j * math.sqrt(max(1.0 - a * a, 0.0))))
 
-        return _ClosedForm(test, value, (c, radius))
-    s1 = corner_cos(n)
-    s2 = corner_cos(m)
+        def breakpoints(value):
+            # f = |tau|^4 - 8 Re tau^3 + 18 |tau|^2 - 27 with |tau|^2 = c^2 + R^2 + 2cRa
+            # and Re tau^3 = c^3 + 3c^2 R a + 3c R^2 (2a^2 - 1) + R^3 (4a^3 - 3a)
+            p3 = -32.0 * r**3
+            p2 = 4.0 * r * r * c * (c - 12.0)
+            p1 = 4.0 * r * (c * (c - 3.0) ** 2 + r * r * (c + 6.0))
+            p0 = ((c * c + r * r) ** 2 - 8.0 * c**3 + 24.0 * c * r * r
+                  + 18.0 * (c * c + r * r) - 27.0)
+            roots = []
+            for z in cubic_roots(-p2 / p3, p1 / p3, -p0 / p3):
+                # up to three Newton steps from the real part, a complex root's too:
+                # the monomial coefficients cancel near a = 1, leaving roots off by
+                # up to 2e-10 at m = inf.  A step depends on a alone, so once a step
+                # leaves a unchanged (== also takes -0.0 to 0.0, which then stays)
+                # the remaining steps would too, and the polish stops there
+                a = min(1.0, max(-1.0, z.real))
+                for _ in range(3):
+                    slope = (3.0 * p3 * a + 2.0 * p2) * a + p1
+                    if slope == 0.0:
+                        break
+                    a, last = min(1.0, max(-1.0, a - value(a) / slope)), a
+                    if a == last:
+                        break
+                roots.append(a)
+            return roots
+
+        return _ClosedForm(value, breakpoints)
     if test == "jorgensen":
+        if not jorgensen_applies(n):
+            return None
+        s1, s2 = corner_cos(n), corner_cos(m)
         base = s1 * s1 + 2.0 * s2 * s2
         slope = 4.0 * s1 * s2
         half = 0.5 * corner_sin(n)
@@ -161,7 +189,12 @@ def _closed_form(test, m, n) -> _ClosedForm:
         def value(a):
             return abs(base - slope * a + 1.0) - half
 
-        return _ClosedForm(test, value, (base, slope, half))
+        def breakpoints(value):
+            # |L(a)| = half with L(a) = base + 1 - slope a
+            return [(base + 1.0 - half) / slope, (base + 1.0 + half) / slope]
+
+        return _ClosedForm(value, breakpoints)
+    s1, s2 = corner_cos(n), corner_cos(m)
     alpha = s1 * s1 + s2 * s2
     beta = 2.0 * s1 * s2
 
@@ -170,15 +203,40 @@ def _closed_form(test, m, n) -> _ClosedForm:
         u = alpha - beta * a
         return math.hypot(u, beta * math.sqrt(max(1.0 - a * a, 0.0))) + 4.0 * u - 0.25
 
-    return _ClosedForm(test, value, (alpha, beta))
+    def breakpoints(value):
+        # u^2 + 4 v^2 - (1/4 - 4u)^2 with u = alpha - beta a, 4 v^2 = beta^2 (1 - a^2);
+        # q1 > 0 for orders >= 3, so this form of the root formula does not
+        # cancel; a complex pair (discriminant read as 0) gives its real part
+        # and one more point, extra breakpoints that split a piece of one sign
+        q2 = -16.0 * beta * beta
+        q1 = beta * (30.0 * alpha - 2.0)
+        q0 = beta * beta - 15.0 * alpha * alpha + 2.0 * alpha - 0.0625
+        q = -0.5 * (q1 + math.sqrt(max(q1 * q1 - 4.0 * q2 * q0, 0.0)))
+        return [q / q2, q0 / q]
+
+    return _ClosedForm(value, breakpoints)
+
+
+def _value(test, m, n, a) -> float:
+    """f(a) of test at corner orders (m, n) already checked: a is one
+    scalar, taken through float(a) and refused outside [-1, 1] (NaN
+    too), and Jorgensen is refused where it does not apply."""
+    a = float(a)
+    if not -1.0 <= a <= 1.0:
+        raise ValueError("a = cos(theta) must lie in [-1, 1]")
+    form = _closed_form(test, m, n)
+    if form is None:
+        raise ValueError("jorgensen criterion needs finite n >= 7")
+    return form.value(a)
 
 
 def regular_elliptic_value(m, n, a) -> float:
     """Discriminant of the trace of the product of the three involutions,
     as a function of a = cos(theta).  Negative exactly where the product
-    is regular elliptic.  a is one scalar, taken through float(a) and
-    evaluated on Python floats and the scalar discriminant."""
-    return _closed_form("re", m, n).value(float(a))
+    is regular elliptic.  a is one scalar in [-1, 1], taken through
+    float(a) and evaluated on Python floats and the scalar discriminant."""
+    _check_orders(m, n)
+    return _value("re", m, n, a)
 
 
 def jorgensen_applies(n) -> bool:
@@ -192,20 +250,20 @@ def jorgensen_value(m, n, a) -> float:
     |s1^2 + 2 s2^2 - 4 s1 s2 a + 1| - sin(pi/n)/2.
 
     Requires a finite elliptic order n >= 7 (see jorgensen_applies).  a is
-    one scalar, taken through float(a) and evaluated on Python floats.
+    one scalar in [-1, 1], taken through float(a), on Python floats.
     """
-    if not jorgensen_applies(n):
-        raise ValueError("jorgensen criterion needs finite n >= 7")
-    return _closed_form("jorgensen", m, n).value(float(a))
+    _check_orders(m, n)
+    return _value("jorgensen", m, n, a)
 
 
 def shimizu_value(m, n, a) -> float:
     """Defining function of the Shimizu criterion: |u - 2iv| + 4u - 1/4,
     with u = s1^2 + s2^2 - 2 s1 s2 a and v = s1 s2 sin(theta).
 
-    a is one scalar, taken through float(a) and evaluated on Python
-    floats; |u - 2iv| is math.hypot(u, 2v)."""
-    return _closed_form("shimizu", m, n).value(float(a))
+    a is one scalar in [-1, 1], taken through float(a) and evaluated on
+    Python floats; |u - 2iv| is math.hypot(u, 2v)."""
+    _check_orders(m, n)
+    return _value("shimizu", m, n, a)
 
 
 def regular_elliptic_criterion(m, n, theta) -> CriterionEvaluation:
@@ -223,7 +281,7 @@ def jorgensen_condition(m, n, theta) -> bool:
     theta must lie in [0, pi]."""
     _check_orders(m, n)
     _check_theta(theta)
-    return jorgensen_value(m, n, math.cos(theta)) < 0.0
+    return _value("jorgensen", m, n, math.cos(theta)) < 0.0
 
 
 def shimizu_condition(m, n, theta) -> bool:
@@ -231,53 +289,7 @@ def shimizu_condition(m, n, theta) -> bool:
     theta must lie in [0, pi]."""
     _check_orders(m, n)
     _check_theta(theta)
-    return shimizu_value(m, n, math.cos(theta)) < 0.0
-
-
-def _breakpoints(form: _ClosedForm):
-    """Breakpoint candidates: every real root of a polynomial in a that
-    vanishes wherever the closed form's defining function does, and maybe
-    more."""
-    if form.test == "jorgensen":
-        # |L(a)| = half with L(a) = base + 1 - slope a
-        base, slope, half = form.constants
-        return [(base + 1.0 - half) / slope, (base + 1.0 + half) / slope]
-    if form.test == "shimizu":
-        # u^2 + 4 v^2 - (1/4 - 4u)^2 with u = alpha - beta a, 4 v^2 = beta^2 (1 - a^2);
-        # q1 > 0 for orders >= 3, so this form of the root formula does not
-        # cancel; a complex pair (discriminant read as 0) gives its real part
-        # and one more point, extra breakpoints that split a piece of one sign
-        alpha, beta = form.constants
-        q2 = -16.0 * beta * beta
-        q1 = beta * (30.0 * alpha - 2.0)
-        q0 = beta * beta - 15.0 * alpha * alpha + 2.0 * alpha - 0.0625
-        q = -0.5 * (q1 + math.sqrt(max(q1 * q1 - 4.0 * q2 * q0, 0.0)))
-        return [q / q2, q0 / q]
-    # f = |tau|^4 - 8 Re tau^3 + 18 |tau|^2 - 27 with |tau|^2 = c^2 + R^2 + 2cRa
-    # and Re tau^3 = c^3 + 3c^2 R a + 3c R^2 (2a^2 - 1) + R^3 (4a^3 - 3a)
-    c, r = form.constants
-    value = form.value
-    p3 = -32.0 * r**3
-    p2 = 4.0 * r * r * c * (c - 12.0)
-    p1 = 4.0 * r * (c * (c - 3.0) ** 2 + r * r * (c + 6.0))
-    p0 = (c * c + r * r) ** 2 - 8.0 * c**3 + 24.0 * c * r * r + 18.0 * (c * c + r * r) - 27.0
-    roots = []
-    for z in cubic_roots(-p2 / p3, p1 / p3, -p0 / p3):
-        # up to three Newton steps from the real part, a complex root's too:
-        # the monomial coefficients cancel near a = 1, leaving roots off by
-        # up to 2e-10 at m = inf.  A step depends on a alone, so once a step
-        # leaves a unchanged (== also takes -0.0 to 0.0, which then stays)
-        # the remaining steps would too, and the polish stops there
-        a = min(1.0, max(-1.0, z.real))
-        for _ in range(3):
-            slope = (3.0 * p3 * a + 2.0 * p2) * a + p1
-            if slope == 0.0:
-                break
-            a, last = min(1.0, max(-1.0, a - value(a) / slope)), a
-            if a == last:
-                break
-        roots.append(a)
-    return roots
+    return _value("shimizu", m, n, math.cos(theta)) < 0.0
 
 
 def scan_intervals(test: str, m, n) -> ScanResult:
@@ -306,17 +318,16 @@ def scan_intervals(test: str, m, n) -> ScanResult:
         raise ValueError(f"unknown test {test!r}; expected one of {SCAN_TESTS}")
     _check_orders(m, n)
     m, n = _plain_order(m), _plain_order(n)
-    if test == "jorgensen" and not jorgensen_applies(n):
-        return ScanResult(test=test, m=m, n=n, intervals=(), tol=MERGE_TOL)
-
     form = _closed_form(test, m, n)
-    points = [-1.0]
-    for root in sorted(_breakpoints(form)):
-        if points[-1] + MERGE_TOL <= root <= 1.0 - MERGE_TOL:
-            points.append(root)
-    points.append(1.0)
-    value = form.value
-    pieces = [(lo, hi) for lo, hi in zip(points, points[1:]) if value(0.5 * (lo + hi)) < 0.0]
+    pieces = []
+    if form is not None:
+        value = form.value
+        points = [-1.0]
+        for root in sorted(form.breakpoints(value)):
+            if points[-1] + MERGE_TOL <= root <= 1.0 - MERGE_TOL:
+                points.append(root)
+        points.append(1.0)
+        pieces = [(lo, hi) for lo, hi in zip(points, points[1:]) if value(0.5 * (lo + hi)) < 0.0]
     return ScanResult(test=test, m=m, n=n, intervals=tuple(_merge_intervals(pieces)), tol=MERGE_TOL)
 
 
@@ -450,8 +461,9 @@ def nondiscreteness_report(m, n, theta) -> NondiscretenessReport:
     # the regular elliptic criterion checks the orders and theta for all three
     re_eval = regular_elliptic_criterion(m, n, theta)
     a = math.cos(theta)
-    jor = jorgensen_value(m, n, a) < 0.0 if jorgensen_applies(n) else None
-    shi = shimizu_value(m, n, a) < 0.0
+    jorgensen = _closed_form("jorgensen", m, n)
+    jor = None if jorgensen is None else jorgensen.value(a) < 0.0
+    shi = _closed_form("shimizu", m, n).value(a) < 0.0
     word = None
     if is_infinite(m) and not is_infinite(n):
         word = word_3132_analysis(n, a)

@@ -618,8 +618,8 @@ def shimizu_value_oracle(m, n, a):
 
 
 def shimizu_breakpoints_oracle(m, n):
-    """The Shimizu breakpoints as criteria._breakpoints took them before
-    the real square root: a complex square root of the quadratic's
+    """The Shimizu breakpoints as criteria took them before the real
+    square root: a complex square root of the quadratic's
     discriminant, keeping roots with an imaginary part up to 1e-6."""
     s1 = corner_cos(n)
     s2 = corner_cos(m)
@@ -640,8 +640,8 @@ VALUE_ORACLES = {
 
 
 def re_breakpoints_oracle(m, n):
-    """The re breakpoints as criteria._breakpoints took them before the
-    polish stopped at its fixed point: three full Newton steps from the
+    """The re breakpoints as criteria took them before the polish
+    stopped at its fixed point: three full Newton steps from the
     real part of each cubic root, each through the 0-d array evaluation."""
     c, r = _trace_123_circle(m, n)
     p3 = -32.0 * r**3
@@ -662,13 +662,14 @@ def re_breakpoints_oracle(m, n):
 
 def scan_intervals_array_oracle(test: str, m, n) -> ScanResult:
     """scan_intervals with every midpoint sign read from one 1-d array of
-    midpoints through VALUE_ORACLES.  The breakpoints come from
-    criteria._breakpoints of criteria._closed_form, whose Newton steps
-    call the closed form's value."""
+    midpoints through VALUE_ORACLES.  The breakpoints come from the
+    breakpoints of criteria._closed_form, whose Newton steps call the
+    closed form's value."""
     if test == "jorgensen" and not jorgensen_applies(n):
         return ScanResult(test=test, m=m, n=n, intervals=(), tol=MERGE_TOL)
+    form = criteria._closed_form(test, m, n)
     points = [-1.0]
-    for root in sorted(criteria._breakpoints(criteria._closed_form(test, m, n))):
+    for root in sorted(form.breakpoints(form.value)):
         if points[-1] + MERGE_TOL <= root <= 1.0 - MERGE_TOL:
             points.append(root)
     points.append(1.0)

@@ -226,12 +226,18 @@ def test_extra_breakpoints_never_change_a_scan(test, m, n, extra):
     # an extra breakpoint only splits a piece of one sign, so the scan
     # stays byte-equal while it keeps clear of the merge distance of every
     # true breakpoint and of -1 and 1
-    breakpoints = criteria._breakpoints
-    true = breakpoints(criteria._closed_form(test, m, n)) + [-1.0, 1.0]
+    closed_form = criteria._closed_form
+    form = closed_form(test, m, n)
+    true = (form.breakpoints(form.value) if form else []) + [-1.0, 1.0]
     extra = [x for x in extra if all(abs(x - b) > 2 * criteria.MERGE_TOL for b in true)]
     want = scan_intervals(test, m, n)
+
+    def with_extra(*key):
+        form = closed_form(*key)
+        return form and form._replace(breakpoints=lambda value: form.breakpoints(value) + extra)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(criteria, "_breakpoints", lambda *key: breakpoints(*key) + extra)
+        patch.setattr(criteria, "_closed_form", with_extra)
         got = scan_intervals(test, m, n)
     assert repr(got) == repr(want)
 

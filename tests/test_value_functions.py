@@ -105,17 +105,41 @@ def test_scalar_value_is_bit_equal_to_the_0d_array_path(test, m, n, a):
             value(m, n, batch)
 
 
+@pytest.mark.parametrize(
+    "test, m, n, a",
+    [
+        ("shimizu", 2, 2, 0.3),
+        ("re", 1, 8, 0.5),
+        ("shimizu", math.nan, 8, 0.2),
+        ("jorgensen", 8, -INF, 0.5),
+        ("shimizu", 8, 11, 2.0),
+        ("jorgensen", 8, 11, -3.0),
+        ("re", 8, 11, INF),
+        ("re", 8, 11, 1e300),
+        ("shimizu", 8, 11, math.nan),
+        ("jorgensen", 8, 11, np.float64(math.nextafter(1.0, 2.0))),
+        ("re", INF, 7, math.nextafter(-1.0, -2.0)),
+    ],
+)
+def test_value_functions_refuse_orders_below_3_and_a_outside_the_unit_interval(test, m, n, a):
+    # outside [-1, 1] the clipped square root evaluates a meaningless
+    # point: the Shimizu value at a = 2 is -5.56 and reads as firing
+    with pytest.raises(ValueError, match="must"):
+        VALUE_FUNCTIONS[test](m, n, a)
+
+
 def test_every_survey_scan_equals_the_array_path_oracle(monkeypatch):
     got_scans = [scan_intervals(*key) for key in SURVEY_SPACE]
     got_tables = [reproduce_table(which) for which in TABLE_ROWS]
     # the oracle polishes roots with the 0-d evaluation and reads the
     # midpoint signs from one 1-d array
     closed_form = criteria._closed_form
-    monkeypatch.setattr(
-        criteria, "_closed_form",
-        lambda test, m, n: closed_form(test, m, n)._replace(
-            value=functools.partial(VALUE_ORACLES[test], m, n)),
-    )
+
+    def oracle_form(test, m, n):
+        form = closed_form(test, m, n)
+        return form and form._replace(value=functools.partial(VALUE_ORACLES[test], m, n))
+
+    monkeypatch.setattr(criteria, "_closed_form", oracle_form)
     want_scans = [scan_intervals_array_oracle(*key) for key in SURVEY_SPACE]
     monkeypatch.setattr(criteria, "scan_intervals", scan_intervals_array_oracle)
     want_tables = [reproduce_table(which) for which in TABLE_ROWS]
@@ -130,20 +154,12 @@ def test_every_survey_shimizu_scan_equals_the_complex_sqrt_scan(monkeypatch):
     # no real root: the quadratic's discriminant is negative, so the former
     # scan had no breakpoint and the present one two extra ones
     no_root = sum(not shimizu_breakpoints_oracle(m, n) for _, m, n in keys)
-    # the former scan: complex-sqrt breakpoints, np.abs midpoint signs; the
-    # oracle's closed form carries the orders as its constants
-    closed_form = criteria._closed_form
-    breakpoints = criteria._breakpoints
+    # the former scan: complex-sqrt breakpoints, np.abs midpoint signs
     monkeypatch.setattr(
         criteria, "_closed_form",
-        lambda test, m, n: closed_form(test, m, n)._replace(
-            value=functools.partial(shimizu_value_oracle, m, n), constants=(m, n))
-        if test == "shimizu" else closed_form(test, m, n),
-    )
-    monkeypatch.setattr(
-        criteria, "_breakpoints",
-        lambda form: shimizu_breakpoints_oracle(*form.constants) if form.test == "shimizu"
-        else breakpoints(form),
+        lambda test, m, n: criteria._ClosedForm(
+            functools.partial(shimizu_value_oracle, m, n),
+            lambda value: shimizu_breakpoints_oracle(m, n)),
     )
     want = [scan_intervals(*key) for key in keys]
     assert len(keys) == 3_762
@@ -201,7 +217,6 @@ def test_scan_midpoints_take_the_float_path(monkeypatch, test):
     seen = []
     polished = []
     closed_form = criteria._closed_form
-    breakpoints = criteria._breakpoints
 
     def spied_form(*key):
         form = closed_form(*key)
@@ -210,18 +225,17 @@ def test_scan_midpoints_take_the_float_path(monkeypatch, test):
             seen.append(type(a))
             return form.value(a)
 
-        return form._replace(value=spy)
+        def midpoints_only(value):
+            # the re polish evaluates the closed form too, through the spy
+            # it is given; only the midpoints are counted below
+            roots = form.breakpoints(value)
+            polished.extend(seen)
+            seen.clear()
+            return roots
 
-    def midpoints_only(form):
-        # the re polish evaluates the closed form too; only the midpoints
-        # are counted below
-        roots = breakpoints(form)
-        polished.extend(seen)
-        seen.clear()
-        return roots
+        return criteria._ClosedForm(spy, midpoints_only)
 
     monkeypatch.setattr(criteria, "_closed_form", spied_form)
-    monkeypatch.setattr(criteria, "_breakpoints", midpoints_only)
     scan_intervals(test, 8, 20)
     assert 1 <= len(seen) <= 4
     assert set(seen) == {float}
@@ -235,5 +249,6 @@ def test_re_breakpoints_equal_three_full_newton_steps():
     keys = [(m, n) for test, m, n in SURVEY_SPACE if test == "re"]
     assert len(keys) == 3_762
     for m, n in keys:
-        got = criteria._breakpoints(criteria._closed_form("re", m, n))
+        form = criteria._closed_form("re", m, n)
+        got = form.breakpoints(form.value)
         assert list(map(float.hex, got)) == list(map(float.hex, re_breakpoints_oracle(m, n))), (m, n)
