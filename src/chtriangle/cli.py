@@ -2,8 +2,9 @@
 
 Every command emits a single machine-readable record, either as CSV
 (default: header row, comma separators, '.' decimal point, 12 significant
-digits, dashes for empty cells) or as JSON with --format json.  Output is
-assembled in full and written once.  Exit code 0 on success, 2 on usage
+digits, dashes for empty cells) or as JSON with --format json.  JSON is
+written piece by piece while the record is walked; CSV is assembled in
+full and written once.  Exit code 0 on success, 2 on usage
 errors and domain refusals.  The modules that need numpy are imported
 inside the classify and galois handlers, so tables and scan run without
 numpy.  main parses a command's arguments once, with that command's
@@ -16,7 +17,8 @@ fields in order, complex numbers as {"real", "imag"}, enums as values,
 and non-finite floats as the strings "inf", "-inf" and "nan".  The
 writer walks a record once: it dispatches on each value's exact type,
 reads a dataclass's field keys from a table built once per type, and
-appends every piece to one list that is joined at the end.  It writes
+hands every piece to one write function as it goes, so no output text
+is held.  It writes
 values of exact types only (dict keys are str), dataclass instances, and
 enum members as their values; it refuses any other value with TypeError,
 a subclass such as numpy.float64 or a namedtuple included.
@@ -105,17 +107,11 @@ _json_str = json.encoder.encode_basestring_ascii
 _FIELD_KEYS = {}
 
 
-def _json(value, pad: str = "") -> str:
-    """The JSON text of value at indent pad: the text of
-    json.dumps(..., indent=2) with non-finite floats as the strings of
+def _write(value, pad: str, put) -> None:
+    """Hand put the JSON text of value at indent pad, piece by piece: the
+    text of json.dumps(..., indent=2) with non-finite floats as the strings of
     their _fmt text, complex numbers as {"real", "imag"}, dataclasses in
     field order, tuples as lists and enums as their values; else TypeError."""
-    out = []
-    _write(value, pad, out.append)
-    return "".join(out)
-
-
-def _write(value, pad: str, put) -> None:
     cls = type(value)  # exact types only; a dataclass or enum goes through _exact
     if cls is float:
         put(float.__repr__(value) if math.isfinite(value) else _json_str(_fmt(value)))
@@ -142,12 +138,7 @@ def _write(value, pad: str, put) -> None:
         elif cls is list or cls is tuple:
             for v in value:
                 put(sep)
-                if type(v) in _FIELD_KEYS:
-                    # a record entry is joined into one string first, so a
-                    # long list of entries holds one string per entry
-                    put(_json(v, inner))
-                else:
-                    _write(v, inner, put)
+                _write(v, inner, put)
                 sep = comma
         elif cls is dict or cls is complex:
             if cls is complex:
@@ -185,13 +176,16 @@ def _exact(value):
     raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
-def _emit(record: dict, columns, rows, fmt: str) -> str:
-    """Render one output record: CSV shows the tabular results, JSON the
-    whole record; rows is any iterable, read only for CSV."""
+def _emit(record: dict, columns, rows, fmt: str, write) -> None:
+    """Write one output record with write: JSON the whole record, piece by
+    piece as it is walked; CSV the tabular results, assembled and written
+    once.  rows is any iterable, read only for CSV."""
     if fmt == "json":
-        return _json(record) + "\n"
-    lines = [columns] + [[_fmt(c) for c in row] for row in rows]
-    return "".join(",".join(line) + "\n" for line in lines)
+        _write(record, "", write)
+        write("\n")
+    else:
+        lines = [columns] + [[_fmt(c) for c in row] for row in rows]
+        write("".join(",".join(line) + "\n" for line in lines))
 
 
 def _record(command: str, parameters: dict, tolerances: dict, results) -> dict:
@@ -423,7 +417,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"chtriangle {args.command}: error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(_emit(record, columns, rows, args.format))
+    _emit(record, columns, rows, args.format, sys.stdout.write)
     return 0
 
 

@@ -217,13 +217,19 @@ def _closed_form(test, m, n) -> _ClosedForm | None:
     return _ClosedForm(value, breakpoints)
 
 
-def _value(test, m, n, a) -> float:
-    """f(a) of test at corner orders (m, n) already checked: a is one
-    scalar, taken through float(a) and refused outside [-1, 1] (NaN
-    too), and Jorgensen is refused where it does not apply."""
+def _check_a(a) -> float:
+    """a = cos(theta) as a Python float: one scalar, taken through
+    float(a) and refused outside [-1, 1], NaN too."""
     a = float(a)
     if not -1.0 <= a <= 1.0:
         raise ValueError("a = cos(theta) must lie in [-1, 1]")
+    return a
+
+
+def _value(test, m, n, a) -> float:
+    """f(a) of test at corner orders (m, n) already checked: a goes
+    through _check_a, and Jorgensen is refused where it does not apply."""
+    a = _check_a(a)
     form = _closed_form(test, m, n)
     if form is None:
         raise ValueError("jorgensen criterion needs finite n >= 7")
@@ -382,8 +388,7 @@ def word_3132_analysis(n, a) -> WordClassification:
     parameter value) boundary elliptic, and loxodromic outside.
     """
     _check_finite_order(n)
-    if not -1.0 <= a <= 1.0:
-        raise ValueError("a = cos(theta) must lie in [-1, 1]")
+    a = _check_a(a)
     s = corner_cos(n)
     t = trace_word_3132(n, a)
     # the order-2 locus, trace -1: (1 + 4 s^2)/(4 s)

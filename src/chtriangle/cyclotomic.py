@@ -147,8 +147,10 @@ def _totient(d: int, primes) -> int:
 
 
 def euler_phi(d: int) -> int:
-    """Euler's totient, by trial-division factorisation."""
+    """Euler's totient, by trial-division factorisation; a Python int,
+    also for a numpy integer d."""
     _check_positive_int(d, "d")
+    d = int(d)
     return _totient(d, _prime_factors(d))
 
 
@@ -164,11 +166,13 @@ def phi_inequality(l: int, k1: int, k2: int, k3: int) -> PhiCheck:
     """Evaluate 1/phi(d1) + 1/phi(d2) + 1/phi(d3) > 1 with
     d_i = l / gcd(k_i, l), decided on integers: with p_i = phi(d_i) it
     reads p2 p3 + p1 p3 + p1 p2 > p1 p2 p3.  Each d_i divides l, so l is
-    factored once."""
+    factored once.  The check holds Python ints and a Python bool, also
+    for numpy integer arguments."""
     _check_positive_int(l, "l")
     if not all(_is_integer(k) for k in (k1, k2, k3)):
         raise ValueError("exponents must be integers")
-    return _phi_check(l, (k1, k2, k3), _prime_factors(l))
+    l = int(l)
+    return _phi_check(l, (int(k1), int(k2), int(k3)), _prime_factors(l))
 
 
 def _phi_check(l: int, k: tuple, primes) -> PhiCheck:

@@ -166,7 +166,7 @@ def translation_of(M) -> HeisenbergPoint:
     Raises when M moves the distinguished point or fails to act as a left
     translation on probe points.
     """
-    return _translation(_form_preserving(M, "boundary_action"))
+    return _translation(_form_preserving(M, "translation_of"))
 
 
 def _isometric_sphere(h: np.ndarray, forward) -> IsometricSphere:
@@ -176,7 +176,7 @@ def _isometric_sphere(h: np.ndarray, forward) -> IsometricSphere:
     denom = abs(h[1, 1] - h[1, 2] + h[2, 1] - h[2, 2])
     if forward is INFINITY or denom <= 1e-14 * np.abs(h).max():
         raise ValueError("isometric sphere undefined: the map fixes infinity")
-    center = _act(_form_preserving(form_inverse(h), "boundary_action"), INFINITY)
+    center = _act(_form_preserving(form_inverse(h), "isometric_sphere"), INFINITY)
     return IsometricSphere(center=center, radius=math.sqrt(2.0 / denom))
 
 
@@ -202,7 +202,7 @@ def shimizu_violation(g, h) -> bool:
     certifies non-discreteness of any group containing g and h.  Each of
     g, h and h^-1 is checked once.
     """
-    g = _form_preserving(g, "boundary_action")
+    g = _form_preserving(g, "shimizu_violation")
     t = _translation(g)
     h = _form_preserving(h, "isometric_sphere")
     forward = _act(h, INFINITY)

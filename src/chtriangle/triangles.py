@@ -8,7 +8,8 @@ configuration: three polar vectors, the triangle vertices, and the three
 side involutions that generate the group.  The slots are the builder's
 (m, n); an infinite corner order is passed as math.inf and sits in the
 slot it is passed in, so (n, inf, inf) is `build_mn_inf(n, math.inf,
-theta)`, which `build_n_inf_inf(n, theta)` builds.
+theta)`, which `build_n_inf_inf(n, theta)` builds, and the ideal
+triangle is `build_mn_inf(math.inf, math.inf, theta)`.
 """
 
 import cmath
@@ -101,14 +102,12 @@ def build_mn_inf(m: int, n: int, theta: float) -> TriangleGroup:
     """Triangle group with corner angles pi/m, pi/n and 0.
 
     The first side is the unit-circle chain; the second and third are the
-    vertical chains through cos(pi/n) and e^(i theta) cos(pi/m).  One of
-    m, n may be math.inf: that corner is ideal too, in the slot the order
-    is passed in, and its cosine is 1.  Two infinite orders are refused,
-    and so is the configuration with the two vertical chains equal
-    (theta = 0 and equal corner cosines), as degenerate.
+    vertical chains through cos(pi/n) and e^(i theta) cos(pi/m).  Either
+    or both of m, n may be math.inf: that corner is ideal too, in the
+    slot the order is passed in, and its cosine is 1; (inf, inf) is the
+    ideal triangle.  The configuration with the two vertical chains equal
+    (theta = 0 and equal corner cosines) is refused as degenerate.
     """
-    if is_infinite(m) and is_infinite(n):
-        raise ValueError("at most one of the corner orders m, n may be infinite")
     ttype = TriangleType(m, n, theta)
     s1 = corner_cos(n)
     s2 = corner_cos(m)

@@ -20,7 +20,7 @@ from chtriangle.classify import (
     cubic_roots,
     discriminant,
 )
-from chtriangle.cli import _fmt
+from chtriangle.cli import _fmt, _write
 from chtriangle.closed import _trace_123_circle, corner_cos, corner_sin, is_infinite
 from chtriangle.criteria import (
     MERGE_TOL,
@@ -519,9 +519,13 @@ def classify_oracle(M, eps_f: float = EPS_DISCRIMINANT) -> Classification:
     return Classification(tag, tau, eigs, f)
 
 
-def boundary_action_oracle(M, point):
+def _check_form_oracle(M, name: str):
     if not is_unitary_for_form_oracle(M):
-        raise ValueError("boundary_action needs a matrix preserving the form")
+        raise ValueError(f"{name} needs a matrix preserving the form")
+
+
+def boundary_action_oracle(M, point):
+    _check_form_oracle(M, "boundary_action")
     if point is INFINITY:
         lift = Q_INFINITY_LIFT
     else:
@@ -539,6 +543,7 @@ def fixes_infinity_oracle(M) -> bool:
 
 
 def translation_of_oracle(M, tol: float = 1e-8) -> HeisenbergPoint:
+    _check_form_oracle(M, "translation_of")
     if not fixes_infinity_oracle(M):
         raise ValueError("not a Heisenberg translation: infinity moves")
     t = boundary_action_oracle(M, ORIGIN)
@@ -555,16 +560,18 @@ def translation_of_oracle(M, tol: float = 1e-8) -> HeisenbergPoint:
 
 def isometric_sphere_oracle(h) -> IsometricSphere:
     h = np.asarray(h, dtype=complex)
-    if not is_unitary_for_form_oracle(h):
-        raise ValueError("isometric_sphere needs a matrix preserving the form")
+    _check_form_oracle(h, "isometric_sphere")
     denom = abs(h[1, 1] - h[1, 2] + h[2, 1] - h[2, 2])
     if fixes_infinity_oracle(h) or denom <= 1e-14 * np.abs(h).max():
         raise ValueError("isometric sphere undefined: the map fixes infinity")
-    center = boundary_action_oracle(form_inverse_oracle(h), INFINITY)
+    h_inverse = form_inverse_oracle(h)
+    _check_form_oracle(h_inverse, "isometric_sphere")
+    center = boundary_action_oracle(h_inverse, INFINITY)
     return IsometricSphere(center=center, radius=math.sqrt(2.0 / denom))
 
 
 def shimizu_violation_oracle(g, h, slack: float = SHIMIZU_SLACK) -> bool:
+    _check_form_oracle(g, "shimizu_violation")
     t = translation_of_oracle(g)
     sphere = isometric_sphere_oracle(h)
     forward = boundary_action_oracle(h, INFINITY)
@@ -677,6 +684,13 @@ def scan_intervals_array_oracle(test: str, m, n) -> ScanResult:
     negative = VALUE_ORACLES[test](m, n, 0.5 * (edges[:-1] + edges[1:])) < 0.0
     pieces = [(lo, hi) for lo, hi, neg in zip(points, points[1:], negative) if neg]
     return ScanResult(test=test, m=m, n=n, intervals=tuple(_merge_intervals(pieces)), tol=MERGE_TOL)
+
+
+def json_text(value, pad: str = "") -> str:
+    """The text cli._write writes for value at indent pad, joined."""
+    out = []
+    _write(value, pad, out.append)
+    return "".join(out)
 
 
 def jsonable_oracle(value):

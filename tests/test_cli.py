@@ -271,10 +271,9 @@ def test_galois_command_builds_its_csv_rows_for_csv_only(capsys, monkeypatch):
     states = []
     emit = cli._emit
 
-    def spy(record, columns, rows, fmt):
-        text = emit(record, columns, rows, fmt)
+    def spy(record, columns, rows, fmt, write):
+        emit(record, columns, rows, fmt, write)
         states.append(inspect.getgeneratorstate(rows))
-        return text
 
     monkeypatch.setattr(cli, "_emit", spy)
     argv = ["galois", "--m", "8", "--n", "11", "--max-l", "60"]
@@ -378,7 +377,7 @@ def _reference_main(argv):
     except (UsageError, ValueError) as exc:
         print(f"chtriangle {args.command}: error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(cli._emit(record, columns, rows, args.format))
+    cli._emit(record, columns, rows, args.format, sys.stdout.write)
     return 0
 
 

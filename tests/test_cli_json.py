@@ -1,4 +1,4 @@
-"""The JSON writer of the CLI: cli._json must give, byte for byte, the text
+"""The JSON writer of the CLI: cli._write must write, byte for byte, the text
 json.dumps gives for the record conversion in helpers.jsonable_oracle,
 on random nested values of the types it writes and on the records of the
 four commands, and refuse every other type."""
@@ -9,6 +9,7 @@ import enum
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,11 +18,11 @@ from hypothesis import strategies as st
 
 from chtriangle import cli
 from chtriangle.classify import classify
-from chtriangle.cli import _json, main
+from chtriangle.cli import main
 from chtriangle.criteria import SCAN_TESTS, nondiscreteness_report, scan_intervals
 from chtriangle.cyclotomic import refute_finite_order
 from chtriangle.triangles import TriangleType
-from helpers import jsonable_oracle
+from helpers import json_text, jsonable_oracle
 
 INF = math.inf
 
@@ -122,7 +123,7 @@ values = st.recursive(leaves, containers, max_leaves=20)
 @settings(max_examples=300, deadline=None)
 @given(values)
 def test_json_matches_oracle(value):
-    assert _json(value) == oracle_text(value)
+    assert json_text(value) == oracle_text(value)
 
 
 @pytest.mark.parametrize(
@@ -148,7 +149,7 @@ def test_json_matches_oracle(value):
     ],
 )
 def test_json_layout_examples(value, text):
-    assert _json(value) == text
+    assert json_text(value) == text
 
 
 @pytest.mark.parametrize(
@@ -170,7 +171,7 @@ def test_json_layout_examples(value, text):
 )
 def test_json_refuses_other_types(value):
     with pytest.raises(TypeError):
-        _json(value)
+        json_text(value)
 
 
 def test_json_keys_field_names_on_the_dataclass_type():
@@ -178,33 +179,33 @@ def test_json_keys_field_names_on_the_dataclass_type():
     other = Other.Pair(1, Pair(2, 3), 4)
     assert type(other).__name__ == Pair.__name__
     record = [Pair(other, Leaf(5)), other, Pair(6, other)]
-    text = _json(record)
+    text = json_text(record)
     assert text == oracle_text(record)
     assert text.count('"left": 1') == 3 and text.count('"first": ') == 5
 
 
 def test_json_writes_a_report_built_from_numpy_integers():
     report = refute_finite_order(8, np.int64(11), max_l=np.int64(20))
-    assert _json(report) == _json(refute_finite_order(8, 11, max_l=20))
-    assert _json(report) == oracle_text(report)
+    assert json_text(report) == json_text(refute_finite_order(8, 11, max_l=20))
+    assert json_text(report) == oracle_text(report)
 
 
 def test_json_writes_a_scan_built_from_numpy_integers():
     scan = scan_intervals("re", np.int64(8), 11)
     assert type(scan.m) is int
-    assert _json(scan) == _json(scan_intervals("re", 8, 11))
-    assert _json(scan) == oracle_text(scan)
+    assert json_text(scan) == json_text(scan_intervals("re", 8, 11))
+    assert json_text(scan) == oracle_text(scan)
 
 
 def test_json_writes_a_point_report_built_from_numpy_integers():
     report = nondiscreteness_report(np.int64(8), np.int64(11), 0.3)
     assert (type(report.m), type(report.n)) == (int, int)
-    assert _json(report) == _json(nondiscreteness_report(8, 11, 0.3))
-    assert _json(report) == oracle_text(report)
+    assert json_text(report) == json_text(nondiscreteness_report(8, 11, 0.3))
+    assert json_text(report) == oracle_text(report)
     ttype = TriangleType(np.int64(8), np.int64(11), 0.3)
     assert (type(ttype.m), type(ttype.n)) == (int, int)
-    assert _json(ttype) == _json(TriangleType(8, 11, 0.3))
-    assert _json(ttype) == oracle_text(ttype)
+    assert json_text(ttype) == json_text(TriangleType(8, 11, 0.3))
+    assert json_text(ttype) == oracle_text(ttype)
 
 
 @pytest.mark.parametrize(
@@ -214,8 +215,8 @@ def test_json_writes_a_point_report_built_from_numpy_integers():
 )
 def test_json_writes_records_holding_an_isometry_class(make):
     record = make()
-    assert '"tag": "' in _json(record)
-    assert _json(record) == oracle_text(record)
+    assert '"tag": "' in json_text(record)
+    assert json_text(record) == oracle_text(record)
 
 
 # a fixed slice of the CLI output space: the three tables, every 7th
@@ -293,6 +294,39 @@ def test_galois_json_record_with_shared_scans_matches_oracle(monkeypatch, record
     assert len(near) == 148
     assert len({id(t.conjugates) for t in near}) < len(near)
     assert stdout.getvalue() == oracle_text(records[0]) + "\n"
+
+
+class CountingSink:
+    """A stdout that counts the characters written to it and keeps none."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+def test_galois_json_record_is_written_while_it_is_walked(monkeypatch):
+    # memory is traced from the moment the handler has built the record:
+    # writing it holds no output text, so it allocates far less than it writes
+    handler = cli._HANDLERS["galois"]
+
+    def run(args):
+        out = handler(args)
+        tracemalloc.start()
+        return out
+
+    monkeypatch.setitem(cli._HANDLERS, "galois", run)
+    sink = CountingSink()
+    monkeypatch.setattr("sys.stdout", sink)
+    try:
+        assert main(["galois", "--m", "8", "--n", "11", "--max-l", "120", "--format", "json"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 80_000
+    assert peak < sink.chars / 10
 
 
 # the types the writer takes as they are; a dataclass instance or an enum

@@ -27,9 +27,15 @@ from chtriangle.criteria import (
 from chtriangle.cyclotomic import refute_finite_order
 from chtriangle.heisenberg import shimizu_violation
 from chtriangle.triangles import TriangleType, build_mn_inf, build_n_inf_inf
-from helpers import make_rng, scan_intervals_oracle
+from helpers import json_text, make_rng, scan_intervals_oracle
 
 INF = math.inf
+
+
+def test_ideal_triangle_re_scan_is_goldman_parker_threshold():
+    # 61/64 = -cos(2A) with tan^2 A = 125/3: Goldman and Parker's bound
+    assert scan_intervals("re", INF, INF).intervals == ((61 / 64, 1.0),)
+    assert -math.cos(2 * math.atan(math.sqrt(125 / 3))) == pytest.approx(61 / 64, rel=1e-15)
 
 
 def test_regular_elliptic_criterion_inside_and_outside():
@@ -419,12 +425,27 @@ def test_word_3132_analysis_and_order_k_locus_reject_bad_orders(n):
 @pytest.mark.parametrize("call, message", [
     (lambda: word_3132_analysis(7, 1.5), r"^a = cos\(theta\) must lie in \[-1, 1\]$"),
     (lambda: word_3132_analysis(7, -1.5), r"^a = cos\(theta\) must lie in \[-1, 1\]$"),
+    (lambda: word_3132_analysis(7, math.nan), r"^a = cos\(theta\) must lie in \[-1, 1\]$"),
+    (lambda: word_3132_analysis(7, np.float64(1.5)), r"^a = cos\(theta\) must lie in \[-1, 1\]$"),
     (lambda: word_order_cos_window(3), "^no certified interval reaching a = 1 for n = 3$"),
     (lambda: word_order_cos_window(4), "^no certified interval reaching a = 1 for n = 4$"),
-], ids=["a-above-1", "a-below-minus-1", "window-n3", "window-n4"])
+], ids=["a-above-1", "a-below-minus-1", "a-nan", "a-np.float64-above-1", "window-n3",
+        "window-n4"])
 def test_word_3132_functions_refuse_out_of_range_inputs(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("a, plain", [
+    (np.float64(0.5), 0.5), (np.float32(0.25), 0.25), (np.int64(1), 1.0), (True, 1.0),
+], ids=["np.float64", "np.float32", "np.int64", "bool"])
+def test_word_3132_analysis_takes_a_through_float(a, plain):
+    # a is taken as the value functions take it, so the record holds a
+    # Python float that the JSON writer accepts
+    got = word_3132_analysis(7, a)
+    assert type(got.trace) is float
+    assert got == word_3132_analysis(7, plain)
+    assert json_text(got) == json_text(word_3132_analysis(7, plain))
 
 
 def test_word_3132_analysis_accepts_non_integer_orders():

@@ -39,6 +39,7 @@ from helpers import (
     conjugate_scan_oracle,
     corner_residues_oracle,
     enumerate_candidates_oracle,
+    json_text,
     make_rng,
     order_blocks_oracle,
     refute_finite_order_oracle,
@@ -124,8 +125,18 @@ def test_enumeration_checks_max_l_as_the_engine_does(monkeypatch, max_l, message
 
 
 def test_totient_and_candidate_accept_numpy_integers():
-    assert euler_phi(np.int64(12)) == 4
-    assert phi_inequality(np.int32(12), np.int64(4), 4, 4) == phi_inequality(12, 4, 4, 4)
+    # the results hold Python ints and bools, which the JSON writer takes
+    phi = euler_phi(np.int64(12))
+    assert type(phi) is int and phi == 4
+    for l, k in (
+        (np.int32(12), (np.int64(4), 4, 4)),
+        (np.int64(12), (1, 2, 9)),
+        (np.uint64(12), (np.int32(1), np.uint8(2), 9)),
+    ):
+        check, want = phi_inequality(l, *k), phi_inequality(12, *map(int, k))
+        assert check == want
+        assert type(check.holds) is bool and [type(d) for d in check.d] == [int] * 3
+        assert json_text([phi, check]) == json_text([4, want])
 
 
 def test_phi_inequality_examples():

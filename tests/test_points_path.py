@@ -302,21 +302,34 @@ def test_refusals_keep_their_messages():
     group = build_mn_inf(7, math.inf, 0.4)
     g, h = group.word("23"), group.word("1")
     bad = np.diag([2.0, 1.0, 1.0])
-    for fn, oracle, args in (
-        (boundary_action, boundary_action_oracle, (bad, ORIGIN)),
-        (boundary_action, boundary_action_oracle, (bad, INFINITY)),
-        (translation_of, translation_of_oracle, (bad,)),
-        (translation_of, translation_of_oracle, (h,)),
-        (isometric_sphere, isometric_sphere_oracle, (bad,)),
-        (isometric_sphere, isometric_sphere_oracle, (g,)),
-        (shimizu_violation, shimizu_violation_oracle, (bad, h)),
-        (shimizu_violation, shimizu_violation_oracle, (g, bad)),
-        (shimizu_violation, shimizu_violation_oracle, (h, h)),
-        (shimizu_violation, shimizu_violation_oracle, (g, g)),
+    moves = "not a Heisenberg translation: infinity moves"
+    fixes = "isometric sphere undefined: the map fixes infinity"
+
+    def form(name):
+        # a form refusal names the public function that was called
+        return f"{name} needs a matrix preserving the form"
+
+    # h passes the form check and h^-1 = J h* J does not: isometric_sphere checks both
+    inverse_refused = [
+        M for M in value_sample()
+        if is_unitary_for_form(M) and not is_unitary_for_form(form_inverse(M))
+    ]
+    assert inverse_refused
+    for fn, oracle, args, text in (
+        (boundary_action, boundary_action_oracle, (bad, ORIGIN), form("boundary_action")),
+        (boundary_action, boundary_action_oracle, (bad, INFINITY), form("boundary_action")),
+        (translation_of, translation_of_oracle, (bad,), form("translation_of")),
+        (translation_of, translation_of_oracle, (h,), moves),
+        (isometric_sphere, isometric_sphere_oracle, (bad,), form("isometric_sphere")),
+        (isometric_sphere, isometric_sphere_oracle, (g,), fixes),
+        (shimizu_violation, shimizu_violation_oracle, (bad, h), form("shimizu_violation")),
+        (shimizu_violation, shimizu_violation_oracle, (g, bad), form("isometric_sphere")),
+        (shimizu_violation, shimizu_violation_oracle, (h, h), moves),
+        (shimizu_violation, shimizu_violation_oracle, (g, g), fixes),
+        *((isometric_sphere, isometric_sphere_oracle, (M,), form("isometric_sphere"))
+          for M in inverse_refused),
     ):
-        got = outcome(fn, *args)
-        assert isinstance(got, tuple)
-        assert got == outcome(oracle, *args)
+        assert outcome(fn, *args) == outcome(oracle, *args) == ("refused", text)
 
 
 def same_bits(x, y) -> bool:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chtriangle.classify import discriminant, trace
+from chtriangle.classify import IsometryClass, classify, discriminant, trace
 from chtriangle.cli import main
 from chtriangle.closed import corner_cos, is_infinite, trace_word_123, trace_word_3132
 from chtriangle.heisenberg import HeisenbergPoint, boundary_action, heis_mul, translation_of
@@ -59,8 +59,6 @@ def test_triangle_type_validation():
 def test_build_rejects_bad_orders():
     with pytest.raises(ValueError):
         build_mn_inf(2, 5, 0.5)
-    with pytest.raises(ValueError, match="^at most one of the corner orders m, n may be infinite$"):
-        build_mn_inf(math.inf, math.inf, 0.5)
     with pytest.raises(ValueError):
         build_n_inf_inf(2, 0.5)
     with pytest.raises(ValueError, match="^the finite corner order n must be finite$"):
@@ -77,10 +75,11 @@ def test_build_rejects_coincident_sides():
     with pytest.raises(ValueError):
         build_mn_inf(4, 4, 0.0)
     # a finite order whose corner cosine rounds to 1 meets the ideal
-    # corner's side at theta = 0
+    # corner's side at theta = 0, and so do two ideal corners
     for call in (lambda: build_mn_inf(10**9, math.inf, 0.0),
                  lambda: build_mn_inf(math.inf, 10**9, 0.0),
-                 lambda: build_n_inf_inf(10**9, 0.0)):
+                 lambda: build_n_inf_inf(10**9, 0.0),
+                 lambda: build_mn_inf(math.inf, math.inf, 0.0)):
         with pytest.raises(ValueError, match="^degenerate configuration: two sides coincide$"):
             call()
 
@@ -106,6 +105,34 @@ def test_one_finite_corner_builder_matches_displayed_matrices():
             group = build_mn_inf(m, n, theta)
             for got, want in zip(group.involutions, displayed_involutions(m, n, theta)):
                 np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_ideal_triangle_builds_with_two_infinite_orders():
+    # (inf, inf): the ideal triangle, whose tr(123) is 8 e^(i theta) - 9
+    for k in range(1, 181):
+        theta = k * math.pi / 180
+        group = build_mn_inf(math.inf, math.inf, theta)
+        assert (group.ttype.m, group.ttype.n) == (math.inf, math.inf)
+        displayed = displayed_involutions(math.inf, math.inf, theta)
+        for got, want in zip(group.involutions, displayed):
+            np.testing.assert_allclose(got, want, atol=1e-12)
+        tr = trace(group.word("123"))
+        assert abs(tr - trace_word_123(math.inf, math.inf, theta)) <= 1.1e-14
+
+
+def test_ideal_triangle_123_is_regular_elliptic_exactly_above_61_64():
+    # Goldman-Parker's threshold: I1 I2 I3 is regular elliptic exactly for
+    # a > 61/64, on a grid of step 1e-3 away from that end
+    checked = 0
+    for k in range(-999, 1000):
+        a = k / 1000
+        if abs(a - 61 / 64) < 1e-3:
+            continue
+        group = build_mn_inf(math.inf, math.inf, math.acos(a))
+        tag = classify(group.word("123")).tag
+        assert (tag is IsometryClass.REGULAR_ELLIPTIC) == (a > 61 / 64), a
+        checked += 1
+    assert checked == 1997
 
 
 def test_ideal_corner_builds_equal_the_separate_normalisation():
