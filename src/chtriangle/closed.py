@@ -67,9 +67,9 @@ def _check_float_size(order, name: str):
 
 
 def _plain_order(order):
-    """An integer order as a Python int, so that records built from it
-    hold no numpy integer; any other order as given."""
-    return int(order) if _is_integer(order) else order
+    """An integer order as a Python int and any other as a Python float,
+    so that records built from it hold no numpy number."""
+    return int(order) if _is_integer(order) else float(order)
 
 
 def _check_orders(m, n):
@@ -85,12 +85,13 @@ def _check_theta(theta):
         raise ValueError("theta must lie in [0, pi]")
 
 
-def _check_closed_form_order(order, name: str):
-    """Reject orders <= 2 and NaN, where the corner cosine of a closed
-    trace formula is not positive, and finite orders too large for a float."""
-    if not 2 < order <= _FLOAT_MAX and not is_infinite(order):
-        _check_float_size(order, name)
-        raise ValueError(f"{name} must be > 2 or infinity")
+def _check_a(a) -> float:
+    """a = cos(theta) as a Python float: one scalar, taken through
+    float(a) and refused outside [-1, 1], NaN too."""
+    a = float(a)
+    if not -1.0 <= a <= 1.0:
+        raise ValueError("a = cos(theta) must lie in [-1, 1]")
+    return a
 
 
 def corner_cos(order) -> float:
@@ -118,12 +119,13 @@ def trace_word_123(m, n, theta) -> complex:
     tr = -(4 cos^2(pi/m) + 4 cos^2(pi/n) + 1)
          + 8 e^(i theta) cos(pi/m) cos(pi/n),
 
-    valid for finite or infinite corner orders.  The orders must be > 2,
-    so that both corner cosines are positive, or infinite; NaN is refused.
-    They need not be integers, as the closed form is continuous in them.
+    valid for finite or infinite corner orders.  The orders must be >= 3
+    or infinite, NaN refused, as in the criteria; they need not be
+    integers, as the closed form is continuous in them.  theta must lie
+    in [0, pi].
     """
-    _check_closed_form_order(m, "m")
-    _check_closed_form_order(n, "n")
+    _check_orders(m, n)
+    _check_theta(theta)
     c, radius = _trace_123_circle(m, n)
     return complex(c + radius * cmath.exp(1j * theta))
 
@@ -131,13 +133,15 @@ def trace_word_123(m, n, theta) -> complex:
 def trace_word_3132(n, a) -> float:
     """Closed form 3 + 16 s^2 - 16 s a for the word 3132 in the family
     with one finite corner order n, where s = cos(pi/n) and a = cos(theta).
-    The order must be > 2 or infinite, NaN refused; it need not be an
-    integer.
+    The order must be >= 3 or infinite, NaN refused, and need not be an
+    integer; a must lie in [-1, 1].
 
-    "3132" names the word in the slots of build_mn_inf(n, inf, theta).  In
-    the slots the criteria use, build_mn_inf(inf, n, theta), the same trace
-    is that of 1232; in both it is the trace of 2131."""
-    _check_closed_form_order(n, "n")
+    "3132" is the paper's label, for its (n, inf, inf) group: the slots of
+    build_mn_inf(n, inf, theta).  In the slots the criteria and every CLI
+    command use, build_mn_inf(inf, n, theta), the same trace is that of
+    1232; in both it is the trace of 2131."""
+    _check_order(n, "n", integer=False)
+    a = _check_a(a)
     s = corner_cos(n)
     return 3.0 + 16.0 * s * s - 16.0 * s * a
 

@@ -28,6 +28,7 @@ from typing import NamedTuple
 from .closed import (
     EPS_DISCRIMINANT,
     IsometryClass,
+    _check_a,
     _check_float_size,
     _check_order,
     _check_orders,
@@ -113,9 +114,9 @@ class WordClassification:
 class NondiscretenessReport:
     """Aggregated verdict of all applicable certificates at one point.
 
-    word_3132 classifies the closed trace of trace_word_3132, which in the
-    slots (inf, n) the report is taken in is the trace of the word 1232
-    (and of 2131)."""
+    word_3132 classifies the closed trace of trace_word_3132.  "3132" is
+    the paper's label, for its (n, inf, inf) group; in the slots (inf, n)
+    the report is taken in, that trace is the word 1232's (and 2131's)."""
 
     m: float
     n: float
@@ -217,15 +218,6 @@ def _closed_form(test, m, n) -> _ClosedForm | None:
     return _ClosedForm(value, breakpoints)
 
 
-def _check_a(a) -> float:
-    """a = cos(theta) as a Python float: one scalar, taken through
-    float(a) and refused outside [-1, 1], NaN too."""
-    a = float(a)
-    if not -1.0 <= a <= 1.0:
-        raise ValueError("a = cos(theta) must lie in [-1, 1]")
-    return a
-
-
 def _value(test, m, n, a) -> float:
     """f(a) of test at corner orders (m, n) already checked: a goes
     through _check_a, and Jorgensen is refused where it does not apply."""
@@ -274,9 +266,7 @@ def shimizu_value(m, n, a) -> float:
 
 def regular_elliptic_criterion(m, n, theta) -> CriterionEvaluation:
     """Evaluate the regular elliptic certificate at angular invariant
-    theta in [0, pi]."""
-    _check_orders(m, n)
-    _check_theta(theta)
+    theta in [0, pi]; trace_word_123 checks the orders and theta."""
     tau = trace_word_123(m, n, theta)
     f = discriminant(tau)
     return CriterionEvaluation(fires=f < -EPS_DISCRIMINANT, trace=tau, discriminant=f)
@@ -483,7 +473,7 @@ def nondiscreteness_report(m, n, theta) -> NondiscretenessReport:
     return NondiscretenessReport(
         m=_plain_order(m),
         n=_plain_order(n),
-        theta=theta,
+        theta=float(theta),
         a=a,
         regular_elliptic=re_eval,
         jorgensen=jor,

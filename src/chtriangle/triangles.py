@@ -44,10 +44,11 @@ class TriangleType:
         _check_order(self.m, "m")
         _check_order(self.n, "n")
         _check_theta(self.theta)
-        # a numpy integer order is stored as a Python int, so that records
-        # built from it hold no numpy integer
+        # orders and theta are stored as Python numbers, so that records
+        # built from them hold no numpy number
         object.__setattr__(self, "m", _plain_order(self.m))
         object.__setattr__(self, "n", _plain_order(self.n))
+        object.__setattr__(self, "theta", float(self.theta))
 
     @property
     def a(self) -> float:

@@ -56,18 +56,55 @@ def test_classify_command_loxodromic(capsys):
 
 
 def test_classify_command_word_3132_at_order5_locus(capsys):
+    # the paper's word 3132 of (7, inf, inf) is the word 1232 in the slots
+    # (inf, 7) that order_k_locus and the criteria use
     a = order_k_locus(7, 5)
+    for m, n, word in (("7", "inf", "3132"), ("inf", "7", "1232")):
+        code, out, _ = run_cli(
+            capsys, "classify", "--m", m, "--n", n,
+            "--theta", f"acos({a!r})", "--word", word, "--format", "json",
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["command"] == "classify"
+        assert record["version"]
+        result = record["results"]
+        assert result["isometry_class"] == "regular_elliptic"
+        want = 1 + 2 * math.cos(2 * math.pi / 5)
+        assert result["trace"]["real"] == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("m, n, want", [
+    ("5", "7", None), ("8", "11", None), ("inf", "7", 2.7104), ("7", "inf", 4.9694),
+])
+def test_classify_command_reads_m_and_n_as_the_builder_slots(capsys, m, n, want):
+    # tr(1232) = 16 s1^2 + 4 s2^2 - 1 - 16 s1 s2 a with s1 = cos(pi/n) and
+    # s2 = cos(pi/m) is not symmetric in the slots: it tells (inf, 7) from (7, inf)
     code, out, _ = run_cli(
-        capsys, "classify", "--m", "inf", "--n", "7",
-        "--theta", f"acos({a!r})", "--word", "3132", "--format", "json",
+        capsys, "classify", "--m", m, "--n", n, "--theta", "0.4", "--word", "1232",
+        "--format", "json",
     )
     assert code == 0
-    record = json.loads(out)
-    assert record["command"] == "classify"
-    assert record["version"]
-    result = record["results"]
-    assert result["isometry_class"] == "regular_elliptic"
-    assert result["trace"]["real"] == pytest.approx(1 + 2 * math.cos(2 * math.pi / 5), abs=1e-9)
+    s1, s2 = (1.0 if k == "inf" else math.cos(math.pi / int(k)) for k in (n, m))
+    a = math.cos(0.4)
+    closed = 16 * s1 * s1 + 4 * s2 * s2 - 1 - 16 * s1 * s2 * a
+    trace = json.loads(out)["results"]["trace"]
+    assert trace["real"] == pytest.approx(closed, abs=1e-12)
+    assert trace["imag"] == pytest.approx(0.0, abs=1e-12)
+    if want is not None:
+        assert round(closed, 4) == want
+
+
+@pytest.mark.parametrize("a, tag", [("0.953", "loxodromic"), ("0.9532", "regular_elliptic")])
+def test_classify_command_takes_the_ideal_triangle(capsys, a, tag):
+    # Goldman-Parker's ideal triangle: the word 123 turns regular elliptic
+    # at a = cos(theta) = 61/64 = 0.953125 (Schwartz)
+    code, out, _ = run_cli(
+        capsys, "classify", "--m", "inf", "--n", "inf", "--theta", f"acos({a})",
+        "--word", "123", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["results"]["isometry_class"] == tag
 
 
 def test_classify_command_rejects_bad_word(capsys):
@@ -93,8 +130,9 @@ PI_OVER_HUGE = "pi/1" + "0" * 400
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["classify", "--m", "inf", "--n", "inf", "--theta", "0.5", "--word", "123"],
-     "n must be finite; pass the single finite order as --n with --m inf"),
+    # the ideal triangle classifies at theta > 0; at theta = 0 its sides coincide
+    (["classify", "--m", "inf", "--n", "inf", "--theta", "0", "--word", "123"],
+     "degenerate configuration: two sides coincide"),
     (["scan", "--test", "re", "--m", "8", "--n", "inf"],
      "n must be finite; pass --m inf for the family with one finite corner"),
     (["classify", "--m", "8", "--n", "11", "--theta", "acos(x)", "--word", "123"],
@@ -102,7 +140,7 @@ PI_OVER_HUGE = "pi/1" + "0" * 400
     # pi/<k> with k above the largest float used to read as theta = pi/inf = 0
     (["classify", "--m", "8", "--n", "11", "--theta", PI_OVER_HUGE, "--word", "123"],
      f"invalid angle {PI_OVER_HUGE!r}: denominator too large for a float"),
-], ids=["classify-n-inf", "scan-n-inf", "acos-not-a-number", "pi-over-k-past-float-range"])
+], ids=["classify-ideal-theta-0", "scan-n-inf", "acos-not-a-number", "pi-over-k-past-float-range"])
 def test_commands_refuse_bad_flags_with_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""

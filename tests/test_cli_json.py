@@ -21,7 +21,7 @@ from chtriangle.classify import classify
 from chtriangle.cli import main
 from chtriangle.criteria import SCAN_TESTS, nondiscreteness_report, scan_intervals
 from chtriangle.cyclotomic import refute_finite_order
-from chtriangle.triangles import TriangleType
+from chtriangle.triangles import TriangleType, build_mn_inf
 from helpers import json_text, jsonable_oracle
 
 INF = math.inf
@@ -206,6 +206,21 @@ def test_json_writes_a_point_report_built_from_numpy_integers():
     assert (type(ttype.m), type(ttype.n)) == (int, int)
     assert json_text(ttype) == json_text(TriangleType(8, 11, 0.3))
     assert json_text(ttype) == oracle_text(ttype)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda f: scan_intervals("re", f(8.5), 11), "m"),
+    (lambda f: refute_finite_order(f(8.0), 11, 10), "m"),
+    (lambda f: nondiscreteness_report(8, 11, f(0.3)), "theta"),
+    (lambda f: build_mn_inf(5, 7, f(0.3)).ttype, "theta"),
+], ids=["scan m", "refutation m", "point report theta", "triangle type theta"])
+def test_json_writes_records_built_from_numpy_floats(make, name):
+    # a non-integer order and theta are stored as Python floats, which the
+    # writer takes; a numpy float it refuses
+    record = make(np.float64)
+    assert type(getattr(record, name)) is float
+    assert json_text(record) == json_text(make(float))
+    assert json_text(record) == oracle_text(record)
 
 
 @pytest.mark.parametrize(

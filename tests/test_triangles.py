@@ -173,11 +173,14 @@ def test_infinite_order_sits_in_the_slot_it_is_passed_in(capsys):
             assert abs(trace(build_mn_inf(math.inf, k, theta).word("1232")) - want) <= 1e-12
             for group in (build_mn_inf(k, math.inf, theta), build_mn_inf(math.inf, k, theta)):
                 assert abs(trace(group.word("2131")) - want) <= 1e-12
-    # classify --m inf --n k builds the slots (k, inf)
-    assert main(["classify", "--m", "inf", "--n", "4", "--theta", "0.3", "--word", "3132",
-                 "--format", "json"]) == 0
-    got = json.loads(capsys.readouterr().out)["results"]["trace"]
-    assert abs(complex(got["real"], got["imag"]) - trace_word_3132(4, math.cos(0.3))) <= 1e-12
+    # classify reads --m and --n as the builder's slots: --m inf --n k
+    # builds (inf, k), and --m k --n inf builds (k, inf)
+    want = trace_word_3132(4, math.cos(0.3))
+    for m, n, word in (("inf", "4", "1232"), ("4", "inf", "3132")):
+        assert main(["classify", "--m", m, "--n", n, "--theta", "0.3", "--word", word,
+                     "--format", "json"]) == 0
+        got = json.loads(capsys.readouterr().out)["results"]["trace"]
+        assert abs(complex(got["real"], got["imag"]) - want) <= 1e-12
 
 
 def test_exact_integer_matrices_at_n4():
@@ -287,22 +290,40 @@ def test_trace_word_123_special_values():
         assert trace_word_123(math.inf, n, theta) == pytest.approx(want, abs=1e-12)
 
 
-@pytest.mark.parametrize("order", [2, 1, 0, -3, math.nan, -math.inf])
-def test_closed_traces_reject_orders_up_to_2_and_nan(order):
-    with pytest.raises(ValueError, match="^m must be > 2 or infinity$"):
+@pytest.mark.parametrize("order", [2.9, 2.5, 2, 1, 0, -3, math.nan, -math.inf])
+def test_closed_traces_reject_orders_below_3_and_nan(order):
+    # one order domain with the criteria: >= 3 or infinity
+    with pytest.raises(ValueError, match="^m must be >= 3 or infinity$"):
         trace_word_123(order, 8, 0.3)
-    with pytest.raises(ValueError, match="^n must be > 2 or infinity$"):
+    with pytest.raises(ValueError, match="^n must be >= 3 or infinity$"):
         trace_word_123(8, order, 0.3)
-    with pytest.raises(ValueError, match="^n must be > 2 or infinity$"):
+    with pytest.raises(ValueError, match="^n must be >= 3 or infinity$"):
         trace_word_3132(order, 0.3)
 
 
-def test_closed_traces_accept_non_integer_orders_above_2():
-    # the closed forms are continuous in the orders wherever cos(pi/n) > 0
-    s1, s2 = corner_cos(8), corner_cos(2.5)
+@pytest.mark.parametrize("theta", [-0.1, math.pi + 1e-9, 10.0, math.nan, math.inf])
+def test_trace_word_123_rejects_theta_outside_0_pi(theta):
+    with pytest.raises(ValueError, match=r"^theta must lie in \[0, pi\]$"):
+        trace_word_123(8, 11, theta)
+
+
+@pytest.mark.parametrize("a", [5.0, -1.5, 1 + 1e-12, math.nan, math.inf])
+def test_trace_word_3132_rejects_a_outside_unit_interval(a):
+    with pytest.raises(ValueError, match=r"^a = cos\(theta\) must lie in \[-1, 1\]$"):
+        trace_word_3132(7, a)
+
+
+def test_closed_traces_accept_non_integer_orders_from_3():
+    # the closed forms are continuous in the orders, as the criteria are
+    s1, s2 = corner_cos(8), corner_cos(3.5)
     want = -(4 * (s1 * s1 + s2 * s2) + 1) + 8 * s1 * s2 * cmath.exp(0.3j)
-    assert trace_word_123(2.5, 8, 0.3) == pytest.approx(want, abs=1e-12)
-    assert trace_word_3132(2.5, 0.3) == pytest.approx(3 + 16 * s2 * s2 - 16 * s2 * 0.3)
+    assert trace_word_123(3.5, 8, 0.3) == pytest.approx(want, abs=1e-12)
+    assert trace_word_3132(3.5, 0.3) == pytest.approx(3 + 16 * s2 * s2 - 16 * s2 * 0.3)
+    # the ends of the domain: order 3 and infinity, theta 0 and pi, a -1 and 1
+    assert trace_word_123(3, math.inf, 0.0) == pytest.approx(-2, abs=1e-12)
+    assert trace_word_123(math.inf, 3, math.pi) == pytest.approx(-10, abs=1e-12)
+    assert trace_word_3132(3, 1.0) == pytest.approx(-1, abs=1e-12)
+    assert trace_word_3132(math.inf, -1.0) == pytest.approx(35, abs=1e-12)
 
 
 def test_trace_closed_forms_match_matrix_products():
@@ -338,7 +359,8 @@ def test_expanded_discriminant_identity():
     rng = make_rng(97)
     for _ in range(200):
         a = float(rng.uniform(-1, 1))
-        s = float(rng.uniform(0.05, 1.0))
+        # s = cos(pi/n) >= 1/2: the closed traces take orders n >= 3
+        s = float(rng.uniform(0.5, 1.0))
         n = math.pi / math.acos(s)
         tau = trace_word_123(math.inf, n, math.acos(a))
         lhs = discriminant(tau)
