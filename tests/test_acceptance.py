@@ -341,10 +341,15 @@ def test_criterion_09_discriminant_identities():
     rng = make_rng(227)
     for _ in range(200):
         a = float(rng.uniform(-1, 1))
-        # s = cos(pi/n) >= 1/2: the closed traces take orders n >= 3
-        s = float(rng.uniform(0.5, 1.0))
+        s = float(rng.uniform(0.05, 1.0))
+        # the traces of 123 and 3132 at (inf, n), s = cos(pi/n); for n >= 3,
+        # the orders the closed traces take, they are those closed traces
+        tau = -(4 * s * s + 5) + 8 * s * cmath.exp(1j * math.acos(a))
+        t = 3 + 16 * s * s - 16 * s * a
         n = math.pi / math.acos(s)
-        tau = trace_word_123(INF, n, math.acos(a))
+        if n >= 3:
+            assert abs(trace_word_123(INF, n, math.acos(a)) - tau) <= 1e-12 * abs(tau)
+            assert abs(trace_word_3132(n, a) - t) <= 1e-12 * max(1.0, abs(t))
         expanded = (
             2048 - 10240 * a * s + 1792 * s**2 + 21760 * a**2 * s**2
             - 16384 * a * s**3 - 16384 * a**3 * s**3 + 7680 * s**4
@@ -352,7 +357,6 @@ def test_criterion_09_discriminant_identities():
             + 4096 * a**2 * s**6 - 2048 * a * s**7 + 256 * s**8
         )
         assert abs(discriminant(tau) - expanded) <= 1e-8 * max(1.0, abs(expanded))
-        t = trace_word_3132(n, a)
         factored = 16384 * (a - s) ** 3 * s**3 * (-1 + 4 * (a - s) * s)
         assert abs(discriminant(t) - factored) <= 1e-8 * max(1.0, abs(factored))
 

@@ -1,27 +1,22 @@
 """The README's examples run as written: every `chtriangle ...` line of
 the "Command line" sh block exits 0 through cli.main and writes output,
-and every commented result of the Python quick-start block is what its
-expression gives."""
+and the quick-start session gives the results it shows."""
 
-import ast
 import doctest
-import enum
-import io
 import re
 import shlex
-import tokenize
 from pathlib import Path
 
 import pytest
 
 from chtriangle import cli
 
-ROOT = Path(__file__).resolve().parents[1]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def readme_block(heading: str, lang: str) -> str:
     """The first fenced block of language lang after the heading line."""
-    text = (ROOT / "README.md").read_text()
+    text = README.read_text()
     section = text[text.index("\n" + heading + "\n"):]
     return re.search(rf"^```{lang}\n(.*?)^```$", section, re.S | re.M).group(1)
 
@@ -44,38 +39,10 @@ def test_readme_command_line_runs(capsys, argv):
     assert captured.out and not captured.err
 
 
-def line_comments(source: str) -> dict:
-    """line number -> text of the comment on that line."""
-    return {
-        tok.start[0]: tok.string[1:].strip()
-        for tok in tokenize.generate_tokens(io.StringIO(source).readline)
-        if tok.type == tokenize.COMMENT
-    }
-
-
-def shown(value) -> str:
-    """How the README writes a result: an enum member as Class.NAME, any
-    other value as its repr."""
-    if isinstance(value, enum.Enum):
-        return f"{type(value).__name__}.{value.name}"
-    return repr(value)
-
-
-def test_readme_quick_start_gives_its_commented_results():
-    # each top-level expression's result is the comment at the end of its
-    # last line or, failing that, on the next line; "..." matches any text
-    source = readme_block("Quick start:", "python")
-    comments = line_comments(source)
-    checker = doctest.OutputChecker()
-    namespace = {}
-    checked = 0
-    for node in ast.parse(source).body:
-        if not isinstance(node, ast.Expr):
-            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
-            continue
-        want = comments.get(node.end_lineno, comments.get(node.end_lineno + 1))
-        assert want is not None, ast.unparse(node)
-        got = shown(eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace))
-        assert checker.check_output(want + "\n", got + "\n", doctest.ELLIPSIS), (want, got)
-        checked += 1
-    assert checked == 4
+def test_readme_quick_start_gives_its_results():
+    # the quick start is the README's one >>> session: seven statements,
+    # four of them with a result
+    result = doctest.testfile(str(README), module_relative=False,
+                              optionflags=doctest.ELLIPSIS)
+    assert result.failed == 0
+    assert result.attempted == 7
